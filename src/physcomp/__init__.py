@@ -7,7 +7,7 @@ the unified resource, with sub-engines for quantum thermodynamics, black
 hole computers, reference hardware, and assembly pathways.
 """
 
-from . import assembly, blackhole, catalog, measures, qthermo, units
+from . import assembly, blackhole, catalog, measures, units
 from .errors import InputError, NumericalError, PhyscompError
 from .units import CONSTANTS, Quantity, constants, entropy_convert
 
@@ -29,3 +29,13 @@ __all__ = [
     "qthermo",
     "units",
 ]
+
+
+def __getattr__(name: str):
+    # qthermo pulls in numpy, which only the quantum-thermodynamics code
+    # needs: load it on first access so everything else starts without it.
+    if name == "qthermo":
+        import importlib
+
+        return importlib.import_module(f"{__name__}.qthermo")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

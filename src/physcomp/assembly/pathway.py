@@ -10,7 +10,6 @@ free physical complexity is the sum.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 from ..errors import (
@@ -19,7 +18,7 @@ from ..errors import (
     MissingAnnotation,
     SymbolNotInBasis,
 )
-from ..units import ENERGY, Quantity
+from ..units import ENERGY, Quantity, finite_double
 
 
 def check_basis(basis) -> frozenset[str]:
@@ -136,13 +135,15 @@ def pathway_from_dict(obj: dict, where: str = "pathway") -> AssemblyPathway:
     energies = None
     if "free_energy_joules" in obj:
         raw = obj["free_energy_joules"]
-        if not isinstance(raw, list) or not all(
-            isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
-            for x in raw
-        ):
+        if not isinstance(raw, list):
             raise FileFormatError(
                 f"{where}: free_energy_joules: expected an array of finite numbers"
             )
+        for k, x in enumerate(raw):
+            if isinstance(x, bool) or not finite_double(x):
+                raise FileFormatError(
+                    f"{where}: free_energy_joules[{k}]: expected a finite number"
+                )
         energies = tuple(Quantity(float(x), ENERGY, "J") for x in raw)
     target = obj.get("target")
     if target is None:

@@ -12,7 +12,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import NonPositiveCapacitance, NonPositiveEnergy, NonPositiveTemperature
+from .errors import (
+    NonPositiveCapacitance,
+    NonPositiveEnergy,
+    NonPositiveTemperature,
+    UnknownSystem,
+)
 from .units import (
     CAPACITANCE,
     CONSTANTS,
@@ -107,7 +112,7 @@ def get_system(name: str) -> ReferenceSystem:
         if sys_.name == name:
             return sys_
     known = ", ".join(s.name for s in builtin_systems())
-    raise NonPositiveEnergy(f"unknown reference system {name!r}; known: {known}")
+    raise UnknownSystem(f"unknown reference system {name!r}; known: {known}")
 
 
 def inefficiency_factor(sys_: ReferenceSystem, T: Quantity) -> float:

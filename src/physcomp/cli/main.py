@@ -11,7 +11,6 @@ import argparse
 import sys
 
 from .. import __version__, assembly, blackhole, catalog, measures
-from .. import qthermo as qt
 from ..errors import InputError, NumericalError
 from ..units import (
     CONSTANTS,
@@ -319,6 +318,8 @@ def _cmd_measure(args, out) -> Report:
 
 
 def _cmd_qt(args, out) -> Report:
+    from .. import qthermo as qt  # the only subcommand that needs numpy
+
     op = args.qt_op
     rep = Report(f"qt {op}", __version__)
     if op == "entropy":

@@ -86,6 +86,10 @@ class InvalidPathway(InputError):
     pass
 
 
+class UnknownSystem(InputError):
+    """No reference system of the given name."""
+
+
 class FileFormatError(InputError):
     """Malformed matrix/vector/pathway file; message carries the position."""
 

@@ -10,13 +10,12 @@ worse is rejected.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..errors import FileFormatError, InvalidState
-from ..units import ENERGY, TEMPERATURE, Quantity
+from ..units import ENERGY, TEMPERATURE, Quantity, finite_double
 
 HERMITIAN_RTOL = 1e-9
 TRACE_TOL = 1e-9
@@ -174,8 +173,8 @@ def _parse_pair(raw, where: str, path: str) -> complex:
         or not all(isinstance(x, (int, float)) for x in raw)
     ):
         raise FileFormatError(f"{path}: {where}: expected an [re, im] number pair")
-    if not (math.isfinite(raw[0]) and math.isfinite(raw[1])):
-        raise FileFormatError(f"{path}: {where}: entries must be finite")
+    if not (finite_double(raw[0]) and finite_double(raw[1])):
+        raise FileFormatError(f"{path}: {where}: entries must be finite doubles")
     return complex(raw[0], raw[1])
 
 
@@ -256,32 +255,22 @@ def load_state_vector(path: str) -> StateVector:
         raise FileFormatError(f"{path}: {exc}")
 
 
-def _fmt(x: float) -> float:
-    # round-trip through 17 significant digits preserves the double exactly
-    return float(f"{x:.17g}")
-
-
-def write_matrix(path: str, matrix: np.ndarray, units: str | None = None) -> None:
-    mat = np.asarray(matrix, dtype=complex)
+def _write_entries(path: str, arr: np.ndarray, units: str | None = None) -> None:
+    # float repr round-trips every double exactly; json.dumps (unlike
+    # json.dump) runs the C encoder
     obj: dict = {
-        "dim": mat.shape[0],
-        "entries": [
-            [[_fmt(cell.real), _fmt(cell.imag)] for cell in row] for row in mat
-        ],
+        "dim": arr.shape[0],
+        "entries": np.stack([arr.real, arr.imag], -1).tolist(),
     }
     if units is not None:
         obj["units"] = units
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh)
-        fh.write("\n")
+        fh.write(json.dumps(obj) + "\n")
+
+
+def write_matrix(path: str, matrix: np.ndarray, units: str | None = None) -> None:
+    _write_entries(path, np.asarray(matrix, dtype=complex), units)
 
 
 def write_vector(path: str, amplitudes: np.ndarray) -> None:
-    amp = np.asarray(amplitudes, dtype=complex)
-    obj = {
-        "dim": amp.size,
-        "entries": [[_fmt(a.real), _fmt(a.imag)] for a in amp],
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh)
-        fh.write("\n")
+    _write_entries(path, np.asarray(amplitudes, dtype=complex))

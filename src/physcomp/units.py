@@ -343,6 +343,18 @@ class Constants:
             raise DimensionMismatch("constants inconsistent: l_P^2 != hbar G / c^3")
 
 
+def finite_double(x) -> bool:
+    """Whether the parsed JSON value ``x`` is a number held by a finite double.
+
+    JSON integers have no size limit: one beyond the double range makes
+    ``math.isfinite`` raise ``OverflowError``, and counts as not finite here.
+    """
+    try:
+        return math.isfinite(x)
+    except (OverflowError, TypeError):
+        return False
+
+
 def _load_overrides(path: str) -> dict[str, float]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -356,7 +368,7 @@ def _load_overrides(path: str) -> dict[str, float]:
     for key, val in raw.items():
         if key not in known:
             raise FileFormatError(f"{path}: unknown constant {key!r}")
-        if not isinstance(val, (int, float)) or not math.isfinite(val):
+        if not finite_double(val):
             raise FileFormatError(f"{path}: {key}: expected a finite number")
         out[key] = float(val)
     return out

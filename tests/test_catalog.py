@@ -14,6 +14,7 @@ from physcomp.errors import (
     NonPositiveCapacitance,
     NonPositiveEnergy,
     NonPositiveTemperature,
+    UnknownSystem,
 )
 from physcomp.units import (
     ENERGY,
@@ -70,8 +71,9 @@ class TestBuiltinSystems:
         assert 1e-2 <= bio / world <= 1e2
 
     def test_unknown_system(self):
-        with pytest.raises(NonPositiveEnergy, match="unknown"):
+        with pytest.raises(UnknownSystem, match="unknown") as info:
             get_system("abacus")
+        assert not isinstance(info.value, NonPositiveEnergy)
 
     def test_zero_energy_entry_rejected(self):
         with pytest.raises(NonPositiveEnergy):

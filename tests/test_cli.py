@@ -2,6 +2,10 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -230,3 +234,54 @@ class TestExitCodes:
         )
         assert code == 2
         assert "exactly one" in err
+
+
+# a JSON integer beyond the double range: math.isfinite raises OverflowError on it
+HUGE_INT = "1" + "0" * 400
+
+
+class TestOversizedIntegers:
+    def _assert_one_line_error(self, code, err, *fragments):
+        assert code == 2
+        assert "Traceback" not in err and err.count("\n") == 1
+        for fragment in fragments:
+            assert fragment in err
+
+    def test_matrix_file(self, tmp_path):
+        path = tmp_path / "rho.mat"
+        path.write_text('{"dim": 1, "entries": [[[%s, 0]]]}' % HUGE_INT)
+        code, _, err = invoke("qt", "entropy", "--state", str(path))
+        self._assert_one_line_error(code, err, str(path), "entries[0][0]")
+
+    def test_pathway_file(self, tmp_path):
+        path = tmp_path / "p.json"
+        path.write_text(
+            '{"basis": "a", "steps": [["a", "a"]], "free_energy_joules": [%s]}' % HUGE_INT
+        )
+        code, _, err = invoke("assembly", "--pathway", str(path))
+        self._assert_one_line_error(code, err, str(path), "free_energy_joules[0]")
+
+    def test_constants_file(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text('{"G": %s}' % HUGE_INT)
+        code, _, err = invoke("constants", "--constants", str(path))
+        self._assert_one_line_error(code, err, str(path), "G")
+
+
+def test_only_qt_imports_numpy():
+    script = """
+import io, sys
+from physcomp.cli.main import run
+for argv in (["constants"], ["bh", "--mass", "1"],
+             ["measure", "landauer", "--temp", "300", "--bits", "1"],
+             ["catalog", "list"], ["assembly", "--target", "abab", "--basis", "ab"]):
+    assert run(argv, io.StringIO(), io.StringIO()) == 0, argv
+assert "numpy" not in sys.modules, "numpy loaded before any qt command"
+import physcomp
+physcomp.qthermo
+assert "numpy" in sys.modules, "physcomp.qthermo did not load numpy"
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    env.pop("PHYSCOMP_CONSTANTS", None)
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -93,6 +93,23 @@ class TestMatrixFiles:
         assert units == "J"
         assert np.array_equal(back, mat.astype(complex))
 
+    def test_written_bytes(self, tmp_path):
+        # shortest round-trip repr, including subnormal, extreme and signed zero
+        mat, vec = str(tmp_path / "h.mat"), str(tmp_path / "psi.vec")
+        write_matrix(
+            mat,
+            np.array([[0.1 + 1e-300j, complex(5e-324, -0.0)], [1e300, complex(-0.0, 1.0)]]),
+            units="J",
+        )
+        write_vector(vec, np.array([complex(0.1, -0.0), complex(1e300, 5e-324)]))
+        with open(mat, "rb") as fh:
+            assert fh.read() == (
+                b'{"dim": 2, "entries": [[[0.1, 1e-300], [5e-324, -0.0]], '
+                b'[[1e+300, 0.0], [-0.0, 1.0]]], "units": "J"}\n'
+            )
+        with open(vec, "rb") as fh:
+            assert fh.read() == b'{"dim": 2, "entries": [[0.1, -0.0], [1e+300, 5e-324]]}\n'
+
     def test_load_hamiltonian(self, tmp_path):
         path = str(tmp_path / "h.mat")
         write_matrix(path, np.diag([0.0, 1.0]), units="J")
