@@ -9,8 +9,10 @@ worse is rejected.
 
 from __future__ import annotations
 
+import gc
 import json
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -86,10 +88,12 @@ class DensityMatrix:
                 f"density matrix has eigenvalue {vals.min():.3e} below {PSD_FLOOR:g}"
             )
         vals = np.clip(vals, 0.0, None)
-        vals = vals / vals.sum()
-        self.probabilities = vals
-        self.eigenvectors = vecs
-        self.matrix = (vecs * vals) @ vecs.conj().T
+        self._set_spectrum(vals / vals.sum(), vecs)
+
+    def _set_spectrum(self, probabilities: np.ndarray, eigenvectors: np.ndarray) -> None:
+        self.probabilities = probabilities
+        self.eigenvectors = eigenvectors
+        self.matrix = (eigenvectors * probabilities) @ eigenvectors.conj().T
         self.matrix.setflags(write=False)
 
     @property
@@ -99,6 +103,31 @@ class DensityMatrix:
     @classmethod
     def maximally_mixed(cls, dim: int) -> "DensityMatrix":
         return cls(np.eye(dim) / dim)
+
+    @classmethod
+    def from_spectrum(cls, probabilities, eigenvectors) -> "DensityMatrix":
+        """The state sum_k p_k |v_k><v_k| from a known spectral decomposition.
+
+        ``eigenvectors`` holds orthonormal columns v_k. No diagonalization:
+        the probabilities are kept exactly as given, after checking that
+        they are nonnegative, sum to 1 within ``TRACE_TOL`` and match the
+        columns in number.
+        """
+        p = np.asarray(probabilities, dtype=float)
+        vecs = np.asarray(eigenvectors, dtype=complex)
+        if p.ndim != 1 or p.size < 1 or vecs.shape != (p.size, p.size):
+            raise InvalidState(
+                f"spectrum of {p.shape} probabilities does not match "
+                f"eigenvectors of shape {vecs.shape}"
+            )
+        if not p.min() >= 0.0:
+            raise InvalidState(f"density matrix has probability {p.min():.3e} below 0")
+        total = p.sum()
+        if abs(total - 1.0) > TRACE_TOL:
+            raise InvalidState(f"density matrix trace {total!r} differs from 1")
+        rho = cls.__new__(cls)
+        rho._set_spectrum(p, vecs)
+        return rho
 
     @classmethod
     def from_state(cls, psi: "StateVector") -> "DensityMatrix":
@@ -166,26 +195,57 @@ class GibbsState:
 # A vector file uses a flat length-d "entries" array of [re, im] pairs.
 
 
-def _parse_pair(raw, where: str, path: str) -> complex:
+def _check_pair(raw, where: str, path: str) -> None:
     if (
         not isinstance(raw, (list, tuple))
         or len(raw) != 2
-        or not all(isinstance(x, (int, float)) for x in raw)
+        or not all(type(x) in (int, float) for x in raw)  # JSON numbers, not bools
     ):
         raise FileFormatError(f"{path}: {where}: expected an [re, im] number pair")
     if not (finite_double(raw[0]) and finite_double(raw[1])):
         raise FileFormatError(f"{path}: {where}: entries must be finite doubles")
-    return complex(raw[0], raw[1])
+
+
+def _pair_array(entries: list, shape: tuple[int, ...]) -> np.ndarray | None:
+    """``entries`` as a complex array of ``shape``, or None if they are not
+    nested lists of that shape holding finite [re, im] pairs of JSON numbers.
+    """
+    level = entries  # a list of length shape[0], checked by the caller
+    for n in shape[1:] + (2,):
+        if set(map(type, level)) != {list} or set(map(len, level)) != {n}:
+            return None
+        level = list(chain.from_iterable(level))
+    # JSON numbers only: np.array would also take numeric strings and bools
+    if not set(map(type, level)) <= {int, float}:
+        return None
+    try:
+        flat = np.array(level, dtype=float)
+    except OverflowError:  # an integer beyond the double range
+        return None
+    if not np.isfinite(flat).all():
+        return None
+    # consecutive (re, im) doubles are exactly numpy's complex layout
+    return flat.view(complex).reshape(shape)
 
 
 def _load_json_object(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+            text = fh.read()
     except OSError as exc:
         raise FileFormatError(f"{path}: cannot read: {exc}")
+    # the decoder allocates one small list per matrix entry, none of them in
+    # a reference cycle, and the cyclic collector would rescan them all
+    # again and again while they accumulate
+    gc_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise FileFormatError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}")
+    finally:
+        if gc_enabled:
+            gc.enable()
     if not isinstance(raw, dict):
         raise FileFormatError(f"{path}: top level must be an object")
     return raw
@@ -205,12 +265,14 @@ def read_matrix(path: str) -> tuple[np.ndarray, str | None]:
     entries = raw.get("entries")
     if not isinstance(entries, list) or len(entries) != dim:
         raise FileFormatError(f"{path}: entries: expected {dim} rows")
-    out = np.empty((dim, dim), dtype=complex)
-    for i, row in enumerate(entries):
-        if not isinstance(row, list) or len(row) != dim:
-            raise FileFormatError(f"{path}: entries[{i}]: expected {dim} pairs")
-        for j, cell in enumerate(row):
-            out[i, j] = _parse_pair(cell, f"entries[{i}][{j}]", path)
+    out = _pair_array(entries, (dim, dim))
+    if out is None:  # walk the entries only to say which one is bad
+        for i, row in enumerate(entries):
+            if not isinstance(row, list) or len(row) != dim:
+                raise FileFormatError(f"{path}: entries[{i}]: expected {dim} pairs")
+            for j, cell in enumerate(row):
+                _check_pair(cell, f"entries[{i}][{j}]", path)
+        raise FileFormatError(f"{path}: entries: expected {dim} rows of {dim} pairs")
     units = raw.get("units")
     if units is not None and units != "J":
         raise FileFormatError(f"{path}: units: only \"J\" is supported")
@@ -223,9 +285,11 @@ def read_vector(path: str) -> np.ndarray:
     entries = raw.get("entries")
     if not isinstance(entries, list) or len(entries) != dim:
         raise FileFormatError(f"{path}: entries: expected {dim} pairs")
-    out = np.empty(dim, dtype=complex)
-    for i, cell in enumerate(entries):
-        out[i] = _parse_pair(cell, f"entries[{i}]", path)
+    out = _pair_array(entries, (dim,))
+    if out is None:  # walk the entries only to say which one is bad
+        for i, cell in enumerate(entries):
+            _check_pair(cell, f"entries[{i}]", path)
+        raise FileFormatError(f"{path}: entries: expected {dim} pairs")
     return out
 
 

@@ -51,7 +51,9 @@ def von_neumann_entropy(rho: DensityMatrix, unit: str = "bits") -> Quantity:
     p = rho.probabilities
     nz = p[p > 0.0]
     s_nats = float(-(nz * np.log(nz)).sum())
-    s_nats = min(max(s_nats, 0.0), math.log(rho.dim))
+    # 0.0 first: max() keeps its first argument on a tie, and a pure state
+    # sums to -0.0
+    s_nats = min(max(0.0, s_nats), math.log(rho.dim))
     if unit == "bits":
         return Quantity(s_nats / LN2, INFORMATION, "bit")
     if unit == "nats":
@@ -85,7 +87,7 @@ def _log_probabilities(vals: np.ndarray, beta: float) -> np.ndarray:
 def _gibbs_from_beta(H: HermitianOperator, beta: float) -> GibbsState:
     vals, vecs = H.eigensystem()
     probs, log_z = _boltzmann_weights(vals, beta)
-    rho = DensityMatrix((vecs * probs) @ vecs.conj().T)
+    rho = DensityMatrix.from_spectrum(probs, vecs)
     z = math.exp(log_z) if log_z < 709.0 else math.inf
     if not (z > 0.0 and math.isfinite(z)):
         raise NumericalOverflow(

@@ -20,9 +20,6 @@ from .errors import DimensionMismatch, FileFormatError
 
 LN2 = math.log(2.0)
 
-# Exponent order: mass, length, time, temperature, current, information.
-_N_DIMS = 6
-
 
 @dataclass(frozen=True)
 class Dimension:
@@ -222,23 +219,8 @@ class Quantity:
             return self.value_in(UNITS[self.unit])
         return self.magnitude
 
-    def with_unit(self, unit: str) -> "Quantity":
-        return Quantity(self.magnitude, self.dim, unit)
-
     def __str__(self):
         return f"{self.expressed:g} {self.unit}".rstrip()
-
-
-def quantity_mul(a: Quantity, b: Quantity) -> Quantity:
-    return a * b
-
-
-def quantity_div(a: Quantity, b: Quantity) -> Quantity:
-    return a / b
-
-
-def quantity_add(a: Quantity, b: Quantity) -> Quantity:
-    return a + b
 
 
 # -- unit constants (canonical magnitudes) --------------------------------
@@ -368,7 +350,7 @@ def _load_overrides(path: str) -> dict[str, float]:
     for key, val in raw.items():
         if key not in known:
             raise FileFormatError(f"{path}: unknown constant {key!r}")
-        if not finite_double(val):
+        if isinstance(val, bool) or not finite_double(val):
             raise FileFormatError(f"{path}: {key}: expected a finite number")
         out[key] = float(val)
     return out

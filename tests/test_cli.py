@@ -12,7 +12,7 @@ import pytest
 
 from physcomp.cli import run
 from physcomp.cli.report import render_csv, render_json
-from physcomp.qthermo import write_matrix, write_vector
+from physcomp.qthermo import read_matrix, write_matrix, write_vector
 
 
 def invoke(*argv):
@@ -240,18 +240,19 @@ class TestExitCodes:
 HUGE_INT = "1" + "0" * 400
 
 
-class TestOversizedIntegers:
-    def _assert_one_line_error(self, code, err, *fragments):
-        assert code == 2
-        assert "Traceback" not in err and err.count("\n") == 1
-        for fragment in fragments:
-            assert fragment in err
+def _assert_one_line_error(code, err, *fragments):
+    assert code == 2
+    assert "Traceback" not in err and err.count("\n") == 1
+    for fragment in fragments:
+        assert fragment in err
 
+
+class TestOversizedIntegers:
     def test_matrix_file(self, tmp_path):
         path = tmp_path / "rho.mat"
         path.write_text('{"dim": 1, "entries": [[[%s, 0]]]}' % HUGE_INT)
         code, _, err = invoke("qt", "entropy", "--state", str(path))
-        self._assert_one_line_error(code, err, str(path), "entries[0][0]")
+        _assert_one_line_error(code, err, str(path), "entries[0][0]")
 
     def test_pathway_file(self, tmp_path):
         path = tmp_path / "p.json"
@@ -259,13 +260,54 @@ class TestOversizedIntegers:
             '{"basis": "a", "steps": [["a", "a"]], "free_energy_joules": [%s]}' % HUGE_INT
         )
         code, _, err = invoke("assembly", "--pathway", str(path))
-        self._assert_one_line_error(code, err, str(path), "free_energy_joules[0]")
+        _assert_one_line_error(code, err, str(path), "free_energy_joules[0]")
 
     def test_constants_file(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_text('{"G": %s}' % HUGE_INT)
         code, _, err = invoke("constants", "--constants", str(path))
-        self._assert_one_line_error(code, err, str(path), "G")
+        _assert_one_line_error(code, err, str(path), "G")
+
+
+class TestBooleans:
+    """JSON true/false are not numbers, though Python counts bool as int."""
+
+    def test_matrix_file(self, tmp_path):
+        path = tmp_path / "rho.mat"
+        path.write_text('{"dim": 1, "entries": [[[true, false]]]}')
+        code, _, err = invoke("qt", "entropy", "--state", str(path))
+        _assert_one_line_error(code, err, str(path), "entries[0][0]")
+
+    def test_constants_file(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text('{"G": true}')
+        code, _, err = invoke("constants", "--constants", str(path))
+        _assert_one_line_error(code, err, str(path), "G")
+
+
+@pytest.mark.parametrize("fmt", ["human", "json"])
+def test_pure_state_entropy_is_unsigned_zero(two_level, fmt):
+    _, ground = two_level
+    code, out, _ = invoke("qt", "entropy", "--state", ground, "--format", fmt)
+    assert code == 0
+    if fmt == "json":
+        assert '"value": 0}' in out and '"value": -0' not in out
+    else:
+        assert next(line for line in out.splitlines() if line.startswith("entropy ")).split()[1] == "0"
+
+
+def test_saved_thermal_state_matches_boltzmann(tmp_path):
+    rng = np.random.default_rng(3)
+    basis, _ = np.linalg.qr(rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)))
+    energies = np.array([-1.3, -0.2, 0.0, 0.4, 2.5])
+    ham, saved = str(tmp_path / "h.mat"), str(tmp_path / "thermal.mat")
+    write_matrix(ham, (basis * energies) @ basis.conj().T, units="J")
+    code, _, _ = invoke("qt", "gibbs", "--ham", ham, "--ktemp-joules", "0.8", "--save-state", saved)
+    assert code == 0
+    weights = np.exp(-energies / 0.8)
+    want = (basis * (weights / weights.sum())) @ basis.conj().T
+    got, _ = read_matrix(saved)
+    assert np.abs(got - want).max() <= 1e-12
 
 
 def test_only_qt_imports_numpy():

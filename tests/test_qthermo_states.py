@@ -1,7 +1,12 @@
 """State/operator validation, PSD repair, and the matrix file format."""
 
+import json
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from physcomp.errors import FileFormatError, InvalidState
 from physcomp.qthermo import (
@@ -12,6 +17,7 @@ from physcomp.qthermo import (
     load_hamiltonian,
     load_state_vector,
     read_matrix,
+    read_vector,
     write_matrix,
     write_vector,
 )
@@ -60,6 +66,21 @@ class TestDensityMatrix:
     def test_maximally_mixed(self):
         rho = DensityMatrix.maximally_mixed(4)
         assert np.allclose(rho.matrix, np.eye(4) / 4)
+
+    def test_from_spectrum_keeps_probabilities(self):
+        vecs = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+        rho = DensityMatrix.from_spectrum([0.75, 0.25], vecs)
+        assert list(rho.probabilities) == [0.75, 0.25]
+        assert np.allclose(rho.matrix, [[0.5, 0.25], [0.25, 0.5]], atol=1e-15)
+
+    @pytest.mark.parametrize(
+        "probs, vecs",
+        [([1.1, -0.1], np.eye(2)), ([0.6, 0.6], np.eye(2)), ([1.0], np.eye(2))],
+        ids=["negative", "trace", "shape"],
+    )
+    def test_from_spectrum_checks_invariants(self, probs, vecs):
+        with pytest.raises(InvalidState):
+            DensityMatrix.from_spectrum(probs, vecs)
 
     def test_from_state_projector(self):
         psi = StateVector([1 / np.sqrt(2), 1j / np.sqrt(2)])
@@ -158,3 +179,95 @@ class TestMatrixFiles:
         write_matrix(path, np.diag([0.9, 0.9]))
         with pytest.raises(FileFormatError, match="trace"):
             load_density(path)
+
+
+# Positioned errors exactly as the per-entry parser printed them before
+# parsing was vectorized; booleans were accepted as 1/0 then.
+HUGE_INT = "1" + "0" * 400
+MALFORMED = [
+    (read_matrix, '[[[0, 0], [0, 0]], [["1.0", 0], [1, 0]]]', 2,
+     "entries[1][0]: expected an [re, im] number pair"),
+    (read_matrix, "[[[0, 0], [0, 0, 0]], [[0, 0], [1, 0]]]", 2,
+     "entries[0][1]: expected an [re, im] number pair"),
+    (read_matrix, "[[[0, 0], [0, 0]], [[0, 0]]]", 2, "entries[1]: expected 2 pairs"),
+    (read_matrix, "[[[0, 0], [0, 0]], 7]", 2, "entries[1]: expected 2 pairs"),
+    (read_matrix, "[[[0, 0], [0, %s]], [[0, 0], [1, 0]]]" % HUGE_INT, 2,
+     "entries[0][1]: entries must be finite doubles"),
+    (read_matrix, "[[[0, 0], [NaN, 0]], [[0, 0], [1, 0]]]", 2,
+     "entries[0][1]: entries must be finite doubles"),
+    (read_matrix, "[[[0, 0], [0, 0]], [[0, -Infinity], [1, 0]]]", 2,
+     "entries[1][0]: entries must be finite doubles"),
+    (read_matrix, "[[[0, 0], [0, 0]], [[0, 0], [1, 0]]]", 3, "entries: expected 3 rows"),
+    (read_matrix, "[[[0, 0], [0, 0]], [[0, 0], [true, 0]]]", 2,
+     "entries[1][1]: expected an [re, im] number pair"),
+    (read_vector, '[[0, 0], [0, "x"]]', 2, "entries[1]: expected an [re, im] number pair"),
+    (read_vector, "[[0, 0, 1], [0, 0]]", 2, "entries[0]: expected an [re, im] number pair"),
+    (read_vector, "[[0, 0], 1]", 2, "entries[1]: expected an [re, im] number pair"),
+    (read_vector, "[[0, 0], [-%s, 0]]" % HUGE_INT, 2,
+     "entries[1]: entries must be finite doubles"),
+    (read_vector, "[[NaN, 0], [0, 0]]", 2, "entries[0]: entries must be finite doubles"),
+    (read_vector, "[[0, 0], [0, Infinity]]", 2, "entries[1]: entries must be finite doubles"),
+    (read_vector, "[[0, 0], [1, 0]]", 1, "entries: expected 1 pairs"),
+    (read_vector, "[[false, 0], [1, 0]]", 2, "entries[0]: expected an [re, im] number pair"),
+]
+MALFORMED_IDS = [
+    "m-string", "m-triple", "m-short-row", "m-row-not-list", "m-huge", "m-nan", "m-inf",
+    "m-dim", "m-bool", "v-string", "v-triple", "v-not-pair", "v-huge", "v-nan", "v-inf",
+    "v-dim", "v-bool",
+]
+
+
+class TestParserEquivalence:
+    def test_exact_numbers_match_per_entry_complex(self, tmp_path):
+        # ints beyond 2**53 round once, as float(int) does; signed zero,
+        # subnormal and extreme values survive bit for bit
+        pairs = [[2**60 + 1, 10**30], [-0.0, 5e-324], [1e300, -(2**53 + 1)], [3, -0.0]]
+        mat, vec = tmp_path / "m.json", tmp_path / "v.json"
+        mat.write_text(json.dumps({"dim": 2, "entries": [pairs[:2], pairs[2:]]}))
+        vec.write_text(json.dumps({"dim": 4, "entries": pairs}))
+        want = np.array([complex(re, im) for re, im in pairs])
+        got_mat, _ = read_matrix(str(mat))
+        assert got_mat.ravel().view(np.uint64).tolist() == want.view(np.uint64).tolist()
+        got_vec = read_vector(str(vec))
+        assert got_vec.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+    @pytest.mark.parametrize("reader, entries, dim, message", MALFORMED, ids=MALFORMED_IDS)
+    def test_malformed_file_message(self, tmp_path, reader, entries, dim, message):
+        path = tmp_path / "bad.json"
+        path.write_text('{"dim": %d, "entries": %s}' % (dim, entries))
+        with pytest.raises(FileFormatError) as exc:
+            reader(str(path))
+        assert str(exc.value) == f"{path}: {message}"
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+BAD_CELLS = ["1.0", None, [1.0], [1.0, 2.0, 3.0], [True, 0.0], [float("nan"), 0.0], [0.0, "x"]]
+
+
+@st.composite
+def matrices(draw):
+    d = draw(st.integers(1, 5))
+    parts = draw(st.lists(finite, min_size=2 * d * d, max_size=2 * d * d))
+    return np.array(parts).view(complex).reshape(d, d)
+
+
+@settings(max_examples=60, deadline=None)
+@given(mat=matrices())
+def test_random_matrix_round_trips_exactly(tmp_path_factory, mat):
+    path = str(tmp_path_factory.mktemp("rt") / "m.json")
+    write_matrix(path, mat)
+    back, _ = read_matrix(path)
+    assert back.view(np.uint64).tolist() == mat.view(np.uint64).tolist()
+
+
+@settings(max_examples=60, deadline=None)
+@given(mat=matrices(), data=st.data())
+def test_corrupted_entry_reported_at_its_index(tmp_path_factory, mat, data):
+    d = mat.shape[0]
+    i, j = data.draw(st.integers(0, d - 1)), data.draw(st.integers(0, d - 1))
+    entries = np.stack([mat.real, mat.imag], -1).tolist()
+    entries[i][j] = data.draw(st.sampled_from(BAD_CELLS))
+    path = tmp_path_factory.mktemp("bad") / "m.json"
+    path.write_text(json.dumps({"dim": d, "entries": entries}))
+    with pytest.raises(FileFormatError, match=re.escape(f"{path}: entries[{i}][{j}]: ")):
+        read_matrix(str(path))

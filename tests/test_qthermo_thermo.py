@@ -145,6 +145,38 @@ class TestGibbsState:
             )
 
 
+class TestThermalSpectrum:
+    """Thermal states reuse the Hamiltonian's eigensystem."""
+
+    @pytest.mark.parametrize(
+        "solve",
+        [
+            lambda h: gibbs_state(h, kelvin(0.7)),
+            lambda h: solve_inverse_temperature(h, Quantity(-0.5, ENERGY)),
+        ],
+        ids=["gibbs", "solve-temp"],
+    )
+    def test_one_diagonalization(self, monkeypatch, solve):
+        rng = np.random.default_rng(5)
+        basis, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+        h = HermitianOperator((basis * [-1.0, 0.0, 0.5, 2.0]) @ basis.conj().T)
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
+        solve(h)
+        assert calls == [(4, 4)]
+
+    def test_rotated_two_level_deep_tail(self):
+        # a 40 k_B T gap in a rotated basis: the excited population, about
+        # 4e-18, is lost to rounding if the thermal matrix is rediagonalized
+        c, s = math.cos(0.3), math.sin(0.3)
+        rot = np.array([[c, -s], [s, c]])
+        h = HermitianOperator(rot @ np.diag([0.0, 40.0]) @ rot.T)
+        g = gibbs_state(h, kelvin(1.0))
+        want = math.exp(-40.0) / (1.0 + math.exp(-40.0))
+        assert g.rho.probabilities.min() == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
 class TestSolveInverseTemperature:
     def test_two_level_quarter_energy(self):
         e = 1.0

@@ -24,9 +24,6 @@ from physcomp.units import (
     Quantity,
     constants,
     entropy_convert,
-    quantity_add,
-    quantity_div,
-    quantity_mul,
 )
 
 # frozen oracle values (arbitrary-precision evaluation of the pinned constants)
@@ -55,17 +52,17 @@ class TestDimension:
 
 class TestQuantity:
     def test_mul_definitional(self):
-        force = quantity_mul(2 * KILOGRAM, Quantity(3.0, LENGTH / TIME**2))
+        force = 2 * KILOGRAM * Quantity(3.0, LENGTH / TIME**2)
         assert force.magnitude == 6.0
         assert force.dim == MASS * LENGTH / TIME**2
         assert force.unit == "N"
 
     def test_add_mismatched_dimensions_is_error(self):
         with pytest.raises(DimensionMismatch):
-            quantity_add(1 * JOULE, Quantity(1.0, LENGTH))
+            1 * JOULE + Quantity(1.0, LENGTH)  # noqa: B018
 
     def test_div_definitional(self):
-        watt = quantity_div(6 * JOULE, 2 * SECOND)
+        watt = (6 * JOULE) / (2 * SECOND)
         assert watt.magnitude == 3.0
         assert watt.dim == POWER
         assert watt.unit == "W"
