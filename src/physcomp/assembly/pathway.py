@@ -169,7 +169,7 @@ def load_pathway(path: str) -> AssemblyPathway:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise FileFormatError(f"{path}: cannot read: {exc}")
     except json.JSONDecodeError as exc:
         raise FileFormatError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}")

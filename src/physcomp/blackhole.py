@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence, TextIO
+from typing import Iterable, NamedTuple, Sequence, TextIO
 
-from .errors import NegativeInput, NonPositiveMass, TimeOutOfRange
+from .errors import NegativeInput, NonPositiveMass, NumericalOverflow, TimeOutOfRange
 from .measures import binary_entropy
 from .units import (
     CONSTANTS,
@@ -41,6 +41,9 @@ _YEAR = CONSTANTS.seconds_per_year.magnitude
 
 PAGE_FRACTION = 1.0 - 2.0 ** (-1.5)  # entropy-crossover time / lifetime
 
+# halvings of the bracket (0, 1/2) that leave hi = 2^-1074, the least double
+_MAX_HALVINGS = 1073
+
 
 @dataclass(frozen=True)
 class BlackHoleReport:
@@ -62,14 +65,21 @@ class BlackHoleReport:
     max_error_rate: float
 
 
-@dataclass(frozen=True)
-class TimelineSample:
-    """One point on the evaporation timeline."""
+class TimelineSample(NamedTuple):
+    """One point on the evaporation timeline, in canonical units."""
 
-    t: Quantity  # s
-    mass: Quantity  # kg
+    t_seconds: float
+    mass_kg: float
     hole_entropy_bits: float
     radiation_entropy_bits: float
+
+    @property
+    def t(self) -> Quantity:
+        return Quantity(self.t_seconds, TIME, "s")
+
+    @property
+    def mass(self) -> Quantity:
+        return Quantity(self.mass_kg, MASS, "kg")
 
 
 def _mass_kg(M: Quantity) -> float:
@@ -80,13 +90,30 @@ def _mass_kg(M: Quantity) -> float:
     return M.magnitude
 
 
+def _entropy_nats(m: float) -> float:
+    try:
+        return 4.0 * math.pi * (m / _M_P) ** 2
+    except OverflowError:
+        raise NumericalOverflow(f"entropy overflows a double at mass {m!r} kg") from None
+
+
+def _lifetime_s(m: float) -> float:
+    try:
+        return 5120.0 * math.pi * _G**2 * m**3 / (_HBAR * _C**4)
+    except OverflowError:
+        raise NumericalOverflow(f"lifetime overflows a double at mass {m!r} kg") from None
+
+
+def _mass_left(m0: float, t: float, t_m: float) -> float:
+    return m0 * (1.0 - t / t_m) ** (1.0 / 3.0)
+
+
 def schwarzschild_radius(M: Quantity) -> Quantity:
     return Quantity(2.0 * _G * _mass_kg(M) / _C**2, LENGTH, "m")
 
 
 def entropy_nats(M: Quantity) -> float:
-    m = _mass_kg(M)
-    return 4.0 * math.pi * (m / _M_P) ** 2
+    return _entropy_nats(_mass_kg(M))
 
 
 def hawking_temperature(M: Quantity) -> Quantity:
@@ -95,8 +122,7 @@ def hawking_temperature(M: Quantity) -> Quantity:
 
 
 def lifetime(M: Quantity) -> Quantity:
-    m = _mass_kg(M)
-    return Quantity(5120.0 * math.pi * _G**2 * m**3 / (_HBAR * _C**4), TIME, "s")
+    return Quantity(_lifetime_s(_mass_kg(M)), TIME, "s")
 
 
 def ops_per_second(M: Quantity) -> Quantity:
@@ -116,6 +142,19 @@ def free_energy(M: Quantity) -> Quantity:
     return Quantity(_mass_kg(M) * _C**2 / 2.0, ENERGY, "J")
 
 
+def _forced_halvings(target: float) -> int:
+    """Estimated count of opening bisection steps that only halve hi.
+
+    h(eps) > eps log2(1/eps), so the root lies below target / log2(1/target)
+    and a hi of 2^-k / 2 at or above that estimate is still above the root.
+    """
+    if not target > 0.0:  # zero or nan: no mid is ever below the target
+        return _MAX_HALVINGS
+    log2_t = math.log2(target)
+    log2_est = log2_t - math.log2(-log2_t)
+    return min(max(math.floor(-1.0 - log2_est), 0), _MAX_HALVINGS)
+
+
 def solve_error_rate(ops: float, capacity_bits: float) -> float:
     """The eps in (0, 1/2) with h(eps) * ops = capacity, by bisection.
 
@@ -128,8 +167,14 @@ def solve_error_rate(ops: float, capacity_bits: float) -> float:
     if target >= 1.0:
         return 0.5
     # bisect to float resolution: heavy holes sit at eps ~ 1e-13 and below,
-    # where the nominal 1e-12 absolute tolerance would be the whole answer
-    lo, hi = 0.0, 0.5
+    # where the nominal 1e-12 absolute tolerance would be the whole answer.
+    # While lo == 0 each step only halves hi, so start from the state after
+    # k such steps, (0, 2^-k / 2), once h there confirms it is still above
+    # the root; the loop then visits the states the full bisection would.
+    k = _forced_halvings(target)
+    while k > 0 and binary_entropy(math.ldexp(0.5, -k)).magnitude < target:
+        k -= 1
+    lo, hi = 0.0, math.ldexp(0.5, -k)
     while True:
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
@@ -180,12 +225,12 @@ def mass_at_time(M0: Quantity, t: Quantity) -> Quantity:
     m0 = _mass_kg(M0)
     if not isinstance(t, Quantity) or t.dim != TIME:
         raise DimensionMismatch("time must be in seconds")
-    t_m = lifetime(M0).magnitude
+    t_m = _lifetime_s(m0)
     if not (0.0 <= t.magnitude <= t_m):
         raise TimeOutOfRange(
             f"time {t.magnitude!r} s outside the lifetime [0, {t_m!r}] s"
         )
-    return Quantity(m0 * (1.0 - t.magnitude / t_m) ** (1.0 / 3.0), MASS, "kg")
+    return Quantity(_mass_left(m0, t.magnitude, t_m), MASS, "kg")
 
 
 def page_curve(M0: Quantity, n_samples: int) -> list[TimelineSample]:
@@ -195,25 +240,19 @@ def page_curve(M0: Quantity, n_samples: int) -> list[TimelineSample]:
     min(S(M0) - S(M(t)), S(M(t))): it rises while the hole dominates, falls
     once the hole does, and vanishes at both endpoints.
     """
-    _mass_kg(M0)
+    m0 = _mass_kg(M0)
     if n_samples < 2:
         raise TimeOutOfRange("need at least 2 samples")
-    t_m = lifetime(M0).magnitude
-    s0_bits = entropy_nats(M0) / LN2
+    t_m = _lifetime_s(m0)
+    s0_bits = _entropy_nats(m0) / LN2
+    last = n_samples - 1
     out = []
     for i in range(n_samples):
         # pin the endpoint: t_m * i / (n-1) can land one ulp past t_m
-        t = t_m if i == n_samples - 1 else t_m * i / (n_samples - 1)
-        m_t = mass_at_time(M0, Quantity(t, TIME, "s"))
-        s_bits = entropy_nats(m_t) / LN2 if m_t.magnitude > 0.0 else 0.0
-        out.append(
-            TimelineSample(
-                t=Quantity(t, TIME, "s"),
-                mass=m_t,
-                hole_entropy_bits=s_bits,
-                radiation_entropy_bits=min(s0_bits - s_bits, s_bits),
-            )
-        )
+        t = t_m if i == last else t_m * i / last
+        m = _mass_left(m0, t, t_m)
+        s_bits = _entropy_nats(m) / LN2 if m > 0.0 else 0.0
+        out.append(TimelineSample(t, m, s_bits, min(s0_bits - s_bits, s_bits)))
     return out
 
 
@@ -223,11 +262,7 @@ TIMELINE_CSV_HEADER = "t_seconds,mass_kg,hole_entropy_bits,radiation_entropy_bit
 def timeline_csv_lines(samples: Sequence[TimelineSample]) -> Iterable[str]:
     """Render timeline samples as CSV rows at full double precision."""
     yield TIMELINE_CSV_HEADER
-    for s in samples:
-        yield (
-            f"{s.t.magnitude:.17g},{s.mass.magnitude:.17g},"
-            f"{s.hole_entropy_bits:.17g},{s.radiation_entropy_bits:.17g}"
-        )
+    yield from map("%.17g,%.17g,%.17g,%.17g".__mod__, samples)
 
 
 def write_timeline_csv(samples: Sequence[TimelineSample], stream: TextIO) -> None:

@@ -232,7 +232,7 @@ def _load_json_object(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise FileFormatError(f"{path}: cannot read: {exc}")
     # the decoder allocates one small list per matrix entry, none of them in
     # a reference cycle, and the cyclic collector would rescan them all

@@ -341,7 +341,7 @@ def _load_overrides(path: str) -> dict[str, float]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FileFormatError(f"{path}: cannot read constants override: {exc}")
     if not isinstance(raw, dict):
         raise FileFormatError(f"{path}: constants override must be a flat object")

@@ -82,3 +82,20 @@ def bisect_error_rate(ops: float, capacity_bits: float, tol: float = 1e-12) -> f
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def full_bisect_error_rate(ops: float, capacity_bits: float) -> float:
+    """Solve h(eps) = capacity/ops by halving [0, 1/2] until the midpoint
+    no longer moves: every step from the first, none skipped."""
+    target = capacity_bits / ops
+    if target >= 1.0:
+        return 0.5
+    lo, hi = 0.0, 0.5
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            return mid
+        if binary_entropy_bits(mid) < target:
+            lo = mid
+        else:
+            hi = mid

@@ -4,12 +4,14 @@ import io
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from _oracles import binary_entropy_bits, bisect_error_rate
+from _oracles import binary_entropy_bits, bisect_error_rate, full_bisect_error_rate
 from physcomp import blackhole as bh
-from physcomp.errors import NonPositiveMass, TimeOutOfRange
-from physcomp.measures import phi_time
-from physcomp.units import CONSTANTS, ENERGY, MASS, TIME, Quantity
+from physcomp.errors import NonPositiveMass, NumericalOverflow, TimeOutOfRange
+from physcomp.measures import binary_entropy, phi_time
+from physcomp.units import CONSTANTS, ENERGY, LN2, MASS, TIME, Quantity
 
 C = CONSTANTS.c.magnitude
 M_SUN = CONSTANTS.solar_mass
@@ -84,6 +86,15 @@ class TestCharacterize:
             bh.characterize(kg(0.0))
         with pytest.raises(NonPositiveMass):
             bh.characterize(kg(-1.0))
+
+    def test_overflowing_mass_is_typed(self):
+        # M^3 leaves the double range above ~5.6e102 kg, M^2 / m_P^2 above ~3e146 kg
+        with pytest.raises(NumericalOverflow, match="lifetime"):
+            bh.characterize(kg(1e120))
+        with pytest.raises(NumericalOverflow, match="entropy"):
+            bh.entropy_nats(kg(1e150))
+        with pytest.raises(NumericalOverflow, match="lifetime"):
+            bh.page_curve(kg(1e120), 3)
 
 
 class TestScalingLaws:
@@ -187,6 +198,77 @@ class TestPageCurve:
         assert float(lines[2].split(",")[1]) == bh.mass_at_time(
             kg(1e6), Quantity(bh.lifetime(kg(1e6)).magnitude / 2.0, TIME, "s")
         ).magnitude
+
+
+def _reference_rows(M0, n):
+    """Page-curve rows from the per-sample public functions."""
+    t_m = bh.lifetime(M0).magnitude
+    s0_bits = bh.entropy_nats(M0) / LN2
+    for i in range(n):
+        t = t_m if i == n - 1 else t_m * i / (n - 1)
+        m = bh.mass_at_time(M0, Quantity(t, TIME, "s")).magnitude
+        s_bits = bh.entropy_nats(kg(m)) / LN2 if m > 0.0 else 0.0
+        yield t, m, s_bits, min(s0_bits - s_bits, s_bits)
+
+
+def _bits(row):
+    return [x.hex() for x in row]
+
+
+class TestPageCurveRows:
+    @pytest.mark.parametrize("n", [2, 3, 10001])
+    @pytest.mark.parametrize("m0", [1e-6, 1.0, 1e12, M_SUN.magnitude, 1e6 * M_SUN.magnitude])
+    def test_rows_match_per_sample_functions(self, m0, n):
+        samples = bh.page_curve(kg(m0), n)
+        assert len(samples) == n
+        for got, want in zip(samples, _reference_rows(kg(m0), n)):
+            assert _bits(got) == _bits(want)
+
+    @pytest.mark.parametrize("m0", [1e-6, 1e6 * M_SUN.magnitude])
+    def test_csv_rows_match_field_formatting(self, m0):
+        samples = bh.page_curve(kg(m0), 257)
+        want = [bh.TIMELINE_CSV_HEADER] + [
+            f"{s.t.magnitude:.17g},{s.mass.magnitude:.17g},"
+            f"{s.hole_entropy_bits:.17g},{s.radiation_entropy_bits:.17g}"
+            for s in samples
+        ]
+        assert list(bh.timeline_csv_lines(samples)) == want
+
+    def test_sample_quantities(self):
+        sample = bh.page_curve(kg(1e6), 3)[1]
+        assert isinstance(sample.t, Quantity) and sample.t.dim == TIME
+        assert isinstance(sample.mass, Quantity) and sample.mass.dim == MASS
+        assert sample.t.magnitude == sample.t_seconds
+        assert sample.mass.magnitude == sample.mass_kg
+
+
+class TestErrorRateBisection:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        log_ops=st.floats(min_value=0.0, max_value=308.0),
+        log_capacity=st.floats(min_value=-320.0, max_value=308.0),
+    )
+    @example(log_ops=300.0, log_capacity=-15.0)  # subnormal root
+    @example(log_ops=308.0, log_capacity=-8.0)  # subnormal root
+    @example(log_ops=300.0, log_capacity=-2.0)  # root near 1e-305
+    @example(log_ops=308.0, log_capacity=-320.0)  # target underflows to 0
+    @example(log_ops=6.0, log_capacity=3.0)
+    def test_matches_full_bisection_bit_for_bit(self, log_ops, log_capacity):
+        ops, capacity = 10.0**log_ops, 10.0**log_capacity
+        got = bh.solve_error_rate(ops, capacity)
+        assert got.hex() == full_bisect_error_rate(ops, capacity).hex()
+
+    @pytest.mark.parametrize("mass_kg", [1e3, 1e10, 1e20, 1e30, 1e38])
+    def test_sweep_mass_solve_evaluates_h_at_most_60_times(self, monkeypatch, mass_kg):
+        calls = []
+
+        def counting(eps):
+            calls.append(eps)
+            return binary_entropy(eps)
+
+        monkeypatch.setattr(bh, "binary_entropy", counting)
+        bh.max_error_rate(kg(mass_kg))
+        assert 0 < len(calls) <= 60
 
 
 class TestMaxErrorRate:

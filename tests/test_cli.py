@@ -240,8 +240,8 @@ class TestExitCodes:
 HUGE_INT = "1" + "0" * 400
 
 
-def _assert_one_line_error(code, err, *fragments):
-    assert code == 2
+def _assert_one_line_error(code, err, *fragments, exit_code=2):
+    assert code == exit_code
     assert "Traceback" not in err and err.count("\n") == 1
     for fragment in fragments:
         assert fragment in err
@@ -283,6 +283,53 @@ class TestBooleans:
         path.write_text('{"G": true}')
         code, _, err = invoke("constants", "--constants", str(path))
         _assert_one_line_error(code, err, str(path), "G")
+
+
+class TestNotUtf8:
+    """A file that does not decode as UTF-8 is a malformed file."""
+
+    @pytest.fixture
+    def path(self, tmp_path):
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b"\xff\xfe{}")
+        return str(path)
+
+    def test_matrix_file(self, path):
+        code, _, err = invoke("qt", "entropy", "--state", path)
+        _assert_one_line_error(code, err, path, "cannot read")
+
+    def test_constants_file(self, path):
+        code, _, err = invoke("constants", "--constants", path)
+        _assert_one_line_error(code, err, path, "cannot read")
+
+    def test_pathway_file(self, path):
+        code, _, err = invoke("assembly", "--pathway", path)
+        _assert_one_line_error(code, err, path, "cannot read")
+
+
+class TestHugeMass:
+    """Masses whose M^3 or (M/m_P)^2 leaves the double range: exit 3, no traceback."""
+
+    def test_report(self):
+        code, _, err = invoke("bh", "--mass", "1e120")
+        _assert_one_line_error(code, err, "lifetime", "1e+120", exit_code=3)
+
+    def test_report_entropy(self):
+        code, _, err = invoke("bh", "--mass", "1e150", "--format", "json")
+        _assert_one_line_error(code, err, "entropy", "1e+150", exit_code=3)
+
+    def test_sweep(self):
+        code, out, err = invoke("bh", "--sweep", "1e3:1e120:5")
+        assert out == ""
+        _assert_one_line_error(code, err, "lifetime", exit_code=3)
+
+    def test_page_curve(self, tmp_path):
+        out_file = tmp_path / "curve.csv"
+        code, _, err = invoke(
+            "bh", "page-curve", "--mass", "1e120", "--samples", "5", "--out", str(out_file)
+        )
+        _assert_one_line_error(code, err, "lifetime", exit_code=3)
+        assert not out_file.exists()
 
 
 @pytest.mark.parametrize("fmt", ["human", "json"])
