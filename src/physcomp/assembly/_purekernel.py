@@ -11,6 +11,16 @@ strictly shorter than their product), so enumerating strictly increasing
 id sequences visits every feasible set exactly once per deepening pass.
 The first solution found at the optimal depth is therefore the canonical
 (lexicographically smallest) witness.
+
+Sets of candidates are Python ints, bit k standing for candidate k. A node
+carries the products built so far, the candidates they make constructible
+and the candidates that would complete the target, and a child extends
+each set from the new product's entries instead of rescanning every
+candidate's splits. With two joins left the node answers at once: its
+first constructible candidate that completes the target is the child the
+plain search would have returned through. Nothing else changes what is
+visited, so the enumeration order, and with it the witness, is that of a
+plain deepening search (``tests/_oracles.plain_deepening_sequence``).
 """
 
 from __future__ import annotations
@@ -32,40 +42,77 @@ def solve_sequence(
     candidate ``i``; id -1 stands for a basis symbol, always available.
     ``lower``/``upper`` bracket the optimum (doubling bound / greedy bound).
     """
-    built = bytearray(len(lengths))
+    # made[j]: products of j with a basis symbol or with itself;
+    # paired[j]: partner bit -> products of j with that partner candidate;
+    # finish[j]: partners that, built next to j, complete the target
+    made = [0] * len(lengths)
+    paired: list[dict[int, int]] = [{} for _ in lengths]
+    partners = [0] * len(lengths)
+    finish = [0] * len(lengths)
+    basis_made = basis_finish = 0
+    for k, pairs in enumerate(splits):
+        bit = 1 << k
+        for a, b in pairs:
+            a_bit = 1 << a if a >= 0 else 0
+            b_bit = 1 << b if b >= 0 else 0
+            if a < 0 and b < 0:
+                basis_made |= bit
+                continue
+            if a < 0 or b < 0 or a == b:
+                made[max(a, b)] |= bit
+                if k == target:
+                    basis_finish |= a_bit | b_bit
+                continue
+            paired[a][b_bit] = paired[a].get(b_bit, 0) | bit
+            paired[b][a_bit] = paired[b].get(a_bit, 0) | bit
+            partners[a] |= b_bit
+            partners[b] |= a_bit
+            if k == target:
+                finish[a] |= b_bit
+                finish[b] |= a_bit
+    target_bit = 1 << target
+    below_target = target_bit - 1
     seq: list[int] = []
 
-    def constructible(i: int) -> bool:
-        for a, b in splits[i]:
-            if (a < 0 or built[a]) and (b < 0 or built[b]):
-                return True
-        return False
-
-    def dfs(start: int, maxlen: int, remaining: int) -> bool:
+    def dfs(start: int, built: int, avail: int, near: int, maxlen: int, remaining: int) -> bool:
         # each join at most doubles the longest available piece
-        m, need = maxlen, 0
-        while m < tlen:
-            m += m
-            need += 1
-        if need > remaining:
+        if maxlen << remaining < tlen:
             return False
         if remaining == 1:
-            if constructible(target):
+            if avail & target_bit:
                 seq.append(target)
                 return True
             return False
-        for i in range(start, target):
-            if constructible(i):
-                built[i] = 1
-                seq.append(i)
-                bigger = lengths[i] if lengths[i] > maxlen else maxlen
-                if dfs(i + 1, bigger, remaining - 1):
-                    return True
-                built[i] = 0
-                seq.pop()
+        window = avail & below_target & ~((1 << start) - 1)
+        if remaining == 2:
+            # a child succeeds iff the target is constructible after it,
+            # and then its own doubling check holds too
+            if not avail & target_bit:
+                window &= near
+            if window:
+                seq.append((window & -window).bit_length() - 1)
+                seq.append(target)
+                return True
+            return False
+        while window:
+            low = window & -window
+            window ^= low
+            i = low.bit_length() - 1
+            more = avail | made[i]
+            with_i = paired[i]
+            mates = built & partners[i]
+            while mates:
+                mate = mates & -mates
+                mates ^= mate
+                more |= with_i[mate]
+            seq.append(i)
+            bigger = lengths[i] if lengths[i] > maxlen else maxlen
+            if dfs(i + 1, built | low, more, near | finish[i], bigger, remaining - 1):
+                return True
+            seq.pop()
         return False
 
     for budget in range(max(lower, 1), upper + 1):
-        if dfs(0, 1, budget):
+        if dfs(0, 0, basis_made, basis_finish, 1, budget):
             return seq
     raise AssertionError("greedy upper bound should always be attainable")

@@ -17,7 +17,13 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence, TextIO
 
-from .errors import NegativeInput, NonPositiveMass, NumericalOverflow, TimeOutOfRange
+from .errors import (
+    NegativeInput,
+    NonPositiveMass,
+    NumericalOverflow,
+    NumericalUnderflow,
+    TimeOutOfRange,
+)
 from .measures import binary_entropy
 from .units import (
     CONSTANTS,
@@ -99,9 +105,12 @@ def _entropy_nats(m: float) -> float:
 
 def _lifetime_s(m: float) -> float:
     try:
-        return 5120.0 * math.pi * _G**2 * m**3 / (_HBAR * _C**4)
+        t_m = 5120.0 * math.pi * _G**2 * m**3 / (_HBAR * _C**4)
     except OverflowError:
         raise NumericalOverflow(f"lifetime overflows a double at mass {m!r} kg") from None
+    if t_m == 0.0:  # below ~3.3e-103 kg; M(t) would divide by it
+        raise NumericalUnderflow(f"lifetime underflows to 0 s at mass {m!r} kg")
+    return t_m
 
 
 def _mass_left(m0: float, t: float, t_m: float) -> float:
@@ -131,7 +140,12 @@ def ops_per_second(M: Quantity) -> Quantity:
 
 
 def total_ops(M: Quantity) -> float:
-    return ops_per_second(M).magnitude * lifetime(M).magnitude
+    ops = ops_per_second(M).magnitude * lifetime(M).magnitude
+    if ops == math.inf:  # above ~2.5e68 kg, though the lifetime is finite
+        raise NumericalOverflow(
+            f"total op count overflows a double at mass {M.magnitude!r} kg"
+        )
+    return ops
 
 
 def bit_flip_time(M: Quantity) -> Quantity:

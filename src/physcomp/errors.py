@@ -98,5 +98,9 @@ class NumericalOverflow(NumericalError):
     pass
 
 
+class NumericalUnderflow(NumericalError):
+    """A positive input gives a result that rounds to zero in a double."""
+
+
 class NonConvergence(NumericalError):
     pass

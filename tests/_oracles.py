@@ -2,8 +2,9 @@
 
 These deliberately avoid the production code paths: the assembly oracle
 enumerates pathways exhaustively with plain string operations and no
-bounding, the entropy/bisection oracles are straight transcriptions of the
-defining formulas.
+bounding, the plain deepening search runs the assembly kernel's
+enumeration with none of its bookkeeping, and the entropy/bisection
+oracles are straight transcriptions of the defining formulas.
 """
 
 from __future__ import annotations
@@ -59,6 +60,62 @@ def brute_force_assembly_index(target: str, basis) -> int:
     for depth in itertools.count(1):
         if extend(set(), 0, depth):
             return depth
+
+
+# The assembly kernel's enumeration in its plainest form: every node rescans
+# each candidate's splits and only the doubling bound prunes. The kernel
+# must return the same sequence of candidate ids.
+def plain_deepening_sequence(
+    lengths: list[int],
+    splits: list[list[tuple[int, int]]],
+    target: int,
+    tlen: int,
+    lower: int,
+    upper: int,
+) -> list[int]:
+    """Return the canonical optimal build sequence of candidate ids.
+
+    ``splits[i]`` holds the (left, right) id pairs whose concatenation is
+    candidate ``i``; id -1 stands for a basis symbol, always available.
+    ``lower``/``upper`` bracket the optimum (doubling bound / greedy bound).
+    """
+    built = bytearray(len(lengths))
+    seq: list[int] = []
+
+    def constructible(i: int) -> bool:
+        for a, b in splits[i]:
+            if (a < 0 or built[a]) and (b < 0 or built[b]):
+                return True
+        return False
+
+    def dfs(start: int, maxlen: int, remaining: int) -> bool:
+        # each join at most doubles the longest available piece
+        m, need = maxlen, 0
+        while m < tlen:
+            m += m
+            need += 1
+        if need > remaining:
+            return False
+        if remaining == 1:
+            if constructible(target):
+                seq.append(target)
+                return True
+            return False
+        for i in range(start, target):
+            if constructible(i):
+                built[i] = 1
+                seq.append(i)
+                bigger = lengths[i] if lengths[i] > maxlen else maxlen
+                if dfs(i + 1, bigger, remaining - 1):
+                    return True
+                built[i] = 0
+                seq.pop()
+        return False
+
+    for budget in range(max(lower, 1), upper + 1):
+        if dfs(0, 1, budget):
+            return seq
+    raise AssertionError("greedy upper bound should always be attainable")
 
 
 def binary_entropy_bits(eps: float) -> float:

@@ -5,8 +5,10 @@ import itertools
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from _oracles import brute_force_assembly_index
+from _oracles import brute_force_assembly_index, plain_deepening_sequence
 
 
 @functools.lru_cache(maxsize=None)
@@ -24,7 +26,8 @@ from physcomp.assembly import (
     pathway_from_dict,
     write_pathway,
 )
-from physcomp.assembly.search import _kernel
+from physcomp.assembly import _purekernel
+from physcomp.assembly.search import _kernel, _prepare, _witness
 from physcomp.errors import (
     FileFormatError,
     InvalidPathway,
@@ -133,6 +136,61 @@ class TestOracleEquivalence:
         for target in targets:
             got, _ = assembly_index(target, {"a", "b"}, backend=backend)
             assert got == oracle_index(target), target
+
+
+# (target, index, steps) from the plain deepening search: the deep
+# exhaustive passes where a wrong prune would show
+HARD_WITNESSES = [
+    (
+        "abaaaabbbbbbba",
+        10,
+        (
+            ("a", "a"), ("a", "b"), ("b", "a"), ("b", "b"), ("b", "bb"),
+            ("aa", "aa"), ("bbb", "ba"), ("ab", "aaaa"), ("bbb", "bbbba"),
+            ("abaaaa", "bbbbbbba"),
+        ),
+    ),
+    (
+        "aaabaababbbabbb",
+        8,
+        (
+            ("a", "b"), ("b", "b"), ("a", "ab"), ("a", "aab"), ("ab", "bb"),
+            ("aaab", "aab"), ("abbb", "abbb"), ("aaabaab", "abbbabbb"),
+        ),
+    ),
+]
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("target, index, steps", HARD_WITNESSES)
+def test_hard_witness_is_pinned(backend, target, index, steps):
+    got, pathway = assembly_index(target, {"a", "b"}, backend=backend)
+    assert (got, pathway.steps) == (index, steps)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from(["ab", "abc"]).flatmap(
+        lambda alphabet: st.tuples(
+            st.just(alphabet), st.text(alphabet, min_size=1, max_size=11)
+        )
+    )
+)
+def test_kernel_matches_plain_deepening(case):
+    alphabet, target = case
+    index, pathway = assembly_index(target, set(alphabet), backend="pure")
+    if len(target) == 1:
+        assert (index, pathway.steps) == (0, ())
+        return
+    subs, lengths, splits, target_id = _prepare(target)
+    args = (
+        lengths, splits, target_id, len(target),
+        doubling_lower_bound(len(target)), greedy_doubling_upper_bound(target),
+    )
+    seq = plain_deepening_sequence(*args)
+    assert _purekernel.solve_sequence(*args) == seq
+    plain = _witness(target, frozenset(alphabet), subs, seq)
+    assert (index, pathway.steps) == (len(seq), plain.steps)
 
 
 class TestBackendsAgree:

@@ -9,7 +9,12 @@ from hypothesis import strategies as st
 
 from _oracles import binary_entropy_bits, bisect_error_rate, full_bisect_error_rate
 from physcomp import blackhole as bh
-from physcomp.errors import NonPositiveMass, NumericalOverflow, TimeOutOfRange
+from physcomp.errors import (
+    NonPositiveMass,
+    NumericalOverflow,
+    NumericalUnderflow,
+    TimeOutOfRange,
+)
 from physcomp.measures import binary_entropy, phi_time
 from physcomp.units import CONSTANTS, ENERGY, LN2, MASS, TIME, Quantity
 
@@ -95,6 +100,29 @@ class TestCharacterize:
             bh.entropy_nats(kg(1e150))
         with pytest.raises(NumericalOverflow, match="lifetime"):
             bh.page_curve(kg(1e120), 3)
+
+    def test_overflowing_op_count_is_typed(self):
+        # ops/s * lifetime leaves the double range above ~2.5e68 kg, though
+        # the lifetime itself stays finite up to ~5.6e102 kg
+        with pytest.raises(NumericalOverflow, match="op count"):
+            bh.total_ops(kg(1e70))
+        with pytest.raises(NumericalOverflow, match="op count"):
+            bh.characterize(kg(1e70))
+        rep = bh.characterize(kg(1e67))
+        assert math.isfinite(rep.total_ops)
+        assert 0.0 < rep.max_error_rate < 0.5
+
+    def test_underflowing_lifetime_is_typed(self):
+        # M^3 underflows below ~3.3e-103 kg; M(t) would divide by t_M = 0
+        with pytest.raises(NumericalUnderflow, match="lifetime"):
+            bh.lifetime(kg(1e-105))
+        with pytest.raises(NumericalUnderflow, match="lifetime"):
+            bh.characterize(kg(1e-105))
+        with pytest.raises(NumericalUnderflow, match="lifetime"):
+            bh.page_curve(kg(1e-105), 3)
+        with pytest.raises(NumericalUnderflow, match="lifetime"):
+            bh.mass_at_time(kg(1e-105), Quantity(0.0, TIME, "s"))
+        assert bh.lifetime(kg(1e-100)).magnitude > 0.0
 
 
 class TestScalingLaws:

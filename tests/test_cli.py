@@ -319,7 +319,8 @@ class TestHugeMass:
         _assert_one_line_error(code, err, "entropy", "1e+150", exit_code=3)
 
     def test_sweep(self):
-        code, out, err = invoke("bh", "--sweep", "1e3:1e120:5")
+        # two points: 1e120 kg is the first to fail, past the op-count overflow
+        code, out, err = invoke("bh", "--sweep", "1e3:1e120:2")
         assert out == ""
         _assert_one_line_error(code, err, "lifetime", exit_code=3)
 
@@ -329,6 +330,44 @@ class TestHugeMass:
             "bh", "page-curve", "--mass", "1e120", "--samples", "5", "--out", str(out_file)
         )
         _assert_one_line_error(code, err, "lifetime", exit_code=3)
+        assert not out_file.exists()
+
+    @pytest.mark.parametrize("fmt", ["human", "json"])
+    def test_report_op_count(self, fmt):
+        code, out, err = invoke("bh", "--mass", "1e70", "--format", fmt)
+        assert out == ""
+        _assert_one_line_error(code, err, "op count", "1e+70", exit_code=3)
+
+    def test_sweep_op_count(self):
+        code, out, err = invoke("bh", "--sweep", "1e60:1e70:3")
+        assert out == ""
+        _assert_one_line_error(code, err, "op count", exit_code=3)
+
+    def test_largest_finite_op_count_still_reports(self):
+        code, out, _ = invoke("bh", "--mass", "1e67", "--format", "json")
+        assert code == 0
+        values = {r["name"]: r["value"] for r in json.loads(out)["results"]}
+        assert values["total_ops"] > 1e300
+        assert 0.0 < values["max_error_rate"] < 0.5
+
+
+class TestTinyMass:
+    """Masses whose M^3 underflows to a zero lifetime: exit 3, no traceback."""
+
+    @pytest.mark.parametrize("fmt", ["human", "json"])
+    def test_report(self, fmt):
+        code, out, err = invoke("bh", "--mass", "1e-105", "--format", fmt)
+        assert out == ""
+        _assert_one_line_error(code, err, "lifetime", "1e-105", exit_code=3)
+
+    @pytest.mark.parametrize("mode", ["timeline", "page-curve"])
+    def test_curves(self, mode, tmp_path):
+        out_file = tmp_path / "curve.csv"
+        code, out, err = invoke(
+            "bh", mode, "--mass", "1e-105", "--samples", "3", "--out", str(out_file)
+        )
+        assert out == ""
+        _assert_one_line_error(code, err, "lifetime", "1e-105", exit_code=3)
         assert not out_file.exists()
 
 
