@@ -1,13 +1,12 @@
 #!/usr/bin/env python3
-"""Benchmark the assembly-index search kernels: compiled vs pure Python.
+"""Benchmark the assembly-index search.
 
 The search is the package's only hot loop; everything else is closed-form
 arithmetic or small dense linear algebra. Run from the repository root:
 
     PYTHONPATH=src python3 benchmarks/bench_assembly.py [--hard] [--repeat N]
 
-Both kernels must return identical indices and witnesses; the benchmark
-asserts that while timing them.
+Prints the index and the best time of ``--repeat`` runs for each case.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ import argparse
 import random
 import time
 
-from physcomp.assembly import active_backend, assembly_index
+from physcomp.assembly import assembly_index
 
 CASES = [
     ("periodic-12", "ab" * 6, "ab"),
@@ -43,14 +42,14 @@ def materialize(cases, rng):
     return out
 
 
-def time_backend(target: str, alphabet: str, backend: str, repeat: int):
+def time_index(target: str, alphabet: str, repeat: int):
     best = float("inf")
-    result = None
+    index = None
     for _ in range(repeat):
         t0 = time.perf_counter()
-        result = assembly_index(target, set(alphabet), backend=backend)
+        index, _ = assembly_index(target, set(alphabet))
         best = min(best, time.perf_counter() - t0)
-    return best, result
+    return best, index
 
 
 def main() -> None:
@@ -60,29 +59,15 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=7)
     args = parser.parse_args()
 
-    if active_backend() != "compiled":
-        print("compiled kernel not built (python setup.py build_ext --inplace);")
-        print("timing the pure kernel only\n")
-
     cases = materialize(CASES + (HARD_CASES if args.hard else []), random.Random(args.seed))
 
-    header = f"{'case':<14} {'target':<16} {'index':>5} {'pure':>10} {'compiled':>10} {'speedup':>8}"
+    header = f"{'case':<14} {'target':<16} {'index':>5} {'seconds':>10}"
     print(header)
     print("-" * len(header))
     for name, target, alphabet in cases:
-        t_pure, (idx_pure, path_pure) = time_backend(target, alphabet, "pure", args.repeat)
-        if active_backend() == "compiled":
-            t_comp, (idx_comp, path_comp) = time_backend(
-                target, alphabet, "compiled", args.repeat
-            )
-            assert idx_pure == idx_comp, f"{name}: kernels disagree"
-            assert path_pure.steps == path_comp.steps, f"{name}: witnesses disagree"
-            speedup = t_pure / t_comp if t_comp > 0 else float("inf")
-            comp_s, speed_s = f"{t_comp:10.4f}", f"{speedup:7.1f}x"
-        else:
-            comp_s, speed_s = f"{'-':>10}", f"{'-':>8}"
+        seconds, index = time_index(target, alphabet, args.repeat)
         shown = target if len(target) <= 16 else target[:13] + "..."
-        print(f"{name:<14} {shown:<16} {idx_pure:>5} {t_pure:10.4f} {comp_s} {speed_s}")
+        print(f"{name:<14} {shown:<16} {index:>5} {seconds:10.4f}")
 
 
 if __name__ == "__main__":

@@ -9,7 +9,7 @@ hole computers, reference hardware, and assembly pathways.
 
 from . import assembly, blackhole, catalog, measures, units
 from .errors import InputError, NumericalError, PhyscompError
-from .units import CONSTANTS, Quantity, constants, entropy_convert
+from .units import Quantity, constants, entropy_convert
 
 __version__ = "0.1.0"
 
@@ -32,6 +32,9 @@ __all__ = [
 
 
 def __getattr__(name: str):
+    # the active constant set, which units.using rebinds: never a copy
+    if name == "CONSTANTS":
+        return units.CONSTANTS
     # qthermo pulls in numpy, which only the quantum-thermodynamics code
     # needs: load it on first access so everything else starts without it.
     if name == "qthermo":

@@ -1,8 +1,7 @@
-"""Pure-Python assembly search kernel.
+"""Assembly search kernel, in plain Python.
 
-Same contract as the compiled kernel in ``_speedups``: iterative deepening
-over canonically ordered product sets with branch-and-bound pruning. Kept
-dependency-free so the package works without a compiler.
+Iterative deepening over canonically ordered product sets with
+branch-and-bound pruning.
 
 Candidates are the distinct substrings of the target with length >= 2,
 shortlex sorted. In a minimal pathway every product is such a substring
@@ -24,8 +23,6 @@ plain deepening search (``tests/_oracles.plain_deepening_sequence``).
 """
 
 from __future__ import annotations
-
-BACKEND = "pure"
 
 
 def solve_sequence(

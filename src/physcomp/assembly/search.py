@@ -6,10 +6,8 @@ piece contiguous in the final product). Intermediates are reusable for
 free, so the index is the size of the smallest constructible product set
 containing the target. Branch-and-bound: a doubling argument bounds the
 steps still needed from below, a balanced-split pathway (shared pieces
-memoized, built once) bounds the optimum from above.
-
-The inner enumeration is the hot loop; a compiled kernel is used when
-available and a pure-Python twin otherwise (see ``active_backend``).
+memoized, built once) bounds the optimum from above. The deepening search
+between the bounds is the hot loop; it lives in ``_purekernel``.
 """
 
 from __future__ import annotations
@@ -18,29 +16,12 @@ from ..errors import SymbolNotInBasis, TargetTooLarge
 from . import _purekernel
 from .pathway import AssemblyPathway, check_basis
 
-try:
-    from . import _speedups
-except ImportError:  # extension not built; the pure kernel is the contract
-    _speedups = None
-
 MAX_TARGET_LENGTH = 20
 
 
 def active_backend() -> str:
-    """Which search kernel ``assembly_index`` dispatches to by default."""
-    return "compiled" if _speedups is not None else "pure"
-
-
-def _kernel(backend: str | None):
-    if backend in (None, "auto"):
-        return _speedups if _speedups is not None else _purekernel
-    if backend == "pure":
-        return _purekernel
-    if backend == "compiled":
-        if _speedups is None:
-            raise ImportError("compiled kernel is not built")
-        return _speedups
-    raise ValueError(f"unknown backend {backend!r}")
+    """Name of the search kernel, recorded with benchmark results."""
+    return "pure"
 
 
 def shortlex_key(s: str) -> tuple[int, str]:
@@ -113,9 +94,7 @@ def _witness(target: str, basis: frozenset[str], subs: list[str], seq: list[int]
     return AssemblyPathway(basis=basis, steps=tuple(steps), target=target)
 
 
-def assembly_index(
-    target: str, basis, backend: str | None = None
-) -> tuple[int, AssemblyPathway]:
+def assembly_index(target: str, basis) -> tuple[int, AssemblyPathway]:
     """Minimal number of joins building ``target`` from ``basis``, plus witness.
 
     Previously assembled products may be reused at no cost. Ties among
@@ -140,7 +119,7 @@ def assembly_index(
     subs, lengths, splits, target_id = _prepare(target)
     lower = doubling_lower_bound(len(target))
     upper = greedy_doubling_upper_bound(target)
-    seq = _kernel(backend).solve_sequence(
+    seq = _purekernel.solve_sequence(
         lengths, splits, target_id, len(target), lower, upper
     )
     return len(seq), _witness(target, symbols, subs, seq)

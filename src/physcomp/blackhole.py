@@ -14,9 +14,11 @@ with the quoted total lifetime; it is a model choice, not a quoted result.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence, TextIO
 
+from . import units
 from .errors import (
     NegativeInput,
     NonPositiveMass,
@@ -26,7 +28,6 @@ from .errors import (
 )
 from .measures import binary_entropy
 from .units import (
-    CONSTANTS,
     ENERGY,
     FREQUENCY,
     LENGTH,
@@ -37,13 +38,6 @@ from .units import (
     DimensionMismatch,
     Quantity,
 )
-
-_HBAR = CONSTANTS.hbar.magnitude
-_C = CONSTANTS.c.magnitude
-_G = CONSTANTS.G.magnitude
-_K_B = CONSTANTS.k_B.magnitude
-_M_P = CONSTANTS.planck_mass.magnitude
-_YEAR = CONSTANTS.seconds_per_year.magnitude
 
 PAGE_FRACTION = 1.0 - 2.0 ** (-1.5)  # entropy-crossover time / lifetime
 
@@ -96,20 +90,24 @@ def _mass_kg(M: Quantity) -> float:
     return M.magnitude
 
 
-def _entropy_nats(m: float) -> float:
+def _entropy_nats(m: float, m_p: float) -> float:
     try:
-        return 4.0 * math.pi * (m / _M_P) ** 2
+        return 4.0 * math.pi * (m / m_p) ** 2
     except OverflowError:
         raise NumericalOverflow(f"entropy overflows a double at mass {m!r} kg") from None
 
 
 def _lifetime_s(m: float) -> float:
+    k = units.CONSTANTS
+    g, hbar, c = k.G.magnitude, k.hbar.magnitude, k.c.magnitude
     try:
-        t_m = 5120.0 * math.pi * _G**2 * m**3 / (_HBAR * _C**4)
+        t_m = 5120.0 * math.pi * g**2 * m**3 / (hbar * c**4)
     except OverflowError:
         raise NumericalOverflow(f"lifetime overflows a double at mass {m!r} kg") from None
-    if t_m == 0.0:  # below ~3.3e-103 kg; M(t) would divide by it
-        raise NumericalUnderflow(f"lifetime underflows to 0 s at mass {m!r} kg")
+    # below ~6.4e-98 kg the lifetime is subnormal, down to one significant
+    # bit, and below ~3.3e-103 kg it is 0, which M(t) would divide by
+    if t_m < sys.float_info.min:
+        raise NumericalUnderflow(f"lifetime underflows to {t_m:g} s at mass {m!r} kg")
     return t_m
 
 
@@ -118,16 +116,20 @@ def _mass_left(m0: float, t: float, t_m: float) -> float:
 
 
 def schwarzschild_radius(M: Quantity) -> Quantity:
-    return Quantity(2.0 * _G * _mass_kg(M) / _C**2, LENGTH, "m")
+    k = units.CONSTANTS
+    g, c = k.G.magnitude, k.c.magnitude
+    return Quantity(2.0 * g * _mass_kg(M) / c**2, LENGTH, "m")
 
 
 def entropy_nats(M: Quantity) -> float:
-    return _entropy_nats(_mass_kg(M))
+    return _entropy_nats(_mass_kg(M), units.CONSTANTS.planck_mass.magnitude)
 
 
 def hawking_temperature(M: Quantity) -> Quantity:
     m = _mass_kg(M)
-    return Quantity(_M_P**2 * _C**2 / (8.0 * math.pi * m) / _K_B, TEMPERATURE, "K")
+    k = units.CONSTANTS
+    m_p, c, k_b = k.planck_mass.magnitude, k.c.magnitude, k.k_B.magnitude
+    return Quantity(m_p**2 * c**2 / (8.0 * math.pi * m) / k_b, TEMPERATURE, "K")
 
 
 def lifetime(M: Quantity) -> Quantity:
@@ -136,7 +138,9 @@ def lifetime(M: Quantity) -> Quantity:
 
 def ops_per_second(M: Quantity) -> Quantity:
     m = _mass_kg(M)
-    return Quantity(2.0 * m * _C**2 / (math.pi * _HBAR), FREQUENCY, "1/s")
+    k = units.CONSTANTS
+    c, hbar = k.c.magnitude, k.hbar.magnitude
+    return Quantity(2.0 * m * c**2 / (math.pi * hbar), FREQUENCY, "1/s")
 
 
 def total_ops(M: Quantity) -> float:
@@ -149,11 +153,12 @@ def total_ops(M: Quantity) -> float:
 
 
 def bit_flip_time(M: Quantity) -> Quantity:
-    return Quantity(math.pi**2 * schwarzschild_radius(M).magnitude / _C, TIME, "s")
+    r = schwarzschild_radius(M).magnitude
+    return Quantity(math.pi**2 * r / units.CONSTANTS.c.magnitude, TIME, "s")
 
 
 def free_energy(M: Quantity) -> Quantity:
-    return Quantity(_mass_kg(M) * _C**2 / 2.0, ENERGY, "J")
+    return Quantity(_mass_kg(M) * units.CONSTANTS.c.magnitude**2 / 2.0, ENERGY, "J")
 
 
 def _forced_halvings(target: float) -> int:
@@ -207,7 +212,7 @@ def max_error_rate(M: Quantity) -> float:
     """
     m = _mass_kg(M)
     s_bits = entropy_nats(M) / LN2
-    if m <= _M_P:
+    if m <= units.CONSTANTS.planck_mass.magnitude:
         return 0.5
     return solve_error_rate(total_ops(M), s_bits)
 
@@ -216,6 +221,7 @@ def characterize(M: Quantity) -> BlackHoleReport:
     """All closed-form properties of a hole of mass M."""
     s_nats = entropy_nats(M)
     t_m = lifetime(M)
+    year = units.CONSTANTS.seconds_per_year.magnitude
     return BlackHoleReport(
         mass=M,
         radius=schwarzschild_radius(M),
@@ -223,7 +229,7 @@ def characterize(M: Quantity) -> BlackHoleReport:
         entropy_nats=s_nats,
         entropy_bits=s_nats / LN2,
         lifetime=t_m,
-        lifetime_years=t_m.magnitude / _YEAR,
+        lifetime_years=t_m.magnitude / year,
         ops_per_second=ops_per_second(M),
         total_ops=total_ops(M),
         bit_flip_time=bit_flip_time(M),
@@ -258,14 +264,15 @@ def page_curve(M0: Quantity, n_samples: int) -> list[TimelineSample]:
     if n_samples < 2:
         raise TimeOutOfRange("need at least 2 samples")
     t_m = _lifetime_s(m0)
-    s0_bits = _entropy_nats(m0) / LN2
+    m_p = units.CONSTANTS.planck_mass.magnitude
+    s0_bits = _entropy_nats(m0, m_p) / LN2
     last = n_samples - 1
     out = []
     for i in range(n_samples):
         # pin the endpoint: t_m * i / (n-1) can land one ulp past t_m
         t = t_m if i == last else t_m * i / last
         m = _mass_left(m0, t, t_m)
-        s_bits = _entropy_nats(m) / LN2 if m > 0.0 else 0.0
+        s_bits = _entropy_nats(m, m_p) / LN2 if m > 0.0 else 0.0
         out.append(TimelineSample(t, m, s_bits, min(s0_bits - s_bits, s_bits)))
     return out
 

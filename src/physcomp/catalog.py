@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from . import units
 from .errors import (
     NonPositiveCapacitance,
     NonPositiveEnergy,
@@ -20,7 +21,6 @@ from .errors import (
 )
 from .units import (
     CAPACITANCE,
-    CONSTANTS,
     ENERGY,
     FREQUENCY,
     LN2,
@@ -30,8 +30,6 @@ from .units import (
     DimensionMismatch,
     Quantity,
 )
-
-_K_B = CONSTANTS.k_B.magnitude
 
 COVALENT_BOND_J = 1.6e-19  # ~ one electron volt
 ROOM_TEMPERATURE_K = 300.0
@@ -56,7 +54,7 @@ class ReferenceSystem:
 
 def builtin_systems() -> tuple[ReferenceSystem, ...]:
     """The built-in reference systems, each tagged with where its number is from."""
-    landauer_300 = _K_B * ROOM_TEMPERATURE_K * LN2
+    landauer_300 = units.CONSTANTS.k_B.magnitude * ROOM_TEMPERATURE_K * LN2
     return (
         ReferenceSystem(
             name="5nm-transistor",
@@ -121,7 +119,8 @@ def inefficiency_factor(sys_: ReferenceSystem, T: Quantity) -> float:
         raise DimensionMismatch("temperature must be in kelvin")
     if T.magnitude <= 0.0:
         raise NonPositiveTemperature("inefficiency factor needs T > 0")
-    return sys_.energy_per_op.magnitude / (_K_B * T.magnitude * LN2)
+    k_b = units.CONSTANTS.k_B.magnitude
+    return sys_.energy_per_op.magnitude / (k_b * T.magnitude * LN2)
 
 
 def op_rate(power: Quantity, energy_per_op: Quantity) -> Quantity:

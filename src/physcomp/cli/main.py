@@ -10,13 +10,13 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .. import __version__, assembly, blackhole, catalog, measures
+from .. import __version__, assembly, blackhole, catalog, measures, units
 from ..errors import InputError, NumericalError
 from ..units import (
-    CONSTANTS,
     ENERGY,
     FARAD,
     INFORMATION,
+    MASS,
     POWER,
     TEMPERATURE,
     TIME,
@@ -148,19 +148,19 @@ def _base_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _mass_quantity(args, consts) -> Quantity:
+def _mass_quantity(args) -> Quantity:
     if args.mass is None:
         raise InputError("--mass is required")
     scale = {
         "kg": 1.0,
-        "solar": consts.solar_mass.magnitude,
-        "planck": consts.planck_mass.magnitude,
+        "solar": units.CONSTANTS.solar_mass.magnitude,
+        "planck": units.CONSTANTS.planck_mass.magnitude,
     }[args.unit]
-    return Quantity(args.mass * scale, consts.solar_mass.dim, "kg")
+    return Quantity(args.mass * scale, MASS, "kg")
 
 
-def _energy_quantity(value: float, unit: str, consts) -> Quantity:
-    scale = {"J": 1.0, "eV": consts.electron_volt.magnitude}[unit]
+def _energy_quantity(value: float, unit: str) -> Quantity:
+    scale = {"J": 1.0, "eV": units.CONSTANTS.electron_volt.magnitude}[unit]
     return Quantity(value * scale, ENERGY, "J")
 
 
@@ -169,27 +169,31 @@ def _temperature(args) -> Quantity:
         raise InputError("give exactly one of --temp or --ktemp-joules")
     if args.temp is not None:
         return Quantity(args.temp, TEMPERATURE, "K")
-    return Quantity(
-        args.ktemp_joules / CONSTANTS.k_B.magnitude, TEMPERATURE, "K"
-    )
+    k_b = units.CONSTANTS.k_B.magnitude
+    return Quantity(args.ktemp_joules / k_b, TEMPERATURE, "K")
+
+
+# name, unit, where the pinned value comes from
+_CONSTANT_ROWS = (
+    ("hbar", "J·s", "pinned CODATA 2018"),
+    ("c", "m/s", "pinned exact"),
+    ("G", "m^3·kg^-1·s^-2", "pinned CODATA 2018"),
+    ("k_B", "J/K", "pinned exact"),
+    ("planck_mass", "kg", "sqrt(hbar*c/G)"),
+    ("planck_length", "m", "sqrt(hbar*G/c^3)"),
+    ("solar_mass", "kg", "pinned"),
+    ("electron_volt", "J", "pinned exact"),
+    ("seconds_per_year", "s", "Julian year"),
+)
 
 
 def _cmd_constants(args, out) -> Report:
-    consts = constants(args.constants)
     rep = Report("constants", __version__)
-    rows = [
-        ("hbar", consts.hbar.magnitude, "J·s", "pinned CODATA 2018"),
-        ("c", consts.c.magnitude, "m/s", "pinned exact"),
-        ("G", consts.G.magnitude, "m^3·kg^-1·s^-2", "pinned CODATA 2018"),
-        ("k_B", consts.k_B.magnitude, "J/K", "pinned exact"),
-        ("planck_mass", consts.planck_mass.magnitude, "kg", "sqrt(hbar*c/G)"),
-        ("planck_length", consts.planck_length.magnitude, "m", "sqrt(hbar*G/c^3)"),
-        ("solar_mass", consts.solar_mass.magnitude, "kg", "pinned"),
-        ("electron_volt", consts.electron_volt.magnitude, "J", "pinned exact"),
-        ("seconds_per_year", consts.seconds_per_year.magnitude, "s", "Julian year"),
-    ]
-    for row in rows:
-        rep.add(*row)
+    for name, unit, origin in _CONSTANT_ROWS:
+        value = getattr(units.CONSTANTS, name).magnitude
+        if value != getattr(units.PINNED, name).magnitude:
+            origin = "override"
+        rep.add(name, value, unit, origin)
     return rep
 
 
@@ -214,11 +218,10 @@ SWEEP_CSV_HEADER = (
 
 
 def _cmd_bh(args, out) -> Report | None:
-    consts = constants(args.constants)
     if args.sweep is not None:
         lines = [SWEEP_CSV_HEADER]
         for m in _parse_sweep(args.sweep):
-            r = blackhole.characterize(Quantity(m, consts.solar_mass.dim, "kg"))
+            r = blackhole.characterize(Quantity(m, MASS, "kg"))
             lines.append(
                 f"{m:.17g},{r.radius.magnitude:.17g},"
                 f"{r.temperature.magnitude:.17g},{r.entropy_bits:.17g},"
@@ -227,7 +230,7 @@ def _cmd_bh(args, out) -> Report | None:
             )
         _write_lines(lines, args.out, out)
         return None
-    mass = _mass_quantity(args, consts)
+    mass = _mass_quantity(args)
     if args.mode in ("timeline", "page-curve"):
         samples = blackhole.page_curve(mass, args.samples)
         _write_lines(list(blackhole.timeline_csv_lines(samples)), args.out, out)
@@ -260,11 +263,10 @@ def _cmd_bh(args, out) -> Report | None:
 
 
 def _cmd_measure(args, out) -> Report:
-    consts = constants(args.constants)
     op = args.measure_op
     rep = Report(f"measure {op}", __version__)
     if op == "phi-time":
-        e = _energy_quantity(args.energy, args.energy_unit, consts)
+        e = _energy_quantity(args.energy, args.energy_unit)
         t = Quantity(args.time, TIME, "s")
         rep.inputs = {
             "energy": args.energy,
@@ -273,7 +275,7 @@ def _cmd_measure(args, out) -> Report:
         }
         rep.add("phi_time_ops", measures.phi_time(e, t), "", "2*E*t/(pi*hbar)")
     elif op == "ml-time":
-        e = _energy_quantity(args.energy, args.energy_unit, consts)
+        e = _energy_quantity(args.energy, args.energy_unit)
         rep.inputs = {"energy": args.energy, "energy_unit": args.energy_unit}
         rep.add(
             "min_flip_time", measures.ml_min_time(e).magnitude, "s", "pi*hbar/(2*E)"
@@ -510,7 +512,11 @@ def run(argv, out=None, err=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        report = _HANDLERS[args.command](args, out)
+        # the one place a run picks its constants: --constants FILE, else
+        # the file named by PHYSCOMP_CONSTANTS, else the pinned set
+        consts = constants(args.constants)
+        with units.using(consts):
+            report = _HANDLERS[args.command](args, out)
     except InputError as exc:
         err.write(f"error: {exc}\n")
         return 2
@@ -518,6 +524,8 @@ def run(argv, out=None, err=None) -> int:
         err.write(f"numerical failure: {exc}\n")
         return 3
     if report is not None:
+        if consts.source != "pinned":
+            report.inputs["constants"] = consts.source
         out.write(render(report, args.format))
     return 0
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from . import units
 from .errors import (
     EntropyOutOfRange,
     NegativeInput,
@@ -22,7 +23,6 @@ from .errors import (
     ProbabilityOutOfRange,
 )
 from .units import (
-    CONSTANTS,
     ENERGY,
     INFORMATION,
     LN2,
@@ -31,9 +31,6 @@ from .units import (
     DimensionMismatch,
     Quantity,
 )
-
-_HBAR = CONSTANTS.hbar.magnitude
-_K_B = CONSTANTS.k_B.magnitude
 
 
 def _require(q: Quantity, dim, what: str) -> float:
@@ -48,7 +45,7 @@ def phi_time(E: Quantity, t: Quantity) -> float:
     dt = _require(t, TIME, "time")
     if e < 0.0 or dt < 0.0:
         raise NegativeInput("phi_time needs E >= 0 and t >= 0")
-    return 2.0 * e * dt / (math.pi * _HBAR)
+    return 2.0 * e * dt / (math.pi * units.CONSTANTS.hbar.magnitude)
 
 
 def ml_min_time(E: Quantity) -> Quantity:
@@ -56,7 +53,7 @@ def ml_min_time(E: Quantity) -> Quantity:
     e = _require(E, ENERGY, "energy")
     if e <= 0.0:
         raise NonPositiveEnergy("minimum flip time needs E > 0")
-    return Quantity(math.pi * _HBAR / (2.0 * e), TIME, "s")
+    return Quantity(math.pi * units.CONSTANTS.hbar.magnitude / (2.0 * e), TIME, "s")
 
 
 def phi_space(s_max: Quantity, s: Quantity) -> Quantity:
@@ -75,7 +72,7 @@ def landauer_cost(T: Quantity, n_bits: float) -> Quantity:
         raise NonPositiveTemperature("Landauer cost needs T > 0")
     if n_bits < 0:
         raise NegativeInput("bit count must be >= 0")
-    return Quantity(n_bits * _K_B * t * LN2, ENERGY, "J")
+    return Quantity(n_bits * units.CONSTANTS.k_B.magnitude * t * LN2, ENERGY, "J")
 
 
 def binary_entropy(eps: float) -> Quantity:
@@ -132,7 +129,8 @@ def free_phi_thermo(T: Quantity, s_eq: Quantity, s: Quantity) -> Quantity:
     if t <= 0.0:
         raise NonPositiveTemperature("free_phi_thermo needs T > 0")
     depth = phi_space(s_eq, s)
-    return Quantity(depth.magnitude * _K_B * t * LN2, ENERGY, "J")
+    k_b = units.CONSTANTS.k_B.magnitude
+    return Quantity(depth.magnitude * k_b * t * LN2, ENERGY, "J")
 
 
 @dataclass(frozen=True)

@@ -8,11 +8,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from .. import units
 from ..errors import NegativeInput, NonPositiveEnergy
-from ..units import CONSTANTS, ENERGY, TIME, DimensionMismatch, Quantity
+from ..units import ENERGY, TIME, DimensionMismatch, Quantity
 from .states import DensityMatrix, HermitianOperator, StateVector
-
-_HBAR = CONSTANTS.hbar.magnitude
 
 
 def bitflip_hamiltonian(E: Quantity) -> HermitianOperator:
@@ -32,7 +31,7 @@ def evolve(H: HermitianOperator, t: Quantity, psi: StateVector) -> StateVector:
     if t.magnitude < 0.0:
         raise NegativeInput("evolution time must be >= 0")
     vals, vecs = H.eigensystem()
-    phases = np.exp(-1j * vals * (t.magnitude / _HBAR))
+    phases = np.exp(-1j * vals * (t.magnitude / units.CONSTANTS.hbar.magnitude))
     amp = vecs @ (phases * (vecs.conj().T @ psi.amplitudes))
     return StateVector(amp)
 

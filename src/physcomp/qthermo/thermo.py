@@ -12,6 +12,7 @@ import math
 
 import numpy as np
 
+from .. import units
 from ..errors import (
     EnergyOutOfRange,
     EntropyOutOfRange,
@@ -22,7 +23,6 @@ from ..errors import (
     ZeroTemperature,
 )
 from ..units import (
-    CONSTANTS,
     ENERGY,
     INFORMATION,
     LN2,
@@ -33,7 +33,6 @@ from ..units import (
 )
 from .states import DensityMatrix, GibbsState, HermitianOperator
 
-_K_B = CONSTANTS.k_B.magnitude
 _INV_ENERGY = Dimension() / ENERGY
 
 ENERGY_MATCH_RTOL = 1e-10  # relative to the spectral range
@@ -93,7 +92,7 @@ def _gibbs_from_beta(H: HermitianOperator, beta: float) -> GibbsState:
         raise NumericalOverflow(
             f"partition function not representable as a float (ln Z = {log_z:.6g})"
         )
-    temperature = 1.0 / (_K_B * beta)
+    temperature = 1.0 / (units.CONSTANTS.k_B.magnitude * beta)
     f_eq = -log_z / beta
     return GibbsState(
         rho=rho,
@@ -110,7 +109,7 @@ def gibbs_state(H: HermitianOperator, T: Quantity) -> GibbsState:
     t = _require(T, TEMPERATURE, "temperature")
     if t == 0.0:
         raise ZeroTemperature("Gibbs state undefined at T = 0")
-    return _gibbs_from_beta(H, 1.0 / (_K_B * t))
+    return _gibbs_from_beta(H, 1.0 / (units.CONSTANTS.k_B.magnitude * t))
 
 
 def _energy_at_beta(vals: np.ndarray, beta: float) -> float:
@@ -179,7 +178,8 @@ def nonequilibrium_free_energy(
     if t == 0.0:
         raise ZeroTemperature("free energy needs T != 0")
     e = mean_energy(rho, H).magnitude
-    return Quantity(e - t * _K_B * entropy_nats(rho), ENERGY, "J")
+    k_b = units.CONSTANTS.k_B.magnitude
+    return Quantity(e - t * k_b * entropy_nats(rho), ENERGY, "J")
 
 
 def extractable_work(
@@ -195,6 +195,7 @@ def extractable_work(
         raise ZeroTemperature("extractable work needs T > 0")
     if t < 0.0:
         raise NonPositiveTemperature("extractable work needs T > 0")
+    k_b = units.CONSTANTS.k_B.magnitude
     p = rho.probabilities
     nz = p[p > 0.0]
     tr_rho_ln_rho = float((nz * np.log(nz)).sum())
@@ -202,10 +203,10 @@ def extractable_work(
     # log-populations stay accurate deep in the Boltzmann tail, where
     # re-diagonalizing the reconstructed matrix would lose them
     vals, vecs = H.eigensystem()
-    log_q = _log_probabilities(vals, 1.0 / (_K_B * t))
+    log_q = _log_probabilities(vals, 1.0 / (k_b * t))
     ln_rho_th = (vecs * log_q) @ vecs.conj().T
     tr_rho_ln_th = float(np.trace(rho.matrix @ ln_rho_th).real)
-    return Quantity(_K_B * t * (tr_rho_ln_rho - tr_rho_ln_th), ENERGY, "J")
+    return Quantity(k_b * t * (tr_rho_ln_rho - tr_rho_ln_th), ENERGY, "J")
 
 
 def extractable_pure_bits(

@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 from .errors import DimensionMismatch, FileFormatError
@@ -237,7 +238,6 @@ WATT = Quantity(1.0, POWER)
 NEWTON = Quantity(1.0, MASS * LENGTH / TIME**2)
 VOLT = Quantity(1.0, VOLTAGE)
 FARAD = Quantity(1.0, CAPACITANCE)
-ELECTRON_VOLT = Quantity(1.602176634e-19, ENERGY, "eV")
 
 UNITS: dict[str, Quantity] = {
     "kg": KILOGRAM,
@@ -252,7 +252,6 @@ UNITS: dict[str, Quantity] = {
     "N": NEWTON,
     "V": VOLT,
     "F": FARAD,
-    "eV": ELECTRON_VOLT,
     "J/K": Quantity(1.0, ENTROPY_THERMO),
     "J·s": Quantity(1.0, ACTION),
     "m/s": Quantity(1.0, VELOCITY),
@@ -265,12 +264,13 @@ def entropy_convert(s: Quantity, target_unit: str) -> Quantity:
     """Convert an entropy between bits, nats, and thermodynamic J/K.
 
     Accepts a quantity carrying either the information dimension or J/K.
-    bits = nats / ln 2; J/K = nats * k_B.
+    bits = nats / ln 2; J/K = nats * k_B, with k_B from the active set.
     """
+    k_b = CONSTANTS.k_B.magnitude
     if s.dim == INFORMATION:
         nats = s.magnitude * LN2  # canonical information unit is the bit
     elif s.dim == ENTROPY_THERMO:
-        nats = s.magnitude / _PINNED["k_B"]
+        nats = s.magnitude / k_b
     else:
         raise DimensionMismatch(
             f"entropy_convert needs information or J/K, got [{s.unit or '1'}]"
@@ -280,7 +280,7 @@ def entropy_convert(s: Quantity, target_unit: str) -> Quantity:
     if target_unit == "nats":
         return Quantity(nats / LN2, INFORMATION, "nat")
     if target_unit == "joules_per_kelvin":
-        return Quantity(nats * _PINNED["k_B"], ENTROPY_THERMO, "J/K")
+        return Quantity(nats * k_b, ENTROPY_THERMO, "J/K")
     raise DimensionMismatch(f"unknown entropy unit {target_unit!r}")
 
 
@@ -303,7 +303,11 @@ ENV_CONSTANTS_OVERRIDE = "PHYSCOMP_CONSTANTS"
 
 @dataclass(frozen=True)
 class Constants:
-    """The pinned constant set as dimensioned quantities."""
+    """A constant set as dimensioned quantities, and where it came from.
+
+    ``source`` is ``"pinned"``, ``"file:PATH"`` for an override file named
+    by the caller, or ``"env:PATH"`` for one named by ``PHYSCOMP_CONSTANTS``.
+    """
 
     hbar: Quantity
     c: Quantity
@@ -314,6 +318,7 @@ class Constants:
     solar_mass: Quantity
     electron_volt: Quantity
     seconds_per_year: Quantity
+    source: str
 
     def self_check(self, rel_tol: float = 1e-10) -> None:
         """Verify the Planck-scale identities; raises on violation."""
@@ -337,7 +342,7 @@ def finite_double(x) -> bool:
         return False
 
 
-def _load_overrides(path: str) -> dict[str, float]:
+def _load_overrides(path: str, known) -> dict[str, float]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -345,13 +350,12 @@ def _load_overrides(path: str) -> dict[str, float]:
         raise FileFormatError(f"{path}: cannot read constants override: {exc}")
     if not isinstance(raw, dict):
         raise FileFormatError(f"{path}: constants override must be a flat object")
-    known = set(_PINNED) | set(_DERIVED_KEYS)
     out = {}
     for key, val in raw.items():
         if key not in known:
             raise FileFormatError(f"{path}: unknown constant {key!r}")
-        if isinstance(val, bool) or not finite_double(val):
-            raise FileFormatError(f"{path}: {key}: expected a finite number")
+        if isinstance(val, bool) or not finite_double(val) or val <= 0:
+            raise FileFormatError(f"{path}: {key}: expected a positive finite number")
         out[key] = float(val)
     return out
 
@@ -360,38 +364,64 @@ def constants(override_path: str | None = None) -> Constants:
     """Return the pinned constants, optionally patched from a config file.
 
     The override file is a flat JSON object, key = constant name, value =
-    number in SI units. Missing keys fall back to the pinned defaults;
-    Planck mass/length are rederived from (possibly overridden) hbar, c, G
-    unless explicitly overridden themselves.
+    positive number in SI units. Missing keys fall back to the pinned
+    defaults; Planck mass/length are rederived from (possibly overridden)
+    hbar, c, G unless explicitly overridden themselves. With no path, the
+    file named by ``PHYSCOMP_CONSTANTS`` is read if that is set; an empty
+    path gives the pinned set without looking at the environment.
+
+    This only builds a set; :func:`using` makes it the one the physics reads.
     """
-    values = dict(_PINNED)
-    overrides: dict[str, float] = {}
+    origin = "file"
     if override_path is None:
         override_path = os.environ.get(ENV_CONSTANTS_OVERRIDE) or None
+        origin = "env"
+    values = dict(_PINNED)
+    source = "pinned"
     if override_path:
-        overrides = _load_overrides(override_path)
-        for key in _PINNED:
-            if key in overrides:
-                values[key] = overrides[key]
-    m_p = overrides.get(
-        "planck_mass", math.sqrt(values["hbar"] * values["c"] / values["G"])
-    )
-    l_p = overrides.get(
-        "planck_length", math.sqrt(values["hbar"] * values["G"] / values["c"] ** 3)
-    )
-    consts = Constants(
-        hbar=Quantity(values["hbar"], ACTION, "J·s"),
-        c=Quantity(values["c"], VELOCITY, "m/s"),
-        G=Quantity(values["G"], LENGTH**3 / (MASS * TIME**2)),
-        k_B=Quantity(values["k_B"], ENTROPY_THERMO, "J/K"),
-        planck_mass=Quantity(m_p, MASS, "kg"),
-        planck_length=Quantity(l_p, LENGTH, "m"),
-        solar_mass=Quantity(values["solar_mass"], MASS, "kg"),
-        electron_volt=Quantity(values["electron_volt"], ENERGY, "J"),
-        seconds_per_year=Quantity(values["seconds_per_year"], TIME, "s"),
-    )
-    consts.self_check()
+        values.update(_load_overrides(override_path, {*_PINNED, *_DERIVED_KEYS}))
+        source = f"{origin}:{override_path}"
+    try:
+        m_p = values.get(
+            "planck_mass", math.sqrt(values["hbar"] * values["c"] / values["G"])
+        )
+        l_p = values.get(
+            "planck_length", math.sqrt(values["hbar"] * values["G"] / values["c"] ** 3)
+        )
+        consts = Constants(
+            hbar=Quantity(values["hbar"], ACTION, "J·s"),
+            c=Quantity(values["c"], VELOCITY, "m/s"),
+            G=Quantity(values["G"], LENGTH**3 / (MASS * TIME**2)),
+            k_B=Quantity(values["k_B"], ENTROPY_THERMO, "J/K"),
+            planck_mass=Quantity(m_p, MASS, "kg"),
+            planck_length=Quantity(l_p, LENGTH, "m"),
+            solar_mass=Quantity(values["solar_mass"], MASS, "kg"),
+            electron_volt=Quantity(values["electron_volt"], ENERGY, "J"),
+            seconds_per_year=Quantity(values["seconds_per_year"], TIME, "s"),
+            source=source,
+        )
+        consts.self_check()
+    except ArithmeticError:  # a Planck unit leaves the double range
+        raise FileFormatError(f"{override_path}: constants out of double range")
     return consts
 
 
-CONSTANTS = constants()
+PINNED = constants("")
+
+CONSTANTS = PINNED
+"""The active constant set. Every formula reads it when called; rebind it
+with :func:`using`, never by assignment."""
+
+
+@contextmanager
+def using(consts: Constants):
+    """Make ``consts`` the active set inside the ``with`` block.
+
+    The previous set comes back on exit, also when the block raises.
+    """
+    global CONSTANTS
+    saved, CONSTANTS = CONSTANTS, consts
+    try:
+        yield consts
+    finally:
+        CONSTANTS = saved

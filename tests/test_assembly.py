@@ -13,12 +13,11 @@ from _oracles import brute_force_assembly_index, plain_deepening_sequence
 
 @functools.lru_cache(maxsize=None)
 def oracle_index(target: str) -> int:
-    # cached so the per-backend parametrization never re-runs the oracle
+    # cached so the hypothesis and example tests never re-run the oracle
     return brute_force_assembly_index(target, {"a", "b"})
 from physcomp.assembly import (
     AssemblyPathway,
     assembly_index,
-    active_backend,
     doubling_lower_bound,
     greedy_doubling_upper_bound,
     load_pathway,
@@ -27,7 +26,7 @@ from physcomp.assembly import (
     write_pathway,
 )
 from physcomp.assembly import _purekernel
-from physcomp.assembly.search import _kernel, _prepare, _witness
+from physcomp.assembly.search import _prepare, _witness
 from physcomp.errors import (
     FileFormatError,
     InvalidPathway,
@@ -36,9 +35,6 @@ from physcomp.errors import (
     TargetTooLarge,
 )
 from physcomp.units import ENERGY, LENGTH, Quantity
-
-BACKENDS = ["pure"] + (["compiled"] if active_backend() == "compiled" else [])
-
 
 def joules(x):
     return Quantity(x, ENERGY, "J")
@@ -90,10 +86,6 @@ class TestGuards:
         with pytest.raises(SymbolNotInBasis):
             assembly_index("ab", {"ab"})
 
-    def test_unknown_backend(self):
-        with pytest.raises(ValueError):
-            _kernel("quantum")
-
 
 class TestBounds:
     def test_doubling_lower_bound(self):
@@ -113,19 +105,18 @@ class TestBounds:
             assert index <= greedy_doubling_upper_bound(target) <= len(target) - 1
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 class TestOracleEquivalence:
-    def test_exhaustive_short_strings(self, backend):
+    def test_exhaustive_short_strings(self):
         # every binary string of length 1..7: exact agreement with the
-        # enumeration oracle, on both kernels
+        # enumeration oracle
         for length in range(1, 8):
             for tup in itertools.product("ab", repeat=length):
                 target = "".join(tup)
-                got, pathway = assembly_index(target, {"a", "b"}, backend=backend)
+                got, pathway = assembly_index(target, {"a", "b"})
                 assert got == oracle_index(target), target
                 assert len(pathway.steps) == got
 
-    def test_random_longer_strings(self, backend):
+    def test_random_longer_strings(self):
         import random
 
         rng = random.Random(97)
@@ -134,7 +125,7 @@ class TestOracleEquivalence:
             for _ in range(8)
         ]
         for target in targets:
-            got, _ = assembly_index(target, {"a", "b"}, backend=backend)
+            got, _ = assembly_index(target, {"a", "b"})
             assert got == oracle_index(target), target
 
 
@@ -161,10 +152,9 @@ HARD_WITNESSES = [
 ]
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("target, index, steps", HARD_WITNESSES)
-def test_hard_witness_is_pinned(backend, target, index, steps):
-    got, pathway = assembly_index(target, {"a", "b"}, backend=backend)
+def test_hard_witness_is_pinned(target, index, steps):
+    got, pathway = assembly_index(target, {"a", "b"})
     assert (got, pathway.steps) == (index, steps)
 
 
@@ -178,7 +168,7 @@ def test_hard_witness_is_pinned(backend, target, index, steps):
 )
 def test_kernel_matches_plain_deepening(case):
     alphabet, target = case
-    index, pathway = assembly_index(target, set(alphabet), backend="pure")
+    index, pathway = assembly_index(target, set(alphabet))
     if len(target) == 1:
         assert (index, pathway.steps) == (0, ())
         return
@@ -191,23 +181,6 @@ def test_kernel_matches_plain_deepening(case):
     assert _purekernel.solve_sequence(*args) == seq
     plain = _witness(target, frozenset(alphabet), subs, seq)
     assert (index, pathway.steps) == (len(seq), plain.steps)
-
-
-class TestBackendsAgree:
-    @pytest.mark.skipif(
-        active_backend() != "compiled", reason="compiled kernel not built"
-    )
-    def test_same_index_and_witness(self):
-        import random
-
-        rng = random.Random(11)
-        for _ in range(40):
-            length = rng.randint(1, 10)
-            target = "".join(rng.choice("abc") for _ in range(length))
-            ic, pc = assembly_index(target, set("abc"), backend="compiled")
-            ip, pp = assembly_index(target, set("abc"), backend="pure")
-            assert ic == ip
-            assert pc.steps == pp.steps
 
 
 class TestPathway:

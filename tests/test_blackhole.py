@@ -2,6 +2,7 @@
 
 import io
 import math
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -113,16 +114,21 @@ class TestCharacterize:
         assert 0.0 < rep.max_error_rate < 0.5
 
     def test_underflowing_lifetime_is_typed(self):
-        # M^3 underflows below ~3.3e-103 kg; M(t) would divide by t_M = 0
-        with pytest.raises(NumericalUnderflow, match="lifetime"):
-            bh.lifetime(kg(1e-105))
-        with pytest.raises(NumericalUnderflow, match="lifetime"):
-            bh.characterize(kg(1e-105))
-        with pytest.raises(NumericalUnderflow, match="lifetime"):
-            bh.page_curve(kg(1e-105), 3)
-        with pytest.raises(NumericalUnderflow, match="lifetime"):
-            bh.mass_at_time(kg(1e-105), Quantity(0.0, TIME, "s"))
-        assert bh.lifetime(kg(1e-100)).magnitude > 0.0
+        # t_M is 0 below ~3.3e-103 kg (M(t) would divide by it) and
+        # subnormal, down to a single bit, below ~6.4e-98 kg
+        for m in (kg(1e-105), kg(4e-103), kg(1e-100)):
+            with pytest.raises(NumericalUnderflow, match="lifetime"):
+                bh.lifetime(m)
+            with pytest.raises(NumericalUnderflow, match="lifetime"):
+                bh.characterize(m)
+            with pytest.raises(NumericalUnderflow, match="lifetime"):
+                bh.page_curve(m, 3)
+            with pytest.raises(NumericalUnderflow, match="lifetime"):
+                bh.mass_at_time(m, Quantity(0.0, TIME, "s"))
+
+    def test_smallest_reported_lifetime_is_normal(self):
+        t_m = bh.lifetime(kg(1e-97)).magnitude
+        assert sys.float_info.min <= t_m < 1e-300
 
 
 class TestScalingLaws:

@@ -352,7 +352,7 @@ class TestHugeMass:
 
 
 class TestTinyMass:
-    """Masses whose M^3 underflows to a zero lifetime: exit 3, no traceback."""
+    """Masses whose lifetime underflows to 0 or to a subnormal: exit 3, no traceback."""
 
     @pytest.mark.parametrize("fmt", ["human", "json"])
     def test_report(self, fmt):
@@ -369,6 +369,19 @@ class TestTinyMass:
         assert out == ""
         _assert_one_line_error(code, err, "lifetime", "1e-105", exit_code=3)
         assert not out_file.exists()
+
+    @pytest.mark.parametrize("mode", ["report", "timeline"])
+    def test_subnormal_lifetime(self, mode):
+        # t_M = 4.94e-324 s, a single significant bit
+        code, out, err = invoke("bh", mode, "--mass", "4e-103", "--samples", "6")
+        assert out == ""
+        _assert_one_line_error(code, err, "lifetime", "4e-103", exit_code=3)
+
+    def test_smallest_normal_lifetime_still_reports(self):
+        code, out, _ = invoke("bh", "--mass", "1e-97", "--format", "json")
+        assert code == 0
+        values = {r["name"]: r["value"] for r in json.loads(out)["results"]}
+        assert values["lifetime"] >= sys.float_info.min
 
 
 @pytest.mark.parametrize("fmt", ["human", "json"])

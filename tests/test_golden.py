@@ -145,8 +145,8 @@ GOLDEN = {
     "bh-zero-mass": "3ebae684cd5f6fb0ff6428b292c0262c6cf5cef996fd5be02188c1c2e83df87d",
     "bh-bad-sweep": "8f767b2ab9321324b91a6d34f5e4c905080ccb36da313c7e3c632f89aadced68",
     "bh-ops-overflow": "7baa980f872dc8ad2b95a41351d770b0808b746a1228504db6d023150a02ebfb",
-    "bh-lifetime-subnormal": "84d1e7678f880cfe1abe27772cdcb8cd141b4346d99c841e8406bfee27c36353",
-    "bh-timeline-subnormal": "09c81e4e7b4eaec3f655f3244da4651c1300e0689096e01acb76f40f4b3e8f2c",
+    "bh-lifetime-subnormal": "9b6545271ad4ebaf74b5c0b42204d450f6b8604cff9d2111c0dfc17567a46b29",
+    "bh-timeline-subnormal": "9b6545271ad4ebaf74b5c0b42204d450f6b8604cff9d2111c0dfc17567a46b29",
     "bh-timeline-underflow": "deead3cf5668f76562b75c8402a0dfa7d7221ee2d6386eb009145573d36692e2",
     "measure-phi-time": "6af94ee83d68f681761d7478b572df8f4d96d48948178555cad1deeb0fb1d606",
     "measure-ml-time": "caa4197686a82129295e330b5932104f90fff960a632a869ad1af7917d2da142",
@@ -175,20 +175,20 @@ GOLDEN = {
     "assembly-no-target": "054936fc561b16b1a2bce88a936917263ed6a6892393b0e6dcfcc541ee792577",
     "catalog-system": "acd235d77971a9efd648e9d78df318e6b49da43731e7883957148045f0410486",
     "catalog-unknown": "8c7d9d85f089c53136d7109630146d94f9b98036bf0bb39ef93643e91dcb0578",
-    "over-constants-human": "fdb0735f68dadabf2bfc15419e557d7903105c7445af4b4f196986cf06aca929",
-    "over-constants-json": "f4090c7c3f4ff68951d51ed9032e27afb6d609244ad9b213192849f428af28a9",
-    "over-constants-csv": "94b2c3b854d9460a0a66ff60ea6b392edd912ba3489266865b305a03de20d629",
-    "over-bh": "b6416cdecda93e2047bdf141d42bfaf712a1e7ff03ec441305fbd537326650dd",
-    "over-bh-timeline": "8a48289e1e749a1afda88a28c49d124d95734488167c2b510527d6901115896c",
-    "over-bh-sweep": "610a62a21336e269a010fc8c7fa37d697fb8440db699be0d175adb15b2ed5701",
-    "over-measure-phi-time": "d08a2def58e553d6e98cb72739cf5e9105adfa3b5bd6776b9db4a3a742e2c1ab",
-    "over-measure-landauer": "21d867e56276a0d5ff3d55f1c31f8cd0523335121b9851afde0a796f593d9c92",
-    "over-catalog": "382afb2ac1846af830e09f6891d078a9efb75021cca4aac9de27cc54d3b1ad24",
-    "over-qt-gibbs": "5a5efcba6087606699ed8e95d9458cc65512eb011d866957dcaff4e75ea817fb",
-    "over-qt-evolve": "a1e4a9a75f30ce5f661c6302eeed64dbda585fd1c7c280748a662bd70bb1ad5e",
-    "over-assembly": "53f8b9169f21d98482a3c5a6b65a8f47431ded308e327e18be5d6fed9d868eb7",
-    "over-missing": "c678cd676a6d8688fb7479e8d7995e1d3309c28d76449cae0dadd3c197385fa3",
-    "over-bool": "889e1026305320f7b50574b08e45cbdd6b551ae92508146f3b29ba922f5f73f2",
+    "over-constants-human": "869a855c66858d89c406335d590955bc698f77e5b11f13350170c26cb9a1ea58",
+    "over-constants-json": "d7408e3b24cade3acd039fc933cb6314d337afddc37fcb36226235b7ad16166e",
+    "over-constants-csv": "556a59e635d8551c0cafa9a657d31a5b945481cb45d16bd42a863dc0c3e35cbd",
+    "over-bh": "51af84193d33752bc2b4cdcb155fc28cae54da64b54109fb43078f9c78a5bf73",
+    "over-bh-timeline": "5af66ba932f89507afd60dfefe54e8f6a08c1e14e601b9dde01b16ad768ca1db",
+    "over-bh-sweep": "0776b2123c51389269b55be1ea30c855099ecf04cbbde330ec10d4a8ecce825f",
+    "over-measure-phi-time": "d5e8cd3823042cfdfd1f5aa498ccefebae9137f7cde5eee584408f1f5c078bfc",
+    "over-measure-landauer": "62b1e75d645f309ec8c6e906338f7e0d14b12a67f571a7f52ff18ccd5988d54a",
+    "over-catalog": "fcd329977ccf00ee1e3e568c32f771275a530a792e2c0fa402f704c195eaebfd",
+    "over-qt-gibbs": "5ce1f9404fd3ae6e305b161ea5f9f9a99615f1a73bee53922c5d1da982aece90",
+    "over-qt-evolve": "8ccfe13056aae982cd01a413e94722b3bde2e8b89c91e1d45a95d5a21e978b3b",
+    "over-assembly": "d58f5058daf20e7cfb76c770f2081bd9ac05d7ad1e16c17670b6ee9c8a43bd64",
+    "over-missing": "7499315aaf764ee83c8ee3ea0371cfc264cba051bbc3fda4470cd11971155f4e",
+    "over-bool": "bce329ec2fa67bab1aaddeeb0ad03bcd0fb8f34c4ead741bca7e85408051caeb",
 }
 
 

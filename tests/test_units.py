@@ -5,6 +5,8 @@ import math
 
 import pytest
 
+import physcomp
+from physcomp import units
 from physcomp.errors import DimensionMismatch, FileFormatError
 from physcomp.units import (
     BIT,
@@ -179,3 +181,45 @@ class TestConstants:
         path.write_text(json.dumps({"G": "strong"}))
         with pytest.raises(FileFormatError):
             constants(str(path))
+
+    @pytest.mark.parametrize("value", [0, -1.0, 1e300])
+    def test_override_out_of_range_rejected(self, tmp_path, value):
+        # zero or negative, or a c whose cube overflows: one typed error
+        path = tmp_path / "consts.json"
+        path.write_text(json.dumps({"c": value}))
+        with pytest.raises(FileFormatError):
+            constants(str(path))
+
+    def test_source_names_the_override(self, tmp_path, monkeypatch):
+        path = tmp_path / "consts.json"
+        path.write_text(json.dumps({"G": 1.0e-10}))
+        assert constants(str(path)).source == f"file:{path}"
+        monkeypatch.setenv("PHYSCOMP_CONSTANTS", str(path))
+        assert constants().source == f"env:{path}"
+        # an empty path is the pinned set, whatever the environment says
+        assert constants("").source == "pinned"
+
+
+class TestActiveSet:
+    def test_starts_pinned_without_reading_the_environment(self):
+        assert units.CONSTANTS is units.PINNED
+        assert units.PINNED.source == "pinned"
+
+    def test_using_rebinds_and_restores(self, tmp_path):
+        path = tmp_path / "consts.json"
+        path.write_text(json.dumps({"k_B": 2.0 * units.PINNED.k_B.magnitude}))
+        override = constants(str(path))
+        with units.using(override):
+            assert units.CONSTANTS is override
+            assert physcomp.CONSTANTS is override
+            doubled = entropy_convert(Quantity(1.0, INFORMATION, "bit"), "joules_per_kelvin")
+        assert doubled.magnitude == pytest.approx(2.0 * K_B_LN2, rel=1e-15)
+        assert units.CONSTANTS is units.PINNED
+        assert physcomp.CONSTANTS is units.PINNED
+
+    def test_using_restores_on_an_exception(self):
+        override = constants("")
+        with pytest.raises(RuntimeError):
+            with units.using(override):
+                raise RuntimeError("inside")
+        assert units.CONSTANTS is units.PINNED
