@@ -18,7 +18,7 @@ from ..errors import (
     MissingAnnotation,
     SymbolNotInBasis,
 )
-from ..units import ENERGY, Quantity, finite_double
+from ..units import ENERGY, Quantity, finite_double, read_json
 
 
 def check_basis(basis) -> frozenset[str]:
@@ -140,7 +140,7 @@ def pathway_from_dict(obj: dict, where: str = "pathway") -> AssemblyPathway:
                 f"{where}: free_energy_joules: expected an array of finite numbers"
             )
         for k, x in enumerate(raw):
-            if isinstance(x, bool) or not finite_double(x):
+            if not finite_double(x):
                 raise FileFormatError(
                     f"{where}: free_energy_joules[{k}]: expected a finite number"
                 )
@@ -166,14 +166,7 @@ def pathway_from_dict(obj: dict, where: str = "pathway") -> AssemblyPathway:
 
 
 def load_pathway(path: str) -> AssemblyPathway:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except (OSError, UnicodeDecodeError) as exc:
-        raise FileFormatError(f"{path}: cannot read: {exc}")
-    except json.JSONDecodeError as exc:
-        raise FileFormatError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}")
-    return pathway_from_dict(raw, where=path)
+    return pathway_from_dict(read_json(path), where=path)
 
 
 def write_pathway(path: str, p: AssemblyPathway) -> None:

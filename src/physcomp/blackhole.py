@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence, TextIO
+from typing import Iterable, NamedTuple, Sequence
 
 from . import units
 from .errors import (
@@ -35,8 +35,8 @@ from .units import (
     MASS,
     TEMPERATURE,
     TIME,
-    DimensionMismatch,
     Quantity,
+    require,
 )
 
 PAGE_FRACTION = 1.0 - 2.0 ** (-1.5)  # entropy-crossover time / lifetime
@@ -83,11 +83,10 @@ class TimelineSample(NamedTuple):
 
 
 def _mass_kg(M: Quantity) -> float:
-    if not isinstance(M, Quantity) or M.dim != MASS:
-        raise DimensionMismatch("black hole mass must be in kilograms")
-    if M.magnitude <= 0.0:
+    m = require(M, MASS, "black hole mass")
+    if m <= 0.0:
         raise NonPositiveMass(f"mass must be positive, got {M}")
-    return M.magnitude
+    return m
 
 
 def _entropy_nats(m: float, m_p: float) -> float:
@@ -243,14 +242,11 @@ def characterize(M: Quantity) -> BlackHoleReport:
 def mass_at_time(M0: Quantity, t: Quantity) -> Quantity:
     """Remaining mass M0 (1 - t/t_M)^(1/3) at time t into the evaporation."""
     m0 = _mass_kg(M0)
-    if not isinstance(t, Quantity) or t.dim != TIME:
-        raise DimensionMismatch("time must be in seconds")
+    dt = require(t, TIME, "time")
     t_m = _lifetime_s(m0)
-    if not (0.0 <= t.magnitude <= t_m):
-        raise TimeOutOfRange(
-            f"time {t.magnitude!r} s outside the lifetime [0, {t_m!r}] s"
-        )
-    return Quantity(_mass_left(m0, t.magnitude, t_m), MASS, "kg")
+    if not (0.0 <= dt <= t_m):
+        raise TimeOutOfRange(f"time {dt!r} s outside the lifetime [0, {t_m!r}] s")
+    return Quantity(_mass_left(m0, dt, t_m), MASS, "kg")
 
 
 def page_curve(M0: Quantity, n_samples: int) -> list[TimelineSample]:
@@ -285,8 +281,3 @@ def timeline_csv_lines(samples: Sequence[TimelineSample]) -> Iterable[str]:
     yield TIMELINE_CSV_HEADER
     yield from map("%.17g,%.17g,%.17g,%.17g".__mod__, samples)
 
-
-def write_timeline_csv(samples: Sequence[TimelineSample], stream: TextIO) -> None:
-    for line in timeline_csv_lines(samples):
-        stream.write(line)
-        stream.write("\n")

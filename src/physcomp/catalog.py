@@ -9,7 +9,6 @@ the gap to the thermodynamic floor.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from . import units
@@ -17,6 +16,7 @@ from .errors import (
     NonPositiveCapacitance,
     NonPositiveEnergy,
     NonPositiveTemperature,
+    NumericalUnderflow,
     UnknownSystem,
 )
 from .units import (
@@ -27,8 +27,8 @@ from .units import (
     POWER,
     TEMPERATURE,
     VOLTAGE,
-    DimensionMismatch,
     Quantity,
+    require,
 )
 
 COVALENT_BOND_J = 1.6e-19  # ~ one electron volt
@@ -48,7 +48,7 @@ class ReferenceSystem:
     provenance: str = ""
 
     def __post_init__(self):
-        if self.energy_per_op.dim != ENERGY or self.energy_per_op.magnitude <= 0.0:
+        if require(self.energy_per_op, ENERGY, f"{self.name}: energy per op") <= 0.0:
             raise NonPositiveEnergy(f"{self.name}: energy per op must be positive")
 
 
@@ -115,31 +115,30 @@ def get_system(name: str) -> ReferenceSystem:
 
 def inefficiency_factor(sys_: ReferenceSystem, T: Quantity) -> float:
     """Energy per op over k_B T ln 2: how far above the Landauer floor."""
-    if T.dim != TEMPERATURE:
-        raise DimensionMismatch("temperature must be in kelvin")
-    if T.magnitude <= 0.0:
+    t = require(T, TEMPERATURE, "temperature")
+    if t <= 0.0:
         raise NonPositiveTemperature("inefficiency factor needs T > 0")
-    k_b = units.CONSTANTS.k_B.magnitude
-    return sys_.energy_per_op.magnitude / (k_b * T.magnitude * LN2)
+    floor = units.CONSTANTS.k_B.magnitude * t * LN2
+    if floor == 0.0:
+        raise NumericalUnderflow(f"k_B*T*ln2 underflows to 0 J at T = {t!r} K")
+    return sys_.energy_per_op.magnitude / floor
 
 
 def op_rate(power: Quantity, energy_per_op: Quantity) -> Quantity:
     """Operations per second sustainable at ``power`` given the per-op cost."""
-    if power.dim != POWER or energy_per_op.dim != ENERGY:
-        raise DimensionMismatch("op rate needs power in W and energy in J")
-    if power.magnitude < 0.0:
+    p = require(power, POWER, "power")
+    e = require(energy_per_op, ENERGY, "energy per op")
+    if p < 0.0:
         raise NonPositiveEnergy("power must be >= 0")
-    if energy_per_op.magnitude <= 0.0:
+    if e <= 0.0:
         raise NonPositiveEnergy("energy per op must be positive")
-    return Quantity(power.magnitude / energy_per_op.magnitude, FREQUENCY, "1/s")
+    return Quantity(p / e, FREQUENCY, "1/s")
 
 
 def switch_energy(C: Quantity, V: Quantity) -> Quantity:
     """Energy (1/2) C V^2 stored in switching a capacitance C through V."""
-    if C.dim != CAPACITANCE or V.dim != VOLTAGE:
-        raise DimensionMismatch("switch energy needs C in farads and V in volts")
-    if C.magnitude <= 0.0:
+    c = require(C, CAPACITANCE, "capacitance")
+    v = require(V, VOLTAGE, "voltage")
+    if c <= 0.0:
         raise NonPositiveCapacitance("capacitance must be positive")
-    if not math.isfinite(V.magnitude):
-        raise DimensionMismatch("voltage must be finite")
-    return Quantity(0.5 * C.magnitude * V.magnitude**2, ENERGY, "J")
+    return Quantity(0.5 * c * v**2, ENERGY, "J")

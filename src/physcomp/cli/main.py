@@ -69,7 +69,8 @@ def _base_parser() -> argparse.ArgumentParser:
         help="log-spaced mass sweep (report mode), CSV output",
     )
 
-    me = sub.add_parser("measure", parents=[common], help="complexity measures")
+    # --format and --constants belong to the operation, not to measure or qt
+    me = sub.add_parser("measure", help="complexity measures")
     me_sub = me.add_subparsers(dest="measure_op", required=True)
     p = me_sub.add_parser("phi-time", parents=[common])
     p.add_argument("--energy", type=float, required=True)
@@ -94,7 +95,7 @@ def _base_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--mode", choices=("exact", "asymptotic"), default="exact")
 
-    qtp = sub.add_parser("qt", parents=[common], help="quantum thermodynamics")
+    qtp = sub.add_parser("qt", help="quantum thermodynamics")
     qt_sub = qtp.add_subparsers(dest="qt_op", required=True)
 
     def _temp_flags(sp):

@@ -20,37 +20,30 @@ from .errors import (
     NegativeInput,
     NonPositiveEnergy,
     NonPositiveTemperature,
+    NumericalOverflow,
     ProbabilityOutOfRange,
 )
-from .units import (
-    ENERGY,
-    INFORMATION,
-    LN2,
-    TEMPERATURE,
-    TIME,
-    DimensionMismatch,
-    Quantity,
-)
-
-
-def _require(q: Quantity, dim, what: str) -> float:
-    if not isinstance(q, Quantity) or q.dim != dim:
-        raise DimensionMismatch(f"{what}: wrong dimension")
-    return q.magnitude
+from .units import ENERGY, INFORMATION, LN2, TEMPERATURE, TIME, Quantity, require
 
 
 def phi_time(E: Quantity, t: Quantity) -> float:
     """Temporal complexity 2Et/(pi hbar): the op-count budget of E over t."""
-    e = _require(E, ENERGY, "energy")
-    dt = _require(t, TIME, "time")
+    e = require(E, ENERGY, "energy")
+    dt = require(t, TIME, "time")
     if e < 0.0 or dt < 0.0:
         raise NegativeInput("phi_time needs E >= 0 and t >= 0")
-    return 2.0 * e * dt / (math.pi * units.CONSTANTS.hbar.magnitude)
+    # E*t first: 2*E alone overflows for E near the double limit
+    ops = 2.0 * (e * dt) / (math.pi * units.CONSTANTS.hbar.magnitude)
+    if not math.isfinite(ops):
+        raise NumericalOverflow(
+            f"op count 2*E*t/(pi*hbar) overflows a double at E={e!r} J, t={dt!r} s"
+        )
+    return ops
 
 
 def ml_min_time(E: Quantity) -> Quantity:
     """Minimum time pi hbar / (2E) for one orthogonal state change."""
-    e = _require(E, ENERGY, "energy")
+    e = require(E, ENERGY, "energy")
     if e <= 0.0:
         raise NonPositiveEnergy("minimum flip time needs E > 0")
     return Quantity(math.pi * units.CONSTANTS.hbar.magnitude / (2.0 * e), TIME, "s")
@@ -58,8 +51,8 @@ def ml_min_time(E: Quantity) -> Quantity:
 
 def phi_space(s_max: Quantity, s: Quantity) -> Quantity:
     """Negentropy S_max - S: the bits of memory a system can supply."""
-    hi = _require(s_max, INFORMATION, "maximum entropy")
-    lo = _require(s, INFORMATION, "entropy")
+    hi = require(s_max, INFORMATION, "maximum entropy")
+    lo = require(s, INFORMATION, "entropy")
     if not (0.0 <= lo <= hi):
         raise EntropyOutOfRange(f"need 0 <= S <= S_max, got S={lo!r}, S_max={hi!r}")
     return Quantity(hi - lo, INFORMATION, "bit")
@@ -67,7 +60,7 @@ def phi_space(s_max: Quantity, s: Quantity) -> Quantity:
 
 def landauer_cost(T: Quantity, n_bits: float) -> Quantity:
     """Free energy n k_B T ln 2 dissipated by erasing n bits at temperature T."""
-    t = _require(T, TEMPERATURE, "temperature")
+    t = require(T, TEMPERATURE, "temperature")
     if t <= 0.0:
         raise NonPositiveTemperature("Landauer cost needs T > 0")
     if n_bits < 0:
@@ -108,7 +101,7 @@ def error_correction_space(t_ops: float, eps: float, mode: str = "exact") -> Qua
 
 def free_phi(delta_F: Quantity) -> Quantity:
     """Free complexity: the free energy consumed, identity in joules."""
-    df = _require(delta_F, ENERGY, "free energy")
+    df = require(delta_F, ENERGY, "free energy")
     if df < 0.0:
         raise NegativeInput("consumed free energy must be >= 0")
     return Quantity(df, ENERGY, "J")
@@ -125,7 +118,7 @@ def free_phi_thermo(T: Quantity, s_eq: Quantity, s: Quantity) -> Quantity:
     Equals the Landauer cost of the depth: k_B T (S_eq - S) ln 2 with the
     entropies in bits.
     """
-    t = _require(T, TEMPERATURE, "temperature")
+    t = require(T, TEMPERATURE, "temperature")
     if t <= 0.0:
         raise NonPositiveTemperature("free_phi_thermo needs T > 0")
     depth = phi_space(s_eq, s)

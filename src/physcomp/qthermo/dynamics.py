@@ -10,28 +10,25 @@ import numpy as np
 
 from .. import units
 from ..errors import NegativeInput, NonPositiveEnergy
-from ..units import ENERGY, TIME, DimensionMismatch, Quantity
+from ..units import ENERGY, TIME, Quantity, require
 from .states import DensityMatrix, HermitianOperator, StateVector
 
 
 def bitflip_hamiltonian(E: Quantity) -> HermitianOperator:
     """The 2x2 driving operator -E sigma_x (off-diagonal -E, in joules)."""
-    if not isinstance(E, Quantity) or E.dim != ENERGY:
-        raise DimensionMismatch("bit-flip energy must be in joules")
-    if E.magnitude <= 0.0:
+    e = require(E, ENERGY, "bit-flip energy")
+    if e <= 0.0:
         raise NonPositiveEnergy(f"bit-flip energy must be positive, got {E}")
-    e = E.magnitude
     return HermitianOperator([[0.0, -e], [-e, 0.0]])
 
 
 def evolve(H: HermitianOperator, t: Quantity, psi: StateVector) -> StateVector:
     """Apply exp(-i H t / hbar) to a pure state via spectral decomposition."""
-    if not isinstance(t, Quantity) or t.dim != TIME:
-        raise DimensionMismatch("evolution time must be in seconds")
-    if t.magnitude < 0.0:
+    dt = require(t, TIME, "evolution time")
+    if dt < 0.0:
         raise NegativeInput("evolution time must be >= 0")
     vals, vecs = H.eigensystem()
-    phases = np.exp(-1j * vals * (t.magnitude / units.CONSTANTS.hbar.magnitude))
+    phases = np.exp(-1j * vals * (dt / units.CONSTANTS.hbar.magnitude))
     amp = vecs @ (phases * (vecs.conj().T @ psi.amplitudes))
     return StateVector(amp)
 

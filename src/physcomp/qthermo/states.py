@@ -9,7 +9,6 @@ worse is rejected.
 
 from __future__ import annotations
 
-import gc
 import json
 from dataclasses import dataclass
 from itertools import chain
@@ -17,7 +16,7 @@ from itertools import chain
 import numpy as np
 
 from ..errors import FileFormatError, InvalidState
-from ..units import ENERGY, TEMPERATURE, Quantity, finite_double
+from ..units import ENERGY, TEMPERATURE, Quantity, finite_double, read_json, require
 
 HERMITIAN_RTOL = 1e-9
 TRACE_TOL = 1e-9
@@ -181,10 +180,8 @@ class GibbsState:
     log_partition_function: float
 
     def __post_init__(self):
-        if self.temperature.dim != TEMPERATURE:
-            raise InvalidState("GibbsState temperature must be in kelvin")
-        if self.f_eq.dim != ENERGY:
-            raise InvalidState("GibbsState f_eq must be in joules")
+        require(self.temperature, TEMPERATURE, "GibbsState temperature")
+        require(self.f_eq, ENERGY, "GibbsState f_eq")
 
 
 # -- file format ------------------------------------------------------------
@@ -229,23 +226,7 @@ def _pair_array(entries: list, shape: tuple[int, ...]) -> np.ndarray | None:
 
 
 def _load_json_object(path: str) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise FileFormatError(f"{path}: cannot read: {exc}")
-    # the decoder allocates one small list per matrix entry, none of them in
-    # a reference cycle, and the cyclic collector would rescan them all
-    # again and again while they accumulate
-    gc_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FileFormatError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}")
-    finally:
-        if gc_enabled:
-            gc.enable()
+    raw = read_json(path)
     if not isinstance(raw, dict):
         raise FileFormatError(f"{path}: top level must be an object")
     return raw

@@ -30,6 +30,7 @@ from ..units import (
     DimensionMismatch,
     Dimension,
     Quantity,
+    require,
 )
 from .states import DensityMatrix, GibbsState, HermitianOperator
 
@@ -37,12 +38,6 @@ _INV_ENERGY = Dimension() / ENERGY
 
 ENERGY_MATCH_RTOL = 1e-10  # relative to the spectral range
 BETA_ZERO_RTOL = 1e-12
-
-
-def _require(q: Quantity, dim, what: str) -> float:
-    if not isinstance(q, Quantity) or q.dim != dim:
-        raise DimensionMismatch(f"{what}: wrong dimension")
-    return q.magnitude
 
 
 def von_neumann_entropy(rho: DensityMatrix, unit: str = "bits") -> Quantity:
@@ -106,7 +101,7 @@ def _gibbs_from_beta(H: HermitianOperator, beta: float) -> GibbsState:
 
 def gibbs_state(H: HermitianOperator, T: Quantity) -> GibbsState:
     """Thermal state exp(-H/(k_B T)) / Z at temperature T (nonzero, signed)."""
-    t = _require(T, TEMPERATURE, "temperature")
+    t = require(T, TEMPERATURE, "temperature")
     if t == 0.0:
         raise ZeroTemperature("Gibbs state undefined at T = 0")
     return _gibbs_from_beta(H, 1.0 / (units.CONSTANTS.k_B.magnitude * t))
@@ -127,7 +122,7 @@ def solve_inverse_temperature(
     target at the uniform average tr H / d corresponds to beta = 0 and
     raises :class:`InfiniteTemperature`.
     """
-    e = _require(E_target, ENERGY, "target energy")
+    e = require(E_target, ENERGY, "target energy")
     vals, _ = H.eigensystem()
     e_min, e_max = float(vals.min()), float(vals.max())
     spread = e_max - e_min
@@ -174,7 +169,7 @@ def nonequilibrium_free_energy(
     rho: DensityMatrix, H: HermitianOperator, T: Quantity
 ) -> Quantity:
     """F(rho) = tr(rho H) - T k_B S(rho), in joules."""
-    t = _require(T, TEMPERATURE, "temperature")
+    t = require(T, TEMPERATURE, "temperature")
     if t == 0.0:
         raise ZeroTemperature("free energy needs T != 0")
     e = mean_energy(rho, H).magnitude
@@ -190,7 +185,7 @@ def extractable_work(
     Computed through the relative entropy between the state and the thermal
     state's own spectrum; agrees with F(rho) - F_eq to numerical precision.
     """
-    t = _require(T, TEMPERATURE, "temperature")
+    t = require(T, TEMPERATURE, "temperature")
     if t == 0.0:
         raise ZeroTemperature("extractable work needs T > 0")
     if t < 0.0:
@@ -216,8 +211,8 @@ def extractable_pure_bits(
 
     Returned as a real-valued count of bits; flooring is the caller's call.
     """
-    s = _require(s_per_dof, INFORMATION, "entropy per dof")
-    s_max = _require(s_max_per_dof, INFORMATION, "max entropy per dof")
+    s = require(s_per_dof, INFORMATION, "entropy per dof")
+    s_max = require(s_max_per_dof, INFORMATION, "max entropy per dof")
     if n < 0:
         raise EntropyOutOfRange("degree-of-freedom count must be >= 0")
     if not (0.0 <= s <= s_max):

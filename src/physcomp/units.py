@@ -11,6 +11,7 @@ the nat is the same dimension scaled by 1/ln 2.
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import os
@@ -112,6 +113,13 @@ def _compose_symbol(dim: Dimension) -> str:
         elif e != 0:
             parts.append(f"{base}^{e}")
     return "·".join(parts)
+
+
+def require(q, dim: Dimension, what: str) -> float:
+    """The magnitude of ``q``, which must be a :class:`Quantity` of ``dim``."""
+    if not isinstance(q, Quantity) or q.dim != dim:
+        raise DimensionMismatch(f"{what} must be in {_compose_symbol(dim)}")
+    return q.magnitude
 
 
 @dataclass(frozen=True, eq=False)
@@ -333,28 +341,49 @@ class Constants:
 def finite_double(x) -> bool:
     """Whether the parsed JSON value ``x`` is a number held by a finite double.
 
-    JSON integers have no size limit: one beyond the double range makes
-    ``math.isfinite`` raise ``OverflowError``, and counts as not finite here.
+    JSON booleans parse as ints and are not numbers here. JSON integers have
+    no size limit: one beyond the double range makes ``math.isfinite`` raise
+    ``OverflowError``, and counts as not finite here.
     """
+    if isinstance(x, bool):
+        return False
     try:
         return math.isfinite(x)
     except (OverflowError, TypeError):
         return False
 
 
-def _load_overrides(path: str, known) -> dict[str, float]:
+def read_json(path: str):
+    """The JSON value in the UTF-8 file ``path``; :class:`FileFormatError` if
+    the file cannot be read or decoded."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise FileFormatError(f"{path}: cannot read constants override: {exc}")
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise FileFormatError(f"{path}: cannot read: {exc}")
+    # the decoder allocates one small list per matrix entry, none of them in
+    # a reference cycle, and the cyclic collector would rescan them all
+    # again and again while they accumulate
+    gc_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise FileFormatError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}")
+    finally:
+        if gc_enabled:
+            gc.enable()
+
+
+def _load_overrides(path: str, known) -> dict[str, float]:
+    raw = read_json(path)
     if not isinstance(raw, dict):
         raise FileFormatError(f"{path}: constants override must be a flat object")
     out = {}
     for key, val in raw.items():
         if key not in known:
             raise FileFormatError(f"{path}: unknown constant {key!r}")
-        if isinstance(val, bool) or not finite_double(val) or val <= 0:
+        if not finite_double(val) or val <= 0:
             raise FileFormatError(f"{path}: {key}: expected a positive finite number")
         out[key] = float(val)
     return out

@@ -1,6 +1,5 @@
 """Black hole computer model: closed forms, scaling laws, Page curve, errors."""
 
-import io
 import math
 import sys
 
@@ -220,9 +219,7 @@ class TestPageCurve:
 
     def test_csv_format(self):
         samples = bh.page_curve(kg(1e6), 3)
-        buf = io.StringIO()
-        bh.write_timeline_csv(samples, buf)
-        lines = buf.getvalue().strip().split("\n")
+        lines = list(bh.timeline_csv_lines(samples))
         assert lines[0] == "t_seconds,mass_kg,hole_entropy_bits,radiation_entropy_bits"
         assert len(lines) == 4
         first = lines[1].split(",")

@@ -2,6 +2,7 @@
 
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -305,6 +306,95 @@ class TestNotUtf8:
     def test_pathway_file(self, path):
         code, _, err = invoke("assembly", "--pathway", path)
         _assert_one_line_error(code, err, path, "cannot read")
+
+
+class TestFlagPlacement:
+    """--format and --constants belong to the operation, not to measure or qt."""
+
+    @pytest.fixture
+    def over(self, tmp_path):
+        path = tmp_path / "over.json"
+        path.write_text('{"hbar": 2.109143634e-34}')
+        return str(path)
+
+    def test_before_measure_op_is_2(self, over):
+        code, out, _ = invoke("measure", "--format", "json", "ml-time", "--energy", "1")
+        assert code == 2 and out == ""
+        code, out, _ = invoke("measure", "--constants", over, "ml-time", "--energy", "1")
+        assert code == 2 and out == ""
+
+    def test_before_qt_op_is_2(self, over, two_level):
+        _, ground = two_level
+        code, out, _ = invoke("qt", "--constants", over, "entropy", "--state", ground)
+        assert code == 2 and out == ""
+        code, out, _ = invoke("qt", "--format", "json", "entropy", "--state", ground)
+        assert code == 2 and out == ""
+
+    def test_after_measure_op(self, over):
+        code, out, _ = invoke(
+            "measure", "ml-time", "--energy", "1", "--format", "json", "--constants", over
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["inputs"]["constants"] == f"file:{over}"
+        # pi * hbar / 2 with the doubled hbar
+        assert doc["results"][0]["value"] == pytest.approx(math.pi * 2.109143634e-34 / 2)
+
+    def test_after_qt_op(self, over, two_level):
+        _, ground = two_level
+        code, out, _ = invoke(
+            "qt", "entropy", "--state", ground, "--format", "json", "--constants", over
+        )
+        assert code == 0
+        assert json.loads(out)["inputs"]["constants"] == f"file:{over}"
+
+
+class TestOpCountOverflow:
+    """2*E*t/(pi*hbar) beyond the double range: exit 3, never an "inf" report."""
+
+    @pytest.mark.parametrize("fmt", ["human", "json"])
+    def test_phi_time(self, fmt):
+        code, out, err = invoke(
+            "measure", "phi-time", "--energy", "1e300", "--time", "1e10", "--format", fmt
+        )
+        assert out == ""
+        _assert_one_line_error(code, err, "op count", "1e+300", exit_code=3)
+
+    def test_free_phi(self):
+        code, out, err = invoke("measure", "free-phi", "--delta-f", "1e300", "--time", "1e10")
+        assert out == ""
+        _assert_one_line_error(code, err, "op count", "1e+300", exit_code=3)
+
+    def test_largest_finite_op_count_still_reports(self):
+        # 1e300 J over 1e-10 s is ~3e323 ops, already past the double range
+        code, out, _ = invoke(
+            "measure", "phi-time", "--energy", "1e300", "--time", "1e-30", "--format", "json"
+        )
+        assert code == 0
+        assert json.loads(out)["results"][0]["value"] == pytest.approx(6.0367607222674476e303)
+
+    def test_energy_near_double_limit(self):
+        # 2*E alone overflows here; the op count itself does not
+        code, out, _ = invoke(
+            "measure", "phi-time", "--energy", "1e308", "--time", "1e-50", "--format", "json"
+        )
+        assert code == 0
+        assert json.loads(out)["results"][0]["value"] == pytest.approx(6.0367607222674471e291)
+
+
+class TestLandauerFloorUnderflow:
+    def test_compare_is_3(self):
+        code, out, err = invoke("catalog", "compare", "--temp", "1e-320")
+        assert out == ""
+        _assert_one_line_error(code, err, "underflows", "1e-320", exit_code=3)
+
+    def test_tiny_temperature_still_reports(self):
+        code, out, _ = invoke(
+            "catalog", "compare", "--temp", "1e-300", "--system", "world-compute",
+            "--format", "json",
+        )
+        assert code == 0
+        assert json.loads(out)["results"][0]["value"] == 1.0120112665365531e307
 
 
 class TestHugeMass:

@@ -31,6 +31,7 @@ INPUTS = {
     "path.json": '{"basis": "ab", "steps": [["a", "b"], ["ab", "ab"]], "target": "abab", "free_energy_joules": [1e-20, 2e-20]}\n',
     "over.json": '{"hbar": 2.109143634e-34, "G": 1.33486e-10, "k_B": 2.761298e-23, "electron_volt": 3.204353268e-19}\n',
     "bool.json": '{"G": true}\n',
+    "bad.json": '{\n  "G": 1,\n}\n',
 }
 
 ALL = ("--format", "human"), ("--format", "json"), ("--format", "csv")
@@ -75,6 +76,8 @@ COMMANDS = dict(
         ("measure-ec-asymptotic", ["measure", "ec-space", "--ops", "1e6", "--eps", "0.01", "--mode", "asymptotic", "--format", "json"]),
         ("measure-bad-eps", ["measure", "binary-entropy", "--eps", "2"]),
         ("measure-bad-temp", ["measure", "landauer", "--temp", "-1", "--bits", "1"]),
+        ("measure-phi-time-overflow", ["measure", "phi-time", "--energy", "1e300", "--time", "1e10", "--format", "json"]),
+        ("measure-flags-before-op", ["measure", "--format", "json", "ml-time", "--energy", "1"]),
         ("qt-gibbs-save", ["qt", "gibbs", "--ham", "h.json", "--ktemp-joules", "1e-21", "--save-state", "thermal.json", "--format", "json"]),
         ("qt-gibbs-both-temps", ["qt", "gibbs", "--ham", "h.json", "--temp", "1", "--ktemp-joules", "1"]),
         ("qt-gibbs-overflow", ["qt", "gibbs", "--ham", "deep.json", "--temp", "1"]),
@@ -85,13 +88,16 @@ COMMANDS = dict(
         ("qt-spread", ["qt", "spread", "--ham", "flip.json", "--state", "rho.json", "--format", "csv"]),
         ("qt-missing-file", ["qt", "entropy", "--state", "missing.json"]),
         ("qt-ham-as-state", ["qt", "entropy", "--state", "h.json"]),
+        ("qt-flags-before-op", ["qt", *OVER, "entropy", "--state", "rho.json"]),
         ("assembly-save", ["assembly", "--target", "abababab", "--basis", "ab", "--save-pathway", "witness.json"]),
         ("assembly-pathway", ["assembly", "--pathway", "path.json", "--format", "json"]),
         ("assembly-too-long", ["assembly", "--target", "a" * 21, "--basis", "a"]),
         ("assembly-bad-symbol", ["assembly", "--target", "abc", "--basis", "ab"]),
         ("assembly-no-target", ["assembly", "--basis", "ab"]),
+        ("assembly-bad-json", ["assembly", "--pathway", "bad.json"]),
         ("catalog-system", ["catalog", "list", "--system", "landauer-300K", "--format", "json"]),
         ("catalog-unknown", ["catalog", "compare", "--system", "abacus"]),
+        ("catalog-compare-underflow", ["catalog", "compare", "--temp", "1e-320"]),
     ]
     + _formats("over-constants", ["constants", *OVER])
     + [
@@ -106,6 +112,7 @@ COMMANDS = dict(
         ("over-assembly", ["assembly", "--target", "abab", "--basis", "ab", *OVER]),
         ("over-missing", ["catalog", "list", "--constants", "nope.json"]),
         ("over-bool", ["bh", "--mass", "1", "--constants", "bool.json"]),
+        ("over-bad-json", ["constants", "--constants", "bad.json"]),
     ]
 )
 
@@ -158,6 +165,8 @@ GOLDEN = {
     "measure-ec-asymptotic": "6aa3c0c8d70b1548177d1565da5ce3d2fac87b032ebcf01b99d33af3c8d38214",
     "measure-bad-eps": "2f9cc6fb5d98fa7432cc5b3d4663b36f952738f9176448cc1f9cfc9555df882f",
     "measure-bad-temp": "80237ee1d8af47bbf73d2a2151f4148722878974a962a2d6b69cd121e1ece348",
+    "measure-phi-time-overflow": "ca80a180f30d3d1bcd9621e270e5166557101f4a544f4a4c4c9b8079a11f76bd",
+    "measure-flags-before-op": "11a3c5f526efa8f4511ffcb470dfc8b32592560585be46a9fdf3c2fbf1131594",
     "qt-gibbs-save": "47bd426f15dbee2b47f3b56682a68c3fdc33976ab180b965852d70a2d909671c",
     "qt-gibbs-both-temps": "4e6d828e8a590b6f7b3f715d363a06dc7faeaf2d0b6b23f19cab3613b6246a5e",
     "qt-gibbs-overflow": "a9ad24963d939be5513160c60ba43e94dbc68478a47844701b1e3495126813e6",
@@ -168,13 +177,16 @@ GOLDEN = {
     "qt-spread": "8420d3855784d47cb57d160dc340e3b863b5109708372fd4d0f095a8691610c2",
     "qt-missing-file": "ee221f46f1a0544163d888e5f59892b40c7aa03a8492f39427e4deafd7f77d23",
     "qt-ham-as-state": "08f187a01fde1a4c85d119023c45a06ed72ed4ef74f559e080dee71f845faf1d",
+    "qt-flags-before-op": "11a3c5f526efa8f4511ffcb470dfc8b32592560585be46a9fdf3c2fbf1131594",
     "assembly-save": "490cd7eed20e807745748050af802494764fd2883e7aa4fe2b74e71cb7f81aa4",
     "assembly-pathway": "7acf126b23d52a1d68123529780deee7e2e16b9e2d526b1843d4c1ea39b25f71",
     "assembly-too-long": "1d07e6ec571eea4c1ca1eca11a1aee5b5ea235eac55ba82f4734fdc78cec5b8f",
     "assembly-bad-symbol": "8f2e9c5ee0741d8d43e125c35686dd49731c6cc69cc4e506d4873ac9736ef0dc",
     "assembly-no-target": "054936fc561b16b1a2bce88a936917263ed6a6892393b0e6dcfcc541ee792577",
+    "assembly-bad-json": "a1cbad501a75bdad2db10e1fb0be37bbe3241a80c914ca623915f27c3b6d86e1",
     "catalog-system": "acd235d77971a9efd648e9d78df318e6b49da43731e7883957148045f0410486",
     "catalog-unknown": "8c7d9d85f089c53136d7109630146d94f9b98036bf0bb39ef93643e91dcb0578",
+    "catalog-compare-underflow": "88956ba9c40a9d9d3a90bea8daed4f0d7a9ed3720b75caa30e2a3c123dd00be0",
     "over-constants-human": "869a855c66858d89c406335d590955bc698f77e5b11f13350170c26cb9a1ea58",
     "over-constants-json": "d7408e3b24cade3acd039fc933cb6314d337afddc37fcb36226235b7ad16166e",
     "over-constants-csv": "556a59e635d8551c0cafa9a657d31a5b945481cb45d16bd42a863dc0c3e35cbd",
@@ -187,8 +199,9 @@ GOLDEN = {
     "over-qt-gibbs": "5ce1f9404fd3ae6e305b161ea5f9f9a99615f1a73bee53922c5d1da982aece90",
     "over-qt-evolve": "8ccfe13056aae982cd01a413e94722b3bde2e8b89c91e1d45a95d5a21e978b3b",
     "over-assembly": "d58f5058daf20e7cfb76c770f2081bd9ac05d7ad1e16c17670b6ee9c8a43bd64",
-    "over-missing": "7499315aaf764ee83c8ee3ea0371cfc264cba051bbc3fda4470cd11971155f4e",
+    "over-missing": "8a400232d312d1aa71734dba99925991f116dc6121837ac12f08f5b5fd8703ee",
     "over-bool": "bce329ec2fa67bab1aaddeeb0ad03bcd0fb8f34c4ead741bca7e85408051caeb",
+    "over-bad-json": "a1cbad501a75bdad2db10e1fb0be37bbe3241a80c914ca623915f27c3b6d86e1",
 }
 
 
