@@ -148,6 +148,11 @@ def total_ops(M: Quantity) -> float:
         raise NumericalOverflow(
             f"total op count overflows a double at mass {M.magnitude!r} kg"
         )
+    # below ~2.64e-86 kg the count is subnormal, and below ~2.7e-90 kg it is 0
+    if ops < sys.float_info.min:
+        raise NumericalUnderflow(
+            f"total op count underflows to {ops:g} at mass {M.magnitude!r} kg"
+        )
     return ops
 
 

@@ -9,6 +9,7 @@ the gap to the thermodynamic floor.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from . import units
@@ -16,6 +17,7 @@ from .errors import (
     NonPositiveCapacitance,
     NonPositiveEnergy,
     NonPositiveTemperature,
+    NumericalOverflow,
     NumericalUnderflow,
     UnknownSystem,
 )
@@ -132,7 +134,10 @@ def op_rate(power: Quantity, energy_per_op: Quantity) -> Quantity:
         raise NonPositiveEnergy("power must be >= 0")
     if e <= 0.0:
         raise NonPositiveEnergy("energy per op must be positive")
-    return Quantity(p / e, FREQUENCY, "1/s")
+    rate = p / e
+    if not math.isfinite(rate):
+        raise NumericalOverflow(f"power/energy_per_op overflows a double at P={p!r} W")
+    return Quantity(rate, FREQUENCY, "1/s")
 
 
 def switch_energy(C: Quantity, V: Quantity) -> Quantity:
@@ -141,4 +146,10 @@ def switch_energy(C: Quantity, V: Quantity) -> Quantity:
     v = require(V, VOLTAGE, "voltage")
     if c <= 0.0:
         raise NonPositiveCapacitance("capacitance must be positive")
-    return Quantity(0.5 * c * v**2, ENERGY, "J")
+    try:
+        energy = 0.5 * c * v**2
+    except OverflowError:  # float ** raises where * would give inf
+        energy = math.inf
+    if not math.isfinite(energy):
+        raise NumericalOverflow(f"C*V^2/2 overflows a double at C={c!r} F, V={v!r} V")
+    return Quantity(energy, ENERGY, "J")

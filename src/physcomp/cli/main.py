@@ -11,7 +11,7 @@ import argparse
 import sys
 
 from .. import __version__, assembly, blackhole, catalog, measures, units
-from ..errors import InputError, NumericalError
+from ..errors import InputError, NumericalError, NumericalOverflow
 from ..units import (
     ENERGY,
     FARAD,
@@ -172,6 +172,15 @@ def _temperature(args) -> Quantity:
         return Quantity(args.temp, TEMPERATURE, "K")
     k_b = units.CONSTANTS.k_B.magnitude
     return Quantity(args.ktemp_joules / k_b, TEMPERATURE, "K")
+
+
+def _add_partition_function(rep: Report, g) -> None:
+    """Report Z while it is a finite double, else ln Z in its place."""
+    formula = "tr(exp(-H/(k_B*T)))"
+    try:
+        rep.add("partition_function", g.partition_function, "", formula)
+    except NumericalOverflow:
+        rep.add("log_partition_function", g.log_partition_function, "", f"ln({formula})")
 
 
 # name, unit, where the pinned value comes from
@@ -337,7 +346,7 @@ def _cmd_qt(args, out) -> Report:
         g = qt.gibbs_state(ham, T)
         rep.inputs = {"ham": args.ham, "temperature_K": T.magnitude}
         rep.add("temperature", g.temperature.magnitude, "K", "input")
-        rep.add("partition_function", g.partition_function, "", "tr(exp(-H/(k_B*T)))")
+        _add_partition_function(rep, g)
         rep.add("f_eq", g.f_eq.magnitude, "J", "-k_B*T*ln(Z)")
         rep.add(
             "entropy",
@@ -355,7 +364,7 @@ def _cmd_qt(args, out) -> Report:
         rep.inputs = {"ham": args.ham, "energy": args.energy}
         rep.add("temperature", g.temperature.magnitude, "K", "tr(rho_th*H)=E")
         rep.add("beta", g.beta.magnitude, "1/J", "1/(k_B*T)")
-        rep.add("partition_function", g.partition_function, "", "tr(exp(-H/(k_B*T)))")
+        _add_partition_function(rep, g)
         rep.add("f_eq", g.f_eq.magnitude, "J", "-k_B*T*ln(Z)")
     elif op == "work":
         ham = qt.load_hamiltonian(args.ham)

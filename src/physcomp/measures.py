@@ -65,7 +65,10 @@ def landauer_cost(T: Quantity, n_bits: float) -> Quantity:
         raise NonPositiveTemperature("Landauer cost needs T > 0")
     if n_bits < 0:
         raise NegativeInput("bit count must be >= 0")
-    return Quantity(n_bits * units.CONSTANTS.k_B.magnitude * t * LN2, ENERGY, "J")
+    cost = n_bits * units.CONSTANTS.k_B.magnitude * t * LN2
+    if not math.isfinite(cost):
+        raise NumericalOverflow(f"n*k_B*T*ln2 overflows a double at n={n_bits!r}, T={t!r} K")
+    return Quantity(cost, ENERGY, "J")
 
 
 def binary_entropy(eps: float) -> Quantity:

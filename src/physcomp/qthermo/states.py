@@ -10,12 +10,13 @@ worse is rejected.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
 
-from ..errors import FileFormatError, InvalidState
+from ..errors import FileFormatError, InvalidState, NumericalOverflow
 from ..units import ENERGY, TEMPERATURE, Quantity, finite_double, read_json, require
 
 HERMITIAN_RTOL = 1e-9
@@ -168,20 +169,29 @@ class GibbsState:
     """Thermal state bundle: rho = exp(-H/(k_B T)) / Z.
 
     ``temperature`` may be negative (bounded spectra admit population
-    inversion) but never zero. ``log_partition_function`` carries ln Z in a
-    form that stays finite when Z itself would not.
+    inversion) but never zero. Only ln Z is stored, finite in any gauge; Z
+    raises when read if it is not a positive finite double.
     """
 
     rho: DensityMatrix
     temperature: Quantity  # K
     beta: Quantity  # 1/J
-    partition_function: float
     f_eq: Quantity  # J
     log_partition_function: float
 
     def __post_init__(self):
         require(self.temperature, TEMPERATURE, "GibbsState temperature")
         require(self.f_eq, ENERGY, "GibbsState f_eq")
+
+    @property
+    def partition_function(self) -> float:
+        log_z = self.log_partition_function
+        z = math.exp(log_z) if log_z <= 709.782712893384 else math.inf  # ln(DBL_MAX)
+        if not (z > 0.0 and math.isfinite(z)):
+            raise NumericalOverflow(
+                f"partition function not representable as a float (ln Z = {log_z:.6g})"
+            )
+        return z
 
 
 # -- file format ------------------------------------------------------------

@@ -2,8 +2,8 @@
 
 All routines work through the spectral decomposition of the Hamiltonian;
 exponentials are shifted by the dominant eigenvalue so the Boltzmann
-weights never overflow (the reported partition function still can, for
-pathological scales, and then raises).
+weights never overflow, and ln Z is kept instead of Z, so moving the
+energy zero changes no state, work or temperature.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from ..errors import (
     InfiniteTemperature,
     NonConvergence,
     NonPositiveTemperature,
-    NumericalOverflow,
     ZeroTemperature,
 )
 from ..units import (
@@ -82,18 +81,13 @@ def _gibbs_from_beta(H: HermitianOperator, beta: float) -> GibbsState:
     vals, vecs = H.eigensystem()
     probs, log_z = _boltzmann_weights(vals, beta)
     rho = DensityMatrix.from_spectrum(probs, vecs)
-    z = math.exp(log_z) if log_z < 709.0 else math.inf
-    if not (z > 0.0 and math.isfinite(z)):
-        raise NumericalOverflow(
-            f"partition function not representable as a float (ln Z = {log_z:.6g})"
-        )
     temperature = 1.0 / (units.CONSTANTS.k_B.magnitude * beta)
-    f_eq = -log_z / beta
+    # + 0.0: ln Z = 0 would give -0.0
+    f_eq = -log_z / beta + 0.0
     return GibbsState(
         rho=rho,
         temperature=Quantity(temperature, TEMPERATURE, "K"),
         beta=Quantity(beta, _INV_ENERGY),
-        partition_function=z,
         f_eq=Quantity(f_eq, ENERGY, "J"),
         log_partition_function=log_z,
     )

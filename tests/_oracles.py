@@ -13,6 +13,18 @@ import itertools
 import math
 
 
+def shortlex_substrings(target: str) -> list[str]:
+    """Distinct substrings of length >= 2, shortlex sorted (target is last)."""
+    return sorted(
+        {
+            target[i:j]
+            for i in range(len(target))
+            for j in range(i + 2, len(target) + 1)
+        },
+        key=lambda s: (len(s), s),
+    )
+
+
 def brute_force_assembly_index(target: str, basis) -> int:
     """Exhaustive enumeration: try every pathway length from 1 upward.
 
@@ -27,14 +39,7 @@ def brute_force_assembly_index(target: str, basis) -> int:
     if len(target) == 1:
         return 0
 
-    subs = sorted(
-        {
-            target[i:j]
-            for i in range(len(target))
-            for j in range(i + 2, len(target) + 1)
-        },
-        key=lambda s: (len(s), s),
-    )
+    subs = shortlex_substrings(target)
 
     def buildable(s: str, built: set[str]) -> bool:
         for cut in range(1, len(s)):
@@ -60,6 +65,28 @@ def brute_force_assembly_index(target: str, basis) -> int:
     for depth in itertools.count(1):
         if extend(set(), 0, depth):
             return depth
+
+
+def deepening_inputs(target: str):
+    """Candidate table for ``plain_deepening_sequence``, from plain strings.
+
+    Returns ``(subs, lengths, splits, target_id)``: the shortlex candidates,
+    their lengths, for each candidate the (left, right) id pairs of every
+    cut (-1 for a single symbol), and the target's id.
+    """
+    subs = shortlex_substrings(target)
+    index = {s: k for k, s in enumerate(subs)}
+    lengths = [len(s) for s in subs]
+    splits = []
+    for s in subs:
+        pairs = []
+        for cut in range(1, len(s)):
+            a, b = s[:cut], s[cut:]
+            pairs.append(
+                (-1 if len(a) == 1 else index[a], -1 if len(b) == 1 else index[b])
+            )
+        splits.append(pairs)
+    return subs, lengths, splits, index[target]
 
 
 # The assembly kernel's enumeration in its plainest form: every node rescans

@@ -8,7 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import brute_force_assembly_index, plain_deepening_sequence
+from _oracles import (
+    brute_force_assembly_index,
+    deepening_inputs,
+    plain_deepening_sequence,
+)
 
 
 @functools.lru_cache(maxsize=None)
@@ -25,8 +29,7 @@ from physcomp.assembly import (
     pathway_from_dict,
     write_pathway,
 )
-from physcomp.assembly import _purekernel
-from physcomp.assembly.search import _prepare, _witness
+from physcomp.assembly.search import _witness, solve_sequence
 from physcomp.errors import (
     FileFormatError,
     InvalidPathway,
@@ -172,13 +175,12 @@ def test_kernel_matches_plain_deepening(case):
     if len(target) == 1:
         assert (index, pathway.steps) == (0, ())
         return
-    subs, lengths, splits, target_id = _prepare(target)
-    args = (
+    subs, lengths, splits, target_id = deepening_inputs(target)
+    seq = plain_deepening_sequence(
         lengths, splits, target_id, len(target),
         doubling_lower_bound(len(target)), greedy_doubling_upper_bound(target),
     )
-    seq = plain_deepening_sequence(*args)
-    assert _purekernel.solve_sequence(*args) == seq
+    assert solve_sequence(subs) == seq
     plain = _witness(target, frozenset(alphabet), subs, seq)
     assert (index, pathway.steps) == (len(seq), plain.steps)
 

@@ -218,14 +218,11 @@ class TestExitCodes:
         assert code == 2
         assert "nope.mat" in err
 
-    def test_numerical_failure_is_3(self, tmp_path):
-        # joule-scale gap at 1 K: ln Z ~ 1e22, the partition function
-        # cannot be represented as a float
-        ham = str(tmp_path / "deep.mat")
-        write_matrix(ham, np.diag([-1.0, 0.0]), units="J")
-        code, _, err = invoke("qt", "gibbs", "--ham", ham, "--temp", "1.0")
-        assert code == 3
-        assert "partition function" in err
+    def test_numerical_failure_is_3(self):
+        # (1/2) C V^2 with V = 1e200 V is past the double range
+        code, out, err = invoke("catalog", "compare", "--capacitance", "1", "--volts", "1e200")
+        assert out == ""
+        _assert_one_line_error(code, err, "C*V^2/2", "overflows", exit_code=3)
 
     def test_conflicting_temperature_flags(self, two_level):
         ham, ground = two_level
@@ -382,6 +379,67 @@ class TestOpCountOverflow:
         assert json.loads(out)["results"][0]["value"] == pytest.approx(6.0367607222674471e291)
 
 
+class TestFormulaOverflow:
+    """Formula results beyond the double range: exit 3 naming the formula."""
+
+    @pytest.mark.parametrize(
+        "argv, formula",
+        [
+            (["measure", "landauer", "--temp", "1e300", "--bits", "1e300"], "n*k_B*T*ln2"),
+            (
+                ["catalog", "compare", "--power", "1e300", "--system", "landauer-300K"],
+                "power/energy_per_op",
+            ),
+        ],
+    )
+    def test_exit_3(self, argv, formula):
+        code, out, err = invoke(*argv)
+        assert out == ""
+        _assert_one_line_error(code, err, formula, "overflows", exit_code=3)
+
+
+class TestPartitionFunctionGauge:
+    """ln Z is kept; Z is reported only while it is a finite double."""
+
+    @pytest.fixture
+    def deep_ground(self, tmp_path):
+        # 1 eV below the zero: at 1 K, ln Z = 11604.5
+        ham = str(tmp_path / "deep.mat")
+        write_matrix(ham, np.diag([-1.602176634e-19, 0.0]), units="J")
+        return ham
+
+    def test_gibbs_reports_log_z(self, deep_ground):
+        code, out, _ = invoke("qt", "gibbs", "--ham", deep_ground, "--temp", "1", "--format", "json")
+        assert code == 0
+        rows = {r["name"]: r for r in json.loads(out)["results"]}
+        assert "partition_function" not in rows
+        assert rows["log_partition_function"]["value"] == pytest.approx(11604.518, rel=1e-7)
+        assert rows["log_partition_function"]["formula"] == "ln(tr(exp(-H/(k_B*T))))"
+        assert rows["f_eq"]["value"] == pytest.approx(-1.602176634e-19, rel=1e-12)
+
+    def test_solve_temp_reports_log_z(self, tmp_path):
+        ham = str(tmp_path / "shifted.mat")
+        write_matrix(ham, np.diag([-1e-18, -1e-18 + 1e-21]), units="J")
+        code, out, _ = invoke(
+            "qt", "solve-temp", "--ham", ham, "--energy=-9.9975e-19", "--format", "json"
+        )
+        assert code == 0
+        names = [r["name"] for r in json.loads(out)["results"]]
+        assert names == ["temperature", "beta", "log_partition_function", "f_eq"]
+
+    @pytest.mark.parametrize("fmt", ["human", "json"])
+    def test_f_eq_is_unsigned_zero(self, two_level, fmt):
+        # ln Z rounds to 0 when the excited level is 1 J above
+        ham, _ = two_level
+        code, out, _ = invoke("qt", "gibbs", "--ham", ham, "--temp", "1", "--format", fmt)
+        assert code == 0
+        if fmt == "json":
+            f_eq = next(r for r in json.loads(out)["results"] if r["name"] == "f_eq")
+            assert '"value": -0' not in out and f_eq["value"] == 0
+        else:
+            assert next(line for line in out.splitlines() if line.startswith("f_eq ")).split()[1] == "0"
+
+
 class TestLandauerFloorUnderflow:
     def test_compare_is_3(self):
         code, out, err = invoke("catalog", "compare", "--temp", "1e-320")
@@ -467,11 +525,22 @@ class TestTinyMass:
         assert out == ""
         _assert_one_line_error(code, err, "lifetime", "4e-103", exit_code=3)
 
-    def test_smallest_normal_lifetime_still_reports(self):
-        code, out, _ = invoke("bh", "--mass", "1e-97", "--format", "json")
+    def test_subnormal_op_count(self):
+        # the lifetime is still normal here; total_ops = 0 (1e-86 kg: 4.6e-310)
+        code, out, err = invoke("bh", "--mass", "1e-97")
+        assert out == ""
+        _assert_one_line_error(code, err, "op count", "1e-97", exit_code=3)
+
+    def test_subnormal_op_count_sweep(self):
+        code, out, err = invoke("bh", "--sweep", "1e-97:1e-80:3")
+        assert out == ""
+        _assert_one_line_error(code, err, "op count", exit_code=3)
+
+    def test_smallest_normal_op_count_still_reports(self):
+        code, out, _ = invoke("bh", "--mass", "1e-85", "--format", "json")
         assert code == 0
-        values = {r["name"]: r["value"] for r in json.loads(out)["results"]}
-        assert values["lifetime"] >= sys.float_info.min
+        values = [r["value"] for r in json.loads(out)["results"]]
+        assert all(abs(v) >= sys.float_info.min for v in values)
 
 
 @pytest.mark.parametrize("fmt", ["human", "json"])

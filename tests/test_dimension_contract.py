@@ -96,7 +96,7 @@ CASES = [
     (
         "qthermo.GibbsState",
         lambda temperature, f_eq: qthermo.GibbsState(
-            GIBBS.rho, temperature, GIBBS.beta, 1.0, f_eq, 0.0
+            GIBBS.rho, temperature, GIBBS.beta, f_eq, 0.0
         ),
         (K, J),
     ),

@@ -26,6 +26,7 @@ INPUTS = {
     "h.json": '{"dim": 2, "entries": [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [2e-21, 0.0]]], "units": "J"}\n',
     "flip.json": '{"dim": 2, "entries": [[[0.0, 0.0], [-1e-20, 0.0]], [[-1e-20, 0.0], [0.0, 0.0]]], "units": "J"}\n',
     "deep.json": '{"dim": 2, "entries": [[[-1.602176634e-19, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]], "units": "J"}\n',
+    "shifted.json": '{"dim": 2, "entries": [[[-1e-18, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-9.98e-19, 0.0]]], "units": "J"}\n',
     "rho.json": '{"dim": 2, "entries": [[[0.7, 0.0], [0.1, 0.05]], [[0.1, -0.05], [0.3, 0.0]]]}\n',
     "psi.json": '{"dim": 2, "entries": [[1.0, 0.0], [0.0, 0.0]]}\n',
     "path.json": '{"basis": "ab", "steps": [["a", "b"], ["ab", "ab"]], "target": "abab", "free_energy_joules": [1e-20, 2e-20]}\n',
@@ -55,6 +56,7 @@ COMMANDS = dict(
         ("bh-solar", ["bh", "--mass", "1", "--unit", "solar", "--format", "json"]),
         ("bh-planck", ["bh", "--mass", "3", "--unit", "planck"]),
         ("bh-1e-97", ["bh", "--mass", "1e-97", "--format", "json"]),
+        ("bh-1e-85", ["bh", "--mass", "1e-85", "--format", "json"]),
         ("bh-timeline", ["bh", "timeline", "--mass", "1e3", "--samples", "5"]),
         ("bh-page-curve-out", ["bh", "page-curve", "--mass", "2", "--unit", "solar", "--samples", "4", "--out", "curve.csv"]),
         ("bh-sweep", ["bh", "--sweep", "1e3:1e30:5"]),
@@ -77,12 +79,17 @@ COMMANDS = dict(
         ("measure-bad-eps", ["measure", "binary-entropy", "--eps", "2"]),
         ("measure-bad-temp", ["measure", "landauer", "--temp", "-1", "--bits", "1"]),
         ("measure-phi-time-overflow", ["measure", "phi-time", "--energy", "1e300", "--time", "1e10", "--format", "json"]),
+        ("measure-landauer-overflow", ["measure", "landauer", "--temp", "1e300", "--bits", "1e300"]),
         ("measure-flags-before-op", ["measure", "--format", "json", "ml-time", "--energy", "1"]),
         ("qt-gibbs-save", ["qt", "gibbs", "--ham", "h.json", "--ktemp-joules", "1e-21", "--save-state", "thermal.json", "--format", "json"]),
         ("qt-gibbs-both-temps", ["qt", "gibbs", "--ham", "h.json", "--temp", "1", "--ktemp-joules", "1"]),
         ("qt-gibbs-overflow", ["qt", "gibbs", "--ham", "deep.json", "--temp", "1"]),
+        ("qt-gibbs-shifted", ["qt", "gibbs", "--ham", "shifted.json", "--temp", "50", "--format", "json"]),
+        ("qt-gibbs-f-eq-zero", ["qt", "gibbs", "--ham", "h.json", "--temp", "1"]),
+        ("qt-gibbs-f-eq-zero-json", ["qt", "gibbs", "--ham", "h.json", "--temp", "1", "--format", "json"]),
         ("qt-solve-temp", ["qt", "solve-temp", "--ham", "h.json", "--energy", "5e-22", "--format", "json"]),
         ("qt-solve-temp-range", ["qt", "solve-temp", "--ham", "h.json", "--energy", "1"]),
+        ("qt-solve-temp-shifted", ["qt", "solve-temp", "--ham", "shifted.json", "--energy=-9.999e-19"]),
         ("qt-work", ["qt", "work", "--ham", "h.json", "--state", "rho.json", "--temp", "100"]),
         ("qt-evolve-save", ["qt", "evolve", "--ham", "flip.json", "--time", "3e-15", "--state-vector", "psi.json", "--save-vector", "out.json"]),
         ("qt-spread", ["qt", "spread", "--ham", "flip.json", "--state", "rho.json", "--format", "csv"]),
@@ -98,6 +105,8 @@ COMMANDS = dict(
         ("catalog-system", ["catalog", "list", "--system", "landauer-300K", "--format", "json"]),
         ("catalog-unknown", ["catalog", "compare", "--system", "abacus"]),
         ("catalog-compare-underflow", ["catalog", "compare", "--temp", "1e-320"]),
+        ("catalog-op-rate-overflow", ["catalog", "compare", "--power", "1e300", "--system", "landauer-300K"]),
+        ("catalog-switch-overflow", ["catalog", "compare", "--capacitance", "1", "--volts", "1e200"]),
     ]
     + _formats("over-constants", ["constants", *OVER])
     + [
@@ -143,7 +152,8 @@ GOLDEN = {
     "catalog-compare-csv": "8ac1fb5d092b9923cfcafbdb40c41156521089b6de99ba7bd81f7980ba2fc20b",
     "bh-solar": "b522acc7e1c62e30e15eef202728dabe8084bffa6f03b6c8ec02a3e3e797db0c",
     "bh-planck": "32a63eee532b5c9b27a4ffb5edf56757db6ee8d81c89108544605b56d12f47e4",
-    "bh-1e-97": "f5a84987503f967e0a7eaea5f8670087b43fbd536a79ab9724f76dc49c4e9931",
+    "bh-1e-97": "ffd842650e22319a7ec24646ffc89cf604b12e1ffc6e97f12bdba054e527f941",
+    "bh-1e-85": "7a173f718b1989c2a7eeb78efde2228ad9033977b389c3fe1d424575004c0775",
     "bh-timeline": "5852766c82dec2aae535160ab7e933e05eb01546169e67330049e529e3571087",
     "bh-page-curve-out": "6881dcb06855a0834bc49bed42efbb16f2a53c4539f2574815b787e29b98268c",
     "bh-sweep": "3ca0230cae568b33c82ebb11d9a33a0709c28001c522155111627a0c2ef602c1",
@@ -166,12 +176,17 @@ GOLDEN = {
     "measure-bad-eps": "2f9cc6fb5d98fa7432cc5b3d4663b36f952738f9176448cc1f9cfc9555df882f",
     "measure-bad-temp": "80237ee1d8af47bbf73d2a2151f4148722878974a962a2d6b69cd121e1ece348",
     "measure-phi-time-overflow": "ca80a180f30d3d1bcd9621e270e5166557101f4a544f4a4c4c9b8079a11f76bd",
+    "measure-landauer-overflow": "838ca39346d071c489fbc5d5bdb2c6ebf115a9d0d09851d10c54268d8aa587c1",
     "measure-flags-before-op": "11a3c5f526efa8f4511ffcb470dfc8b32592560585be46a9fdf3c2fbf1131594",
     "qt-gibbs-save": "47bd426f15dbee2b47f3b56682a68c3fdc33976ab180b965852d70a2d909671c",
     "qt-gibbs-both-temps": "4e6d828e8a590b6f7b3f715d363a06dc7faeaf2d0b6b23f19cab3613b6246a5e",
-    "qt-gibbs-overflow": "a9ad24963d939be5513160c60ba43e94dbc68478a47844701b1e3495126813e6",
+    "qt-gibbs-overflow": "19d90e286836719a94265753af858c757bf82b47a4228108740ba440baca0e3e",
+    "qt-gibbs-shifted": "cf7e22f5bd8f5486a40e286bcc4ac109261a79cb763370c1bf338dd557fc4de7",
+    "qt-gibbs-f-eq-zero": "095c546b6b1ffe0e787379ec31c3b047f3c2a873f4df96c145afdaf2ad0ba9bb",
+    "qt-gibbs-f-eq-zero-json": "29ea155bdbba69e2a633a2b7ba75ac776f475a09e77a67f3a875aee758e483df",
     "qt-solve-temp": "fa136d27379087cf817250509bd4097ee00e8a166e7c00948e43b7fb597aa1ff",
     "qt-solve-temp-range": "144075307ed8c39e4168e3613ad340535abc14c3b1b049f94e09c00bd52154b8",
+    "qt-solve-temp-shifted": "06952a2414e170e422e0ca27c3398455d18344fcf9c1678fcd1d8ca3ecfba92f",
     "qt-work": "fc02581e512c8141fe0933a2af741d123760a4d286da981cefc6656fd0731bbd",
     "qt-evolve-save": "c9b9d245ba699c5a64f989906b6c812562c3aad63d1b67229e2214ca957a6497",
     "qt-spread": "8420d3855784d47cb57d160dc340e3b863b5109708372fd4d0f095a8691610c2",
@@ -187,6 +202,8 @@ GOLDEN = {
     "catalog-system": "acd235d77971a9efd648e9d78df318e6b49da43731e7883957148045f0410486",
     "catalog-unknown": "8c7d9d85f089c53136d7109630146d94f9b98036bf0bb39ef93643e91dcb0578",
     "catalog-compare-underflow": "88956ba9c40a9d9d3a90bea8daed4f0d7a9ed3720b75caa30e2a3c123dd00be0",
+    "catalog-op-rate-overflow": "ac9361c5aaa9fad99b9848e28d3dffcca5da86531abec2667139367660359217",
+    "catalog-switch-overflow": "662a75262ced8401a4ad54cb8222119a629c37279838ddd48f8c5d50d7c8a7c7",
     "over-constants-human": "869a855c66858d89c406335d590955bc698f77e5b11f13350170c26cb9a1ea58",
     "over-constants-json": "d7408e3b24cade3acd039fc933cb6314d337afddc37fcb36226235b7ad16166e",
     "over-constants-csv": "556a59e635d8551c0cafa9a657d31a5b945481cb45d16bd42a863dc0c3e35cbd",

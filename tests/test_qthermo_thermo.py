@@ -1,9 +1,12 @@
 """Entropy, Gibbs states, temperature solving, free energy, work."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from _random_states import random_density, random_hermitian
 from physcomp.errors import (
@@ -124,9 +127,24 @@ class TestGibbsState:
         assert all(a > b for a, b in zip(energies, energies[1:]))
 
     def test_partition_function_overflow_raises(self):
-        h = HermitianOperator(np.diag([-1.0, 0.0]))  # joule-scale gap
-        with pytest.raises(NumericalOverflow):
-            gibbs_state(h, Quantity(1.0, TEMPERATURE, "K"))
+        # ln Z = 11604.5: the state, F_eq and ln Z are finite, Z is not
+        ev = 1.602176634e-19
+        g = gibbs_state(
+            HermitianOperator(np.diag([-ev, 0.0])), Quantity(1.0, TEMPERATURE, "K")
+        )
+        assert np.isfinite(g.rho.matrix).all()
+        assert g.rho.matrix[0, 0].real == 1.0
+        assert g.f_eq.magnitude == pytest.approx(-ev, rel=1e-12)
+        assert g.log_partition_function == pytest.approx(ev / K_B, rel=1e-12)
+        with pytest.raises(NumericalOverflow, match="ln Z = 11604.5"):
+            g.partition_function
+        # every positive finite Z is reported, up to the largest double
+        assert replace(g, log_partition_function=709.78).partition_function == math.exp(709.78)
+
+    def test_f_eq_is_unsigned_zero_when_ln_z_is_zero(self):
+        g = gibbs_state(HermitianOperator(np.diag([0.0, 1.0])), kelvin(1e-3))
+        assert g.log_partition_function == 0.0
+        assert math.copysign(1.0, g.f_eq.magnitude) == 1.0
 
     def test_matches_pade_matrix_exponential(self):
         # independent construction: Pade expm of -H/(k_B T), not spectral
@@ -175,6 +193,43 @@ class TestThermalSpectrum:
         g = gibbs_state(h, kelvin(1.0))
         want = math.exp(-40.0) / (1.0 + math.exp(-40.0))
         assert g.rho.probabilities.min() == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+# energy scale of the gauge property: spectra span a few E0, k_B T is
+# 0.5-5 E0, and shifts up to 5000 E0 put |ln Z| far past ln(DBL_MAX) = 709.8
+E0 = 1e-21
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(2, 8),
+    kt=st.floats(0.5, 5.0),
+    shift=st.floats(-5000.0, 5000.0),
+)
+@example(seed=1, d=2, kt=0.5, shift=-5000.0)
+@example(seed=2, d=8, kt=5.0, shift=5000.0)
+def test_energy_shift_is_a_gauge(seed, d, kt, shift):
+    rng = np.random.default_rng(seed)
+    h = random_hermitian(rng, d, scale=E0)
+    c = shift * E0
+    h_c = HermitianOperator(h.matrix + c * np.eye(d))
+    T = kelvin(kt * E0)
+    g, g_c = gibbs_state(h, T), gibbs_state(h_c, T)
+    assert np.allclose(g_c.rho.matrix, g.rho.matrix, rtol=0.0, atol=1e-9)
+    assert g_c.f_eq.magnitude == pytest.approx(g.f_eq.magnitude + c, abs=1e-9 * E0)
+    beta = g.beta.magnitude
+    assert g_c.log_partition_function == pytest.approx(
+        g.log_partition_function - beta * c, abs=1e-9
+    )
+    rho = random_density(rng, d)
+    assert extractable_work(rho, h_c, T).magnitude == pytest.approx(
+        extractable_work(rho, h, T).magnitude, rel=1e-6, abs=1e-9 * E0
+    )
+    e = mean_energy(g.rho, h).magnitude
+    t = solve_inverse_temperature(h, Quantity(e, ENERGY, "J")).temperature.magnitude
+    t_c = solve_inverse_temperature(h_c, Quantity(e + c, ENERGY, "J"))
+    assert t_c.temperature.magnitude == pytest.approx(t, rel=1e-6)
 
 
 class TestSolveInverseTemperature:
