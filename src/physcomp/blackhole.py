@@ -14,18 +14,11 @@ with the quoted total lifetime; it is a model choice, not a quoted result.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
 from . import units
-from .errors import (
-    NegativeInput,
-    NonPositiveMass,
-    NumericalOverflow,
-    NumericalUnderflow,
-    TimeOutOfRange,
-)
+from .errors import NegativeInput, NonPositiveMass, TimeOutOfRange
 from .measures import binary_entropy
 from .units import (
     ENERGY,
@@ -36,6 +29,7 @@ from .units import (
     TEMPERATURE,
     TIME,
     Quantity,
+    in_range,
     require,
 )
 
@@ -92,8 +86,8 @@ def _mass_kg(M: Quantity) -> float:
 def _entropy_nats(m: float, m_p: float) -> float:
     try:
         return 4.0 * math.pi * (m / m_p) ** 2
-    except OverflowError:
-        raise NumericalOverflow(f"entropy overflows a double at mass {m!r} kg") from None
+    except OverflowError:  # float ** raises where * would give inf
+        return math.inf
 
 
 def _lifetime_s(m: float) -> float:
@@ -102,12 +96,10 @@ def _lifetime_s(m: float) -> float:
     try:
         t_m = 5120.0 * math.pi * g**2 * m**3 / (hbar * c**4)
     except OverflowError:
-        raise NumericalOverflow(f"lifetime overflows a double at mass {m!r} kg") from None
+        t_m = math.inf
     # below ~6.4e-98 kg the lifetime is subnormal, down to one significant
     # bit, and below ~3.3e-103 kg it is 0, which M(t) would divide by
-    if t_m < sys.float_info.min:
-        raise NumericalUnderflow(f"lifetime underflows to {t_m:g} s at mass {m!r} kg")
-    return t_m
+    return in_range(t_m, "lifetime 5120*pi*G^2*M^3/(hbar*c^4)", M=m)
 
 
 def _mass_left(m0: float, t: float, t_m: float) -> float:
@@ -121,7 +113,9 @@ def schwarzschild_radius(M: Quantity) -> Quantity:
 
 
 def entropy_nats(M: Quantity) -> float:
-    return _entropy_nats(_mass_kg(M), units.CONSTANTS.planck_mass.magnitude)
+    m = _mass_kg(M)
+    s = _entropy_nats(m, units.CONSTANTS.planck_mass.magnitude)
+    return in_range(s, "entropy 4*pi*(M/m_P)^2", M=m)
 
 
 def hawking_temperature(M: Quantity) -> Quantity:
@@ -144,16 +138,9 @@ def ops_per_second(M: Quantity) -> Quantity:
 
 def total_ops(M: Quantity) -> float:
     ops = ops_per_second(M).magnitude * lifetime(M).magnitude
-    if ops == math.inf:  # above ~2.5e68 kg, though the lifetime is finite
-        raise NumericalOverflow(
-            f"total op count overflows a double at mass {M.magnitude!r} kg"
-        )
-    # below ~2.64e-86 kg the count is subnormal, and below ~2.7e-90 kg it is 0
-    if ops < sys.float_info.min:
-        raise NumericalUnderflow(
-            f"total op count underflows to {ops:g} at mass {M.magnitude!r} kg"
-        )
-    return ops
+    # above ~2.5e68 kg the count overflows though the lifetime is finite;
+    # below ~2.64e-86 kg it is subnormal, and below ~2.7e-90 kg it is 0
+    return in_range(ops, "total op count ops_per_second*t_M", M=M.magnitude)
 
 
 def bit_flip_time(M: Quantity) -> Quantity:
@@ -266,7 +253,7 @@ def page_curve(M0: Quantity, n_samples: int) -> list[TimelineSample]:
         raise TimeOutOfRange("need at least 2 samples")
     t_m = _lifetime_s(m0)
     m_p = units.CONSTANTS.planck_mass.magnitude
-    s0_bits = _entropy_nats(m0, m_p) / LN2
+    s0_bits = entropy_nats(M0) / LN2
     last = n_samples - 1
     out = []
     for i in range(n_samples):

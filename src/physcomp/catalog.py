@@ -17,8 +17,6 @@ from .errors import (
     NonPositiveCapacitance,
     NonPositiveEnergy,
     NonPositiveTemperature,
-    NumericalOverflow,
-    NumericalUnderflow,
     UnknownSystem,
 )
 from .units import (
@@ -30,6 +28,7 @@ from .units import (
     TEMPERATURE,
     VOLTAGE,
     Quantity,
+    in_range,
     require,
 )
 
@@ -120,9 +119,8 @@ def inefficiency_factor(sys_: ReferenceSystem, T: Quantity) -> float:
     t = require(T, TEMPERATURE, "temperature")
     if t <= 0.0:
         raise NonPositiveTemperature("inefficiency factor needs T > 0")
-    floor = units.CONSTANTS.k_B.magnitude * t * LN2
-    if floor == 0.0:
-        raise NumericalUnderflow(f"k_B*T*ln2 underflows to 0 J at T = {t!r} K")
+    # a subnormal floor has lost significant bits, and so has the quotient
+    floor = in_range(units.CONSTANTS.k_B.magnitude * t * LN2, "k_B*T*ln2", T=t)
     return sys_.energy_per_op.magnitude / floor
 
 
@@ -134,9 +132,7 @@ def op_rate(power: Quantity, energy_per_op: Quantity) -> Quantity:
         raise NonPositiveEnergy("power must be >= 0")
     if e <= 0.0:
         raise NonPositiveEnergy("energy per op must be positive")
-    rate = p / e
-    if not math.isfinite(rate):
-        raise NumericalOverflow(f"power/energy_per_op overflows a double at P={p!r} W")
+    rate = in_range(p / e, "power/energy_per_op", power=p, energy_per_op=e)
     return Quantity(rate, FREQUENCY, "1/s")
 
 
@@ -150,6 +146,4 @@ def switch_energy(C: Quantity, V: Quantity) -> Quantity:
         energy = 0.5 * c * v**2
     except OverflowError:  # float ** raises where * would give inf
         energy = math.inf
-    if not math.isfinite(energy):
-        raise NumericalOverflow(f"C*V^2/2 overflows a double at C={c!r} F, V={v!r} V")
-    return Quantity(energy, ENERGY, "J")
+    return Quantity(in_range(energy, "C*V^2/2", C=c, V=v), ENERGY, "J")

@@ -8,10 +8,11 @@ stderr, never stack traces.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from .. import __version__, assembly, blackhole, catalog, measures, units
-from ..errors import InputError, NumericalError, NumericalOverflow
+from ..errors import InputError, NumericalError
 from ..units import (
     ENERGY,
     FARAD,
@@ -28,6 +29,14 @@ from .report import FORMATS, Report, render
 
 MASS_UNITS = ("kg", "solar", "planck")
 ENERGY_UNITS = ("J", "eV")
+
+
+def _finite(text: str) -> float:
+    """A float flag's value; argparse rejects inf and nan with exit 2."""
+    x = float(text)
+    if not math.isfinite(x):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return x
 
 
 def _base_parser() -> argparse.ArgumentParser:
@@ -58,7 +67,7 @@ def _base_parser() -> argparse.ArgumentParser:
         choices=("report", "timeline", "page-curve"),
         default="report",
     )
-    bh.add_argument("--mass", type=float, required=False, help="mass value")
+    bh.add_argument("--mass", type=_finite, required=False, help="mass value")
     bh.add_argument("--unit", choices=MASS_UNITS, default="kg")
     bh.add_argument("--samples", type=int, default=100, help="timeline samples")
     bh.add_argument("--out", metavar="FILE", default=None, help="write CSV here")
@@ -73,36 +82,36 @@ def _base_parser() -> argparse.ArgumentParser:
     me = sub.add_parser("measure", help="complexity measures")
     me_sub = me.add_subparsers(dest="measure_op", required=True)
     p = me_sub.add_parser("phi-time", parents=[common])
-    p.add_argument("--energy", type=float, required=True)
+    p.add_argument("--energy", type=_finite, required=True)
     p.add_argument("--energy-unit", choices=ENERGY_UNITS, default="J")
-    p.add_argument("--time", type=float, required=True, help="seconds")
+    p.add_argument("--time", type=_finite, required=True, help="seconds")
     p = me_sub.add_parser("ml-time", parents=[common])
-    p.add_argument("--energy", type=float, required=True)
+    p.add_argument("--energy", type=_finite, required=True)
     p.add_argument("--energy-unit", choices=ENERGY_UNITS, default="J")
     p = me_sub.add_parser("phi-space", parents=[common])
-    p.add_argument("--smax", type=float, required=True, help="bits")
-    p.add_argument("--s", type=float, required=True, help="bits")
+    p.add_argument("--smax", type=_finite, required=True, help="bits")
+    p.add_argument("--s", type=_finite, required=True, help="bits")
     p = me_sub.add_parser("free-phi", parents=[common])
-    p.add_argument("--delta-f", type=float, required=True, help="joules")
-    p.add_argument("--time", type=float, default=None, help="seconds (op budget)")
+    p.add_argument("--delta-f", type=_finite, required=True, help="joules")
+    p.add_argument("--time", type=_finite, default=None, help="seconds (op budget)")
     p = me_sub.add_parser("landauer", parents=[common])
-    p.add_argument("--temp", type=float, required=True, help="kelvin")
-    p.add_argument("--bits", type=float, required=True)
+    p.add_argument("--temp", type=_finite, required=True, help="kelvin")
+    p.add_argument("--bits", type=_finite, required=True)
     p = me_sub.add_parser("binary-entropy", parents=[common])
-    p.add_argument("--eps", type=float, required=True)
+    p.add_argument("--eps", type=_finite, required=True)
     p = me_sub.add_parser("ec-space", parents=[common])
-    p.add_argument("--ops", type=float, required=True)
-    p.add_argument("--eps", type=float, required=True)
+    p.add_argument("--ops", type=_finite, required=True)
+    p.add_argument("--eps", type=_finite, required=True)
     p.add_argument("--mode", choices=("exact", "asymptotic"), default="exact")
 
     qtp = sub.add_parser("qt", help="quantum thermodynamics")
     qt_sub = qtp.add_subparsers(dest="qt_op", required=True)
 
     def _temp_flags(sp):
-        sp.add_argument("--temp", type=float, default=None, help="kelvin")
+        sp.add_argument("--temp", type=_finite, default=None, help="kelvin")
         sp.add_argument(
             "--ktemp-joules",
-            type=float,
+            type=_finite,
             default=None,
             help="k_B T directly, in joules",
         )
@@ -116,14 +125,14 @@ def _base_parser() -> argparse.ArgumentParser:
     p.add_argument("--save-state", metavar="FILE", default=None)
     p = qt_sub.add_parser("solve-temp", parents=[common])
     p.add_argument("--ham", required=True, metavar="FILE")
-    p.add_argument("--energy", type=float, required=True, help="joules")
+    p.add_argument("--energy", type=_finite, required=True, help="joules")
     p = qt_sub.add_parser("work", parents=[common])
     p.add_argument("--ham", required=True, metavar="FILE")
     p.add_argument("--state", required=True, metavar="FILE")
     _temp_flags(p)
     p = qt_sub.add_parser("evolve", parents=[common])
     p.add_argument("--ham", required=True, metavar="FILE")
-    p.add_argument("--time", type=float, required=True, help="seconds")
+    p.add_argument("--time", type=_finite, required=True, help="seconds")
     p.add_argument("--state-vector", required=True, metavar="FILE")
     p.add_argument("--save-vector", metavar="FILE", default=None)
     p = qt_sub.add_parser("spread", parents=[common])
@@ -138,13 +147,13 @@ def _base_parser() -> argparse.ArgumentParser:
 
     cat = sub.add_parser("catalog", parents=[common], help="reference systems")
     cat.add_argument("mode", nargs="?", choices=("list", "compare"), default="list")
-    cat.add_argument("--temp", type=float, default=300.0, help="kelvin")
+    cat.add_argument("--temp", type=_finite, default=300.0, help="kelvin")
     cat.add_argument("--system", default=None, help="restrict to one entry")
-    cat.add_argument("--power", type=float, default=None, help="watts, adds op rate")
+    cat.add_argument("--power", type=_finite, default=None, help="watts, adds op rate")
     cat.add_argument(
-        "--capacitance", type=float, default=None, help="farads, adds switch energy"
+        "--capacitance", type=_finite, default=None, help="farads, adds switch energy"
     )
-    cat.add_argument("--volts", type=float, default=None)
+    cat.add_argument("--volts", type=_finite, default=None)
 
     return parser
 
@@ -152,17 +161,18 @@ def _base_parser() -> argparse.ArgumentParser:
 def _mass_quantity(args) -> Quantity:
     if args.mass is None:
         raise InputError("--mass is required")
-    scale = {
-        "kg": 1.0,
-        "solar": units.CONSTANTS.solar_mass.magnitude,
-        "planck": units.CONSTANTS.planck_mass.magnitude,
-    }[args.unit]
-    return Quantity(args.mass * scale, MASS, "kg")
+    m = args.mass
+    if args.unit != "kg":
+        scale = getattr(units.CONSTANTS, f"{args.unit}_mass").magnitude
+        m = units.in_range(m * scale, f"mass*{args.unit}_mass", mass=m)
+    return Quantity(m, MASS, "kg")
 
 
 def _energy_quantity(value: float, unit: str) -> Quantity:
-    scale = {"J": 1.0, "eV": units.CONSTANTS.electron_volt.magnitude}[unit]
-    return Quantity(value * scale, ENERGY, "J")
+    if unit == "eV":
+        scale = units.CONSTANTS.electron_volt.magnitude
+        value = units.in_range(value * scale, "energy*electron_volt", energy=value)
+    return Quantity(value, ENERGY, "J")
 
 
 def _temperature(args) -> Quantity:
@@ -171,15 +181,16 @@ def _temperature(args) -> Quantity:
     if args.temp is not None:
         return Quantity(args.temp, TEMPERATURE, "K")
     k_b = units.CONSTANTS.k_B.magnitude
-    return Quantity(args.ktemp_joules / k_b, TEMPERATURE, "K")
+    t = units.in_range(args.ktemp_joules / k_b, "--ktemp-joules/k_B", kT=args.ktemp_joules)
+    return Quantity(t, TEMPERATURE, "K")
 
 
 def _add_partition_function(rep: Report, g) -> None:
-    """Report Z while it is a finite double, else ln Z in its place."""
+    """Report Z while it is a normal double, else ln Z in its place."""
     formula = "tr(exp(-H/(k_B*T)))"
     try:
         rep.add("partition_function", g.partition_function, "", formula)
-    except NumericalOverflow:
+    except NumericalError:
         rep.add("log_partition_function", g.log_partition_function, "", f"ln({formula})")
 
 
@@ -208,15 +219,13 @@ def _cmd_constants(args, out) -> Report:
 
 
 def _parse_sweep(spec: str) -> list[float]:
-    import math
-
     try:
         start_s, stop_s, count_s = spec.split(":")
         start, stop, count = float(start_s), float(stop_s), int(count_s)
     except ValueError:
         raise InputError("--sweep expects START:STOP:COUNT")
-    if start <= 0 or stop <= start or count < 2:
-        raise InputError("--sweep needs 0 < START < STOP and COUNT >= 2")
+    if not 0 < start < stop < math.inf or count < 2:
+        raise InputError("--sweep needs 0 < START < STOP < inf and COUNT >= 2")
     la, lb = math.log10(start), math.log10(stop)
     return [10 ** (la + (lb - la) * i / (count - 1)) for i in range(count)]
 
@@ -330,88 +339,92 @@ def _cmd_measure(args, out) -> Report:
 
 
 def _cmd_qt(args, out) -> Report:
+    import numpy as np
+
     from .. import qthermo as qt  # the only subcommand that needs numpy
 
     op = args.qt_op
     rep = Report(f"qt {op}", __version__)
-    if op == "entropy":
-        rho = qt.load_density(args.state)
-        rep.inputs = {"state": args.state, "entropy_unit": args.entropy_unit}
-        s = qt.von_neumann_entropy(rho, args.entropy_unit)
-        unit = "bit" if args.entropy_unit == "bits" else "nat"
-        rep.add("entropy", s.expressed, unit, "-tr(rho*ln(rho))")
-    elif op == "gibbs":
-        ham = qt.load_hamiltonian(args.ham)
-        T = _temperature(args)
-        g = qt.gibbs_state(ham, T)
-        rep.inputs = {"ham": args.ham, "temperature_K": T.magnitude}
-        rep.add("temperature", g.temperature.magnitude, "K", "input")
-        _add_partition_function(rep, g)
-        rep.add("f_eq", g.f_eq.magnitude, "J", "-k_B*T*ln(Z)")
-        rep.add(
-            "entropy",
-            qt.von_neumann_entropy(g.rho).magnitude,
-            "bit",
-            "-tr(rho*ln(rho))",
-        )
-        rep.add("mean_energy", qt.mean_energy(g.rho, ham).magnitude, "J", "tr(rho*H)")
-        if args.save_state:
-            qt.write_matrix(args.save_state, g.rho.matrix)
-            rep.warn(f"thermal state written to {args.save_state}")
-    elif op == "solve-temp":
-        ham = qt.load_hamiltonian(args.ham)
-        g = qt.solve_inverse_temperature(ham, Quantity(args.energy, ENERGY, "J"))
-        rep.inputs = {"ham": args.ham, "energy": args.energy}
-        rep.add("temperature", g.temperature.magnitude, "K", "tr(rho_th*H)=E")
-        rep.add("beta", g.beta.magnitude, "1/J", "1/(k_B*T)")
-        _add_partition_function(rep, g)
-        rep.add("f_eq", g.f_eq.magnitude, "J", "-k_B*T*ln(Z)")
-    elif op == "work":
-        ham = qt.load_hamiltonian(args.ham)
-        rho = qt.load_density(args.state)
-        T = _temperature(args)
-        rep.inputs = {
-            "ham": args.ham,
-            "state": args.state,
-            "temperature_K": T.magnitude,
-        }
-        w = qt.extractable_work(rho, ham, T)
-        rep.add("extractable_work", w.magnitude, "J", "k_B*T*D(rho||rho_th)")
-        f = qt.nonequilibrium_free_energy(rho, ham, T)
-        rep.add("free_energy", f.magnitude, "J", "tr(rho*H)-T*k_B*S")
-    elif op == "evolve":
-        ham = qt.load_hamiltonian(args.ham)
-        psi = qt.load_state_vector(args.state_vector)
-        t = Quantity(args.time, TIME, "s")
-        rep.inputs = {
-            "ham": args.ham,
-            "state_vector": args.state_vector,
-            "time": args.time,
-        }
-        out_state = qt.evolve(ham, t, psi)
-        for k, amp in enumerate(out_state.amplitudes):
-            if out_state.dim <= 16:
-                rep.add(
-                    f"probability_{k}",
-                    float(abs(amp) ** 2),
-                    "",
-                    "|<k|exp(-i*H*t/hbar)|psi>|^2",
-                )
-        if out_state.dim > 16:
-            rep.warn("state has more than 16 amplitudes; use --save-vector")
-        if args.save_vector:
-            qt.write_vector(args.save_vector, out_state.amplitudes)
-            rep.warn(f"evolved state written to {args.save_vector}")
-    elif op == "spread":
-        ham = qt.load_hamiltonian(args.ham)
-        rho = qt.load_density(args.state)
-        rep.inputs = {"ham": args.ham, "state": args.state}
-        rep.add(
-            "energy_spread",
-            qt.energy_spread(rho, ham).magnitude,
-            "J",
-            "sqrt(tr(rho*H^2)-tr(rho*H)^2)",
-        )
+    # a result out of range raises in units.in_range; numpy stays silent
+    with np.errstate(over="ignore", invalid="ignore"):
+        if op == "entropy":
+            rho = qt.load_density(args.state)
+            rep.inputs = {"state": args.state, "entropy_unit": args.entropy_unit}
+            s = qt.von_neumann_entropy(rho, args.entropy_unit)
+            unit = "bit" if args.entropy_unit == "bits" else "nat"
+            rep.add("entropy", s.expressed, unit, "-tr(rho*ln(rho))")
+        elif op == "gibbs":
+            ham = qt.load_hamiltonian(args.ham)
+            T = _temperature(args)
+            g = qt.gibbs_state(ham, T)
+            rep.inputs = {"ham": args.ham, "temperature_K": T.magnitude}
+            rep.add("temperature", g.temperature.magnitude, "K", "input")
+            _add_partition_function(rep, g)
+            rep.add("f_eq", g.f_eq.magnitude, "J", "-k_B*T*ln(Z)")
+            rep.add(
+                "entropy",
+                qt.von_neumann_entropy(g.rho).magnitude,
+                "bit",
+                "-tr(rho*ln(rho))",
+            )
+            rep.add("mean_energy", qt.mean_energy(g.rho, ham).magnitude, "J", "tr(rho*H)")
+            if args.save_state:
+                qt.write_matrix(args.save_state, g.rho.matrix)
+                rep.warn(f"thermal state written to {args.save_state}")
+        elif op == "solve-temp":
+            ham = qt.load_hamiltonian(args.ham)
+            g = qt.solve_inverse_temperature(ham, Quantity(args.energy, ENERGY, "J"))
+            rep.inputs = {"ham": args.ham, "energy": args.energy}
+            rep.add("temperature", g.temperature.magnitude, "K", "tr(rho_th*H)=E")
+            rep.add("beta", g.beta.magnitude, "1/J", "1/(k_B*T)")
+            _add_partition_function(rep, g)
+            rep.add("f_eq", g.f_eq.magnitude, "J", "-k_B*T*ln(Z)")
+        elif op == "work":
+            ham = qt.load_hamiltonian(args.ham)
+            rho = qt.load_density(args.state)
+            T = _temperature(args)
+            rep.inputs = {
+                "ham": args.ham,
+                "state": args.state,
+                "temperature_K": T.magnitude,
+            }
+            w = qt.extractable_work(rho, ham, T)
+            rep.add("extractable_work", w.magnitude, "J", "k_B*T*D(rho||rho_th)")
+            f = qt.nonequilibrium_free_energy(rho, ham, T)
+            rep.add("free_energy", f.magnitude, "J", "tr(rho*H)-T*k_B*S")
+        elif op == "evolve":
+            ham = qt.load_hamiltonian(args.ham)
+            psi = qt.load_state_vector(args.state_vector)
+            t = Quantity(args.time, TIME, "s")
+            rep.inputs = {
+                "ham": args.ham,
+                "state_vector": args.state_vector,
+                "time": args.time,
+            }
+            out_state = qt.evolve(ham, t, psi)
+            for k, amp in enumerate(out_state.amplitudes):
+                if out_state.dim <= 16:
+                    rep.add(
+                        f"probability_{k}",
+                        float(abs(amp) ** 2),
+                        "",
+                        "|<k|exp(-i*H*t/hbar)|psi>|^2",
+                    )
+            if out_state.dim > 16:
+                rep.warn("state has more than 16 amplitudes; use --save-vector")
+            if args.save_vector:
+                qt.write_vector(args.save_vector, out_state.amplitudes)
+                rep.warn(f"evolved state written to {args.save_vector}")
+        elif op == "spread":
+            ham = qt.load_hamiltonian(args.ham)
+            rho = qt.load_density(args.state)
+            rep.inputs = {"ham": args.ham, "state": args.state}
+            rep.add(
+                "energy_spread",
+                qt.energy_spread(rho, ham).magnitude,
+                "J",
+                "sqrt(tr(rho*H^2)-tr(rho*H)^2)",
+            )
     return rep
 
 

@@ -1,8 +1,8 @@
 """Deterministic report rendering: human tables, canonical JSON, CSV.
 
 Machine output is byte-stable: keys are sorted, floats are written with 17
-significant digits (which round-trips a double exactly), and re-rendering
-a parsed report reproduces the bytes.
+significant digits (which round-trips a double exactly), -0.0 as 0, and
+re-rendering a parsed report reproduces the bytes.
 """
 
 from __future__ import annotations
@@ -46,12 +46,12 @@ def format_number(x) -> str:
         return str(x)
     if isinstance(x, int):
         return str(x)
-    return f"{x:.17g}"
+    return f"{x + 0.0:.17g}"  # + 0.0: -0.0 prints as 0
 
 
 def _json_scalar(x) -> str:
     if isinstance(x, float):
-        return f"{x:.17g}"
+        return f"{x + 0.0:.17g}"  # JSON reads -0 back as the integer 0
     return json.dumps(x, ensure_ascii=False)
 
 
@@ -94,7 +94,10 @@ def render_human(report_dict: dict) -> str:
     ]
     out = [f"{report_dict['tool']} {report_dict['version']} {report_dict['subcommand']}"]
     if report_dict["inputs"]:
-        joined = ", ".join(f"{k}={v}" for k, v in sorted(report_dict["inputs"].items()))
+        joined = ", ".join(
+            f"{k}={v + 0.0 if isinstance(v, float) else v}"
+            for k, v in sorted(report_dict["inputs"].items())
+        )
         out.append(f"inputs: {joined}")
     out.append("  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip())
     for r in rows:

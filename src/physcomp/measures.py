@@ -20,10 +20,9 @@ from .errors import (
     NegativeInput,
     NonPositiveEnergy,
     NonPositiveTemperature,
-    NumericalOverflow,
     ProbabilityOutOfRange,
 )
-from .units import ENERGY, INFORMATION, LN2, TEMPERATURE, TIME, Quantity, require
+from .units import ENERGY, INFORMATION, LN2, TEMPERATURE, TIME, Quantity, in_range, require
 
 
 def phi_time(E: Quantity, t: Quantity) -> float:
@@ -34,11 +33,7 @@ def phi_time(E: Quantity, t: Quantity) -> float:
         raise NegativeInput("phi_time needs E >= 0 and t >= 0")
     # E*t first: 2*E alone overflows for E near the double limit
     ops = 2.0 * (e * dt) / (math.pi * units.CONSTANTS.hbar.magnitude)
-    if not math.isfinite(ops):
-        raise NumericalOverflow(
-            f"op count 2*E*t/(pi*hbar) overflows a double at E={e!r} J, t={dt!r} s"
-        )
-    return ops
+    return in_range(ops, "op count 2*E*t/(pi*hbar)", E=e, t=dt)
 
 
 def ml_min_time(E: Quantity) -> Quantity:
@@ -46,7 +41,8 @@ def ml_min_time(E: Quantity) -> Quantity:
     e = require(E, ENERGY, "energy")
     if e <= 0.0:
         raise NonPositiveEnergy("minimum flip time needs E > 0")
-    return Quantity(math.pi * units.CONSTANTS.hbar.magnitude / (2.0 * e), TIME, "s")
+    t = math.pi * units.CONSTANTS.hbar.magnitude / (2.0 * e)
+    return Quantity(in_range(t, "flip time pi*hbar/(2*E)", E=e), TIME, "s")
 
 
 def phi_space(s_max: Quantity, s: Quantity) -> Quantity:
@@ -66,9 +62,7 @@ def landauer_cost(T: Quantity, n_bits: float) -> Quantity:
     if n_bits < 0:
         raise NegativeInput("bit count must be >= 0")
     cost = n_bits * units.CONSTANTS.k_B.magnitude * t * LN2
-    if not math.isfinite(cost):
-        raise NumericalOverflow(f"n*k_B*T*ln2 overflows a double at n={n_bits!r}, T={t!r} K")
-    return Quantity(cost, ENERGY, "J")
+    return Quantity(in_range(cost, "n*k_B*T*ln2", n=n_bits, T=t), ENERGY, "J")
 
 
 def binary_entropy(eps: float) -> Quantity:
@@ -99,7 +93,8 @@ def error_correction_space(t_ops: float, eps: float, mode: str = "exact") -> Qua
         per_op = eps * math.log2(1.0 / eps) if eps > 0.0 else 0.0
     else:
         raise ProbabilityOutOfRange(f"unknown mode {mode!r}")
-    return Quantity(t_ops * per_op, INFORMATION, "bit")
+    bits = in_range(t_ops * per_op, "t*h(eps)", t=t_ops, eps=eps, mode=mode)
+    return Quantity(bits, INFORMATION, "bit")
 
 
 def free_phi(delta_F: Quantity) -> Quantity:
@@ -124,9 +119,9 @@ def free_phi_thermo(T: Quantity, s_eq: Quantity, s: Quantity) -> Quantity:
     t = require(T, TEMPERATURE, "temperature")
     if t <= 0.0:
         raise NonPositiveTemperature("free_phi_thermo needs T > 0")
-    depth = phi_space(s_eq, s)
-    k_b = units.CONSTANTS.k_B.magnitude
-    return Quantity(depth.magnitude * k_b * t * LN2, ENERGY, "J")
+    depth = phi_space(s_eq, s).magnitude
+    f = depth * units.CONSTANTS.k_B.magnitude * t * LN2
+    return Quantity(in_range(f, "k_B*T*(S_eq-S)*ln2", T=t, depth=depth), ENERGY, "J")
 
 
 @dataclass(frozen=True)

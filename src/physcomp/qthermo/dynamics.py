@@ -10,7 +10,7 @@ import numpy as np
 
 from .. import units
 from ..errors import NegativeInput, NonPositiveEnergy
-from ..units import ENERGY, TIME, Quantity, require
+from ..units import ENERGY, TIME, Quantity, in_range, require
 from .states import DensityMatrix, HermitianOperator, StateVector
 
 
@@ -38,5 +38,6 @@ def energy_spread(rho: DensityMatrix, H: HermitianOperator) -> Quantity:
     h = H.matrix
     mean = float(np.trace(rho.matrix @ h).real)
     mean_sq = float(np.trace(rho.matrix @ h @ h).real)
-    var = max(mean_sq - mean * mean, 0.0)
-    return Quantity(float(np.sqrt(var)), ENERGY, "J")
+    var = max(mean_sq - mean * mean, 0.0)  # keeps a nan
+    spread = in_range(float(np.sqrt(var)), "sqrt(<H^2>-<H>^2)", variance=var)
+    return Quantity(spread, ENERGY, "J")

@@ -16,8 +16,8 @@ from itertools import chain
 
 import numpy as np
 
-from ..errors import FileFormatError, InvalidState, NumericalOverflow
-from ..units import ENERGY, TEMPERATURE, Quantity, finite_double, read_json, require
+from ..errors import FileFormatError, InvalidState
+from ..units import ENERGY, TEMPERATURE, Quantity, finite_double, in_range, read_json, require
 
 HERMITIAN_RTOL = 1e-9
 TRACE_TOL = 1e-9
@@ -170,7 +170,7 @@ class GibbsState:
 
     ``temperature`` may be negative (bounded spectra admit population
     inversion) but never zero. Only ln Z is stored, finite in any gauge; Z
-    raises when read if it is not a positive finite double.
+    raises when read if it is not a normal double.
     """
 
     rho: DensityMatrix
@@ -187,11 +187,7 @@ class GibbsState:
     def partition_function(self) -> float:
         log_z = self.log_partition_function
         z = math.exp(log_z) if log_z <= 709.782712893384 else math.inf  # ln(DBL_MAX)
-        if not (z > 0.0 and math.isfinite(z)):
-            raise NumericalOverflow(
-                f"partition function not representable as a float (ln Z = {log_z:.6g})"
-            )
-        return z
+        return in_range(z, "partition function tr(exp(-H/(k_B*T)))", ln_Z=log_z)
 
 
 # -- file format ------------------------------------------------------------

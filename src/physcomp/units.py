@@ -15,10 +15,11 @@ import gc
 import json
 import math
 import os
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 
-from .errors import DimensionMismatch, FileFormatError
+from .errors import DimensionMismatch, FileFormatError, NumericalOverflow, NumericalUnderflow
 
 LN2 = math.log(2.0)
 
@@ -120,6 +121,24 @@ def require(q, dim: Dimension, what: str) -> float:
     if not isinstance(q, Quantity) or q.dim != dim:
         raise DimensionMismatch(f"{what} must be in {_compose_symbol(dim)}")
     return q.magnitude
+
+
+def in_range(x: float, what: str, **inputs) -> float:
+    """``x``, the value of formula ``what`` at ``inputs``, if it is a result.
+
+    A result is a normal double, or 0 when some input is 0. A subnormal
+    carries fewer significant bits, and 0 from nonzero inputs is no value:
+    both raise :class:`NumericalUnderflow`. A result that is not finite (nan
+    too) raises :class:`NumericalOverflow`.
+    """
+    if sys.float_info.min <= abs(x) <= sys.float_info.max or (
+        x == 0.0 and 0.0 in inputs.values()
+    ):
+        return x
+    at = ", ".join(f"{k}={v!r}" for k, v in inputs.items())
+    if math.isfinite(x):
+        raise NumericalUnderflow(f"{what} underflows to {x!r} at {at}")
+    raise NumericalOverflow(f"{what} overflows a double at {at}")
 
 
 @dataclass(frozen=True, eq=False)

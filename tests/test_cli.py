@@ -6,10 +6,14 @@ import math
 import os
 import subprocess
 import sys
+import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from physcomp.cli import run
 from physcomp.cli.report import render_csv, render_json
@@ -446,13 +450,24 @@ class TestLandauerFloorUnderflow:
         assert out == ""
         _assert_one_line_error(code, err, "underflows", "1e-320", exit_code=3)
 
-    def test_tiny_temperature_still_reports(self):
+    def test_subnormal_floor_is_3(self):
+        # k_B*T*ln2 is the subnormal 1e-323 J here: a quotient by it is 3.2 % off
+        code, out, err = invoke("catalog", "compare", "--temp", "1e-300")
+        assert out == ""
+        _assert_one_line_error(code, err, "k_B*T*ln2", "underflows", "1e-300", exit_code=3)
+
+    def test_normal_floor_still_reports(self):
+        # k_B*T*ln2 = 9.6e-308 J is normal: the quotient is correctly rounded
         code, out, _ = invoke(
-            "catalog", "compare", "--temp", "1e-300", "--system", "world-compute",
+            "catalog", "compare", "--temp", "1e-284", "--system", "world-compute",
             "--format", "json",
         )
         assert code == 0
-        assert json.loads(out)["results"][0]["value"] == 1.0120112665365531e307
+        value = json.loads(out)["results"][0]["value"]
+        k_b = 1.380649e-23
+        assert value == 1e-16 / (k_b * 1e-284 * math.log(2.0))
+        exact = Fraction(1e-16) / (Fraction(k_b) * Fraction(1e-284) * Fraction(math.log(2.0)))
+        assert abs(Fraction(value) / exact - 1) < 1e-15
 
 
 class TestHugeMass:
@@ -541,6 +556,194 @@ class TestTinyMass:
         assert code == 0
         values = [r["value"] for r in json.loads(out)["results"]]
         assert all(abs(v) >= sys.float_info.min for v in values)
+
+
+class TestResultRange:
+    """Every formula and unit conversion the CLI runs obeys units.in_range."""
+
+    @pytest.mark.parametrize(
+        "argv, formula",
+        [
+            (["bh", "--mass", "1e300", "--unit", "solar"], "mass*solar_mass"),
+            (["bh", "--mass", "1e-320", "--unit", "planck"], "mass*planck_mass"),
+            (["measure", "ml-time", "--energy", "1e300", "--energy-unit", "eV"], "pi*hbar/(2*E)"),
+            (["measure", "ml-time", "--energy", "1e308"], "pi*hbar/(2*E)"),
+            (
+                ["measure", "ml-time", "--energy", "1e-310", "--energy-unit", "eV"],
+                "energy*electron_volt",
+            ),
+            (["measure", "landauer", "--temp", "1e-320", "--bits", "1"], "n*k_B*T*ln2"),
+            (["measure", "ec-space", "--ops", "1e-300", "--eps", "1e-20"], "t*h(eps)"),
+            (["catalog", "compare", "--temp", "1e-300"], "k_B*T*ln2"),
+        ],
+    )
+    def test_exit_3(self, argv, formula):
+        code, out, err = invoke(*argv)
+        assert out == ""
+        _assert_one_line_error(code, err, formula, exit_code=3)
+
+    def test_ktemp_joules_conversion(self, two_level):
+        ham, _ = two_level
+        code, out, err = invoke("qt", "gibbs", "--ham", ham, "--ktemp-joules", "1e300")
+        assert out == ""
+        _assert_one_line_error(code, err, "--ktemp-joules/k_B", "1e+300", exit_code=3)
+
+    def test_subnormal_partition_function_swaps_in_log_z(self, tmp_path):
+        # ln Z = -720: Z = 2.03e-313 is subnormal
+        ham = str(tmp_path / "h.mat")
+        write_matrix(ham, np.diag([720 * 1.380649e-23 * 300, 1e-15]), units="J")
+        code, out, _ = invoke("qt", "gibbs", "--ham", ham, "--temp", "300", "--format", "json")
+        assert code == 0
+        rows = {r["name"]: r["value"] for r in json.loads(out)["results"]}
+        assert "partition_function" not in rows
+        assert rows["log_partition_function"] == pytest.approx(-720.0, rel=1e-12)
+
+    def test_spread_overflow_is_one_line(self, tmp_path):
+        ham, rho = str(tmp_path / "h.mat"), str(tmp_path / "rho.mat")
+        write_matrix(ham, np.array([[0.0, 1e200], [1e200, 0.0]]), units="J")
+        write_matrix(rho, np.diag([0.7, 0.3]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning fails the test
+            code, out, err = invoke("qt", "spread", "--ham", ham, "--state", rho)
+        assert out == ""
+        _assert_one_line_error(code, err, "sqrt(<H^2>-<H>^2)", "overflows", exit_code=3)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bh", "--mass", "inf"],
+            ["bh", "--mass", "nan"],
+            ["bh", "--mass=-inf", "--unit", "solar"],
+            ["measure", "phi-time", "--energy", "nan", "--time", "1"],
+            ["catalog", "compare", "--temp", "inf"],
+            ["bh", "--sweep", "1:inf:3"],
+            ["bh", "--sweep", "nan:1:3"],
+        ],
+    )
+    def test_non_finite_flag_is_an_input_error(self, argv, capsys):
+        code, out, err = invoke(*argv)
+        assert code == 2 and out == ""
+        # argparse writes its own message to sys.stderr
+        message = err + capsys.readouterr().err
+        assert "expected a finite number" in message or "STOP < inf" in message
+
+
+class TestSignedZero:
+    """-0 in, 0 out: JSON would read -0 back as the integer 0."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["measure", "landauer", "--temp", "300", "--bits", "-0"],
+            ["measure", "ec-space", "--ops", "-0", "--eps", "0.1"],
+            ["measure", "free-phi", "--delta-f", "-0"],
+            ["catalog", "compare", "--power", "-0", "--system", "landauer-300K"],
+            ["measure", "phi-time", "--energy", "-0", "--time", "1"],
+        ],
+    )
+    @pytest.mark.parametrize("fmt", ["human", "json", "csv"])
+    def test_no_minus_zero(self, argv, fmt):
+        code, out, _ = invoke(*argv, "--format", fmt)
+        assert code == 0
+        assert "-0" not in out
+        if fmt == "json":
+            assert render_json(json.loads(out)) == out
+
+
+_SCALARS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e308, 1e16]),
+    st.integers(),
+    st.text(max_size=8),
+)
+_REPORTS = st.fixed_dictionaries(
+    {
+        "tool": st.just("physcomp"),
+        "inputs": st.dictionaries(st.text(max_size=8), _SCALARS, max_size=4),
+        "results": st.lists(
+            st.fixed_dictionaries(
+                {"name": st.text(max_size=8), "value": _SCALARS, "unit": st.text(max_size=3)}
+            ),
+            max_size=4,
+        ),
+        "warnings": st.lists(st.text(max_size=8), max_size=2),
+    }
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(report=_REPORTS)
+@example(report={"tool": "physcomp", "inputs": {"e": -0.0}, "results": [], "warnings": []})
+def test_report_json_re_renders_byte_identically(report):
+    text = render_json(report)
+    assert render_json(json.loads(text)) == text
+
+
+_JSON_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-(10**400), max_value=10**400),
+    st.floats(),  # nan and inf are written as NaN and Infinity
+    st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 1e300, 1.7976931348623157e308]),
+    st.text(max_size=6),
+)
+_JSON = st.recursive(
+    _JSON_LEAVES,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3), st.dictionaries(st.text(max_size=4), inner, max_size=3)
+    ),
+    max_leaves=6,
+)
+_CONSTANT_NAMES = ["hbar", "c", "G", "k_B", "planck_mass", "planck_length", "solar_mass",
+                   "electron_volt", "seconds_per_year", "h"]
+_CONSTANTS_FILES = st.one_of(
+    _JSON,
+    st.dictionaries(
+        st.sampled_from(_CONSTANT_NAMES),
+        st.one_of(st.floats(min_value=1e-320, max_value=1e308), _JSON_LEAVES),
+        max_size=5,
+    ),
+)
+_SYMBOLS = st.text(alphabet="ab", min_size=1, max_size=3)
+_PATHWAY_FILES = st.one_of(
+    _JSON,
+    st.fixed_dictionaries(
+        {"basis": st.one_of(st.just("ab"), _JSON_LEAVES)},
+        optional={
+            "steps": st.one_of(st.lists(st.lists(_SYMBOLS, max_size=3), max_size=4), _JSON),
+            "target": st.one_of(_SYMBOLS, _JSON_LEAVES),
+            "free_energy_joules": st.one_of(st.lists(_JSON_LEAVES, max_size=4), _JSON),
+        },
+    ),
+)
+
+
+def _assert_exit_0_or_one_line_2(argv, path, content):
+    path.write_text(content, encoding="utf-8")
+    code, out, err = invoke(*argv)
+    assert code in (0, 2), (content, err)
+    if code == 2:
+        assert out == ""
+        _assert_one_line_error(code, err)
+    else:
+        assert err == ""
+
+
+@settings(max_examples=40, deadline=None)
+@given(obj=_CONSTANTS_FILES)
+@example(obj={"G": 1e-320})
+@example(obj={"c": 1e300})
+def test_fuzzed_constants_file(tmp_path_factory, obj):
+    path = tmp_path_factory.mktemp("c") / "c.json"
+    _assert_exit_0_or_one_line_2(["constants", "--constants", str(path)], path, json.dumps(obj))
+
+
+@settings(max_examples=40, deadline=None)
+@given(obj=_PATHWAY_FILES)
+@example(obj={"basis": "ab", "steps": [["a", "b"]], "free_energy_joules": [1e308, 1e308]})
+def test_fuzzed_pathway_file(tmp_path_factory, obj):
+    path = tmp_path_factory.mktemp("p") / "p.json"
+    _assert_exit_0_or_one_line_2(["assembly", "--pathway", str(path)], path, json.dumps(obj))
 
 
 @pytest.mark.parametrize("fmt", ["human", "json"])

@@ -80,6 +80,8 @@ COMMANDS = dict(
         ("measure-bad-temp", ["measure", "landauer", "--temp", "-1", "--bits", "1"]),
         ("measure-phi-time-overflow", ["measure", "phi-time", "--energy", "1e300", "--time", "1e10", "--format", "json"]),
         ("measure-landauer-overflow", ["measure", "landauer", "--temp", "1e300", "--bits", "1e300"]),
+        ("measure-landauer-neg-zero", ["measure", "landauer", "--temp", "300", "--bits", "-0"]),
+        ("measure-phi-time-neg-zero", ["measure", "phi-time", "--energy", "-0", "--time", "1", "--format", "json"]),
         ("measure-flags-before-op", ["measure", "--format", "json", "ml-time", "--energy", "1"]),
         ("qt-gibbs-save", ["qt", "gibbs", "--ham", "h.json", "--ktemp-joules", "1e-21", "--save-state", "thermal.json", "--format", "json"]),
         ("qt-gibbs-both-temps", ["qt", "gibbs", "--ham", "h.json", "--temp", "1", "--ktemp-joules", "1"]),
@@ -152,7 +154,7 @@ GOLDEN = {
     "catalog-compare-csv": "8ac1fb5d092b9923cfcafbdb40c41156521089b6de99ba7bd81f7980ba2fc20b",
     "bh-solar": "b522acc7e1c62e30e15eef202728dabe8084bffa6f03b6c8ec02a3e3e797db0c",
     "bh-planck": "32a63eee532b5c9b27a4ffb5edf56757db6ee8d81c89108544605b56d12f47e4",
-    "bh-1e-97": "ffd842650e22319a7ec24646ffc89cf604b12e1ffc6e97f12bdba054e527f941",
+    "bh-1e-97": "8460239a162e1d729d0a8bb50e797976c158c3fa669b01b578ac63697c75c9be",
     "bh-1e-85": "7a173f718b1989c2a7eeb78efde2228ad9033977b389c3fe1d424575004c0775",
     "bh-timeline": "5852766c82dec2aae535160ab7e933e05eb01546169e67330049e529e3571087",
     "bh-page-curve-out": "6881dcb06855a0834bc49bed42efbb16f2a53c4539f2574815b787e29b98268c",
@@ -161,10 +163,10 @@ GOLDEN = {
     "bh-no-mass": "a2826c50cd3d773cb60f8a86dccbebcf86ec638383f78e24ddc94a738da3e87b",
     "bh-zero-mass": "3ebae684cd5f6fb0ff6428b292c0262c6cf5cef996fd5be02188c1c2e83df87d",
     "bh-bad-sweep": "8f767b2ab9321324b91a6d34f5e4c905080ccb36da313c7e3c632f89aadced68",
-    "bh-ops-overflow": "7baa980f872dc8ad2b95a41351d770b0808b746a1228504db6d023150a02ebfb",
-    "bh-lifetime-subnormal": "9b6545271ad4ebaf74b5c0b42204d450f6b8604cff9d2111c0dfc17567a46b29",
-    "bh-timeline-subnormal": "9b6545271ad4ebaf74b5c0b42204d450f6b8604cff9d2111c0dfc17567a46b29",
-    "bh-timeline-underflow": "deead3cf5668f76562b75c8402a0dfa7d7221ee2d6386eb009145573d36692e2",
+    "bh-ops-overflow": "afd03f2909ac6418f639c18d6203040f20ccaf719efead777eeb18f7ae5dceba",
+    "bh-lifetime-subnormal": "102f8fe1cec9f99d5cd8d66a2acea94201dadfe6f79122fd451596d4febb8806",
+    "bh-timeline-subnormal": "102f8fe1cec9f99d5cd8d66a2acea94201dadfe6f79122fd451596d4febb8806",
+    "bh-timeline-underflow": "8eb3fc19bcd0132f07579cb07bf224bd0c0fbcfbb3cebc19b7881d3def43f437",
     "measure-phi-time": "6af94ee83d68f681761d7478b572df8f4d96d48948178555cad1deeb0fb1d606",
     "measure-ml-time": "caa4197686a82129295e330b5932104f90fff960a632a869ad1af7917d2da142",
     "measure-phi-space": "aed3aadaa94745ec6b03a799bad8e7d1ac5cf42222621afeff9c64d6281fe301",
@@ -175,8 +177,10 @@ GOLDEN = {
     "measure-ec-asymptotic": "6aa3c0c8d70b1548177d1565da5ce3d2fac87b032ebcf01b99d33af3c8d38214",
     "measure-bad-eps": "2f9cc6fb5d98fa7432cc5b3d4663b36f952738f9176448cc1f9cfc9555df882f",
     "measure-bad-temp": "80237ee1d8af47bbf73d2a2151f4148722878974a962a2d6b69cd121e1ece348",
-    "measure-phi-time-overflow": "ca80a180f30d3d1bcd9621e270e5166557101f4a544f4a4c4c9b8079a11f76bd",
-    "measure-landauer-overflow": "838ca39346d071c489fbc5d5bdb2c6ebf115a9d0d09851d10c54268d8aa587c1",
+    "measure-phi-time-overflow": "eba1c7699e048d086d6cdeeadc46531067367aac94dba92d8d63d6401e5cfdee",
+    "measure-landauer-overflow": "96e58dd1680b49cf1b1c7e91d33ade067fa9c6979c394e4fabce5b2c9a884090",
+    "measure-landauer-neg-zero": "d1f500b764543507d41c826eebf7650fe486664a88eee28cec49baaf95df7583",
+    "measure-phi-time-neg-zero": "0e8a0c096e0b6ceed4410472de9e0f9399c29ab4d69ad6cad51612cf284f0993",
     "measure-flags-before-op": "11a3c5f526efa8f4511ffcb470dfc8b32592560585be46a9fdf3c2fbf1131594",
     "qt-gibbs-save": "47bd426f15dbee2b47f3b56682a68c3fdc33976ab180b965852d70a2d909671c",
     "qt-gibbs-both-temps": "4e6d828e8a590b6f7b3f715d363a06dc7faeaf2d0b6b23f19cab3613b6246a5e",
@@ -201,9 +205,9 @@ GOLDEN = {
     "assembly-bad-json": "a1cbad501a75bdad2db10e1fb0be37bbe3241a80c914ca623915f27c3b6d86e1",
     "catalog-system": "acd235d77971a9efd648e9d78df318e6b49da43731e7883957148045f0410486",
     "catalog-unknown": "8c7d9d85f089c53136d7109630146d94f9b98036bf0bb39ef93643e91dcb0578",
-    "catalog-compare-underflow": "88956ba9c40a9d9d3a90bea8daed4f0d7a9ed3720b75caa30e2a3c123dd00be0",
-    "catalog-op-rate-overflow": "ac9361c5aaa9fad99b9848e28d3dffcca5da86531abec2667139367660359217",
-    "catalog-switch-overflow": "662a75262ced8401a4ad54cb8222119a629c37279838ddd48f8c5d50d7c8a7c7",
+    "catalog-compare-underflow": "2cf75da894e3d914570a3d7edc4c005c1b87f163ac93df4d04179f1c3d26fe55",
+    "catalog-op-rate-overflow": "81f81d92c811c101d9b66d64be9ba95a11dd4e234b57037b4b1def2829449648",
+    "catalog-switch-overflow": "f3f286f1350189632368fabf10c5e8e9442826fdd178dbce3f8cd562dec2e972",
     "over-constants-human": "869a855c66858d89c406335d590955bc698f77e5b11f13350170c26cb9a1ea58",
     "over-constants-json": "d7408e3b24cade3acd039fc933cb6314d337afddc37fcb36226235b7ad16166e",
     "over-constants-csv": "556a59e635d8551c0cafa9a657d31a5b945481cb45d16bd42a863dc0c3e35cbd",

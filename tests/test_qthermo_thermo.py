@@ -14,6 +14,7 @@ from physcomp.errors import (
     EntropyOutOfRange,
     InfiniteTemperature,
     NumericalOverflow,
+    NumericalUnderflow,
     ZeroTemperature,
 )
 from physcomp.qthermo import (
@@ -136,10 +137,15 @@ class TestGibbsState:
         assert g.rho.matrix[0, 0].real == 1.0
         assert g.f_eq.magnitude == pytest.approx(-ev, rel=1e-12)
         assert g.log_partition_function == pytest.approx(ev / K_B, rel=1e-12)
-        with pytest.raises(NumericalOverflow, match="ln Z = 11604.5"):
+        with pytest.raises(NumericalOverflow, match="ln_Z=11604.5"):
             g.partition_function
-        # every positive finite Z is reported, up to the largest double
+        # every normal Z is reported, up to the largest double
         assert replace(g, log_partition_function=709.78).partition_function == math.exp(709.78)
+        assert replace(g, log_partition_function=-708.0).partition_function == math.exp(-708.0)
+        # a subnormal Z has lost significant bits, and 0 is no value
+        for log_z in (-720.0, -800.0):
+            with pytest.raises(NumericalUnderflow, match=f"ln_Z={log_z}"):
+                replace(g, log_partition_function=log_z).partition_function
 
     def test_f_eq_is_unsigned_zero_when_ln_z_is_zero(self):
         g = gibbs_state(HermitianOperator(np.diag([0.0, 1.0])), kelvin(1e-3))
@@ -230,6 +236,35 @@ def test_energy_shift_is_a_gauge(seed, d, kt, shift):
     t = solve_inverse_temperature(h, Quantity(e, ENERGY, "J")).temperature.magnitude
     t_c = solve_inverse_temperature(h_c, Quantity(e + c, ENERGY, "J"))
     assert t_c.temperature.magnitude == pytest.approx(t, rel=1e-6)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 8), kt=st.floats(0.5, 5.0))
+@example(seed=3, d=8, kt=0.5)
+def test_work_is_positive_except_at_equilibrium(seed, d, kt):
+    rng = np.random.default_rng(seed)
+    h = random_hermitian(rng, d, scale=E0)
+    T = kelvin(kt * E0)
+    assert extractable_work(random_density(rng, d), h, T).magnitude > 0.0
+    w_th = extractable_work(gibbs_state(h, T).rho, h, T).magnitude
+    assert w_th == pytest.approx(0.0, abs=1e-12 * E0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(2, 8),
+    kt=st.floats(0.5, 5.0),
+    sign=st.sampled_from([1.0, -1.0]),
+)
+@example(seed=4, d=2, kt=5.0, sign=-1.0)
+def test_solve_inverse_temperature_round_trips(seed, d, kt, sign):
+    rng = np.random.default_rng(seed)
+    h = random_hermitian(rng, d, scale=E0)
+    T = kelvin(sign * kt * E0)
+    e = mean_energy(gibbs_state(h, T).rho, h)
+    t = solve_inverse_temperature(h, e).temperature.magnitude
+    assert t == pytest.approx(T.magnitude, rel=1e-9)
 
 
 class TestSolveInverseTemperature:

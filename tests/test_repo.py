@@ -1,5 +1,6 @@
-"""Repository hygiene: what git tracks."""
+"""Repository hygiene: what git tracks, and where the range rule lives."""
 
+import ast
 import shutil
 import subprocess
 from pathlib import Path
@@ -20,3 +21,22 @@ def test_no_tracked_file_is_ignored():
         cwd=ROOT, capture_output=True, text=True, check=True,
     )
     assert proc.stdout == ""
+
+
+def test_range_errors_are_built_only_by_the_range_rule():
+    # units.in_range is the one place that decides a formula result left
+    # the double range; nowhere else constructs its errors
+    allowed = {"units.py", "errors.py"}
+    names = {"NumericalOverflow", "NumericalUnderflow"}
+    offenders = []
+    for path in sorted((ROOT / "src" / "physcomp").rglob("*.py")):
+        if path.name in allowed and path.parent.name == "physcomp":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name in names:
+                    offenders.append(f"{path.relative_to(ROOT)}:{node.lineno}")
+    assert offenders == []
+

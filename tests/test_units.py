@@ -7,7 +7,12 @@ import pytest
 
 import physcomp
 from physcomp import units
-from physcomp.errors import DimensionMismatch, FileFormatError
+from physcomp.errors import (
+    DimensionMismatch,
+    FileFormatError,
+    NumericalOverflow,
+    NumericalUnderflow,
+)
 from physcomp.units import (
     BIT,
     ENERGY,
@@ -26,6 +31,7 @@ from physcomp.units import (
     Quantity,
     constants,
     entropy_convert,
+    in_range,
 )
 
 # frozen oracle values (arbitrary-precision evaluation of the pinned constants)
@@ -223,3 +229,27 @@ class TestActiveSet:
             with units.using(override):
                 raise RuntimeError("inside")
         assert units.CONSTANTS is units.PINNED
+
+
+class TestInRange:
+    """The one rule for formula results: a normal double, or 0 from a 0 input."""
+
+    @pytest.mark.parametrize("x", [1.0, -2.5, 2.2250738585072014e-308, 1.7976931348623157e308])
+    def test_normal_passes(self, x):
+        assert in_range(x, "f", a=1.0) == x
+
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    def test_zero_from_a_zero_input_passes(self, zero):
+        assert in_range(zero, "f", a=3.0, b=-0.0) == 0.0
+        assert in_range(zero, "f", a=3.0, b=0) == 0.0
+
+    @pytest.mark.parametrize("x", [0.0, -0.0, 5e-324, -1e-310, 2.225073858507201e-308])
+    def test_subnormal_or_lost_zero_underflows(self, x):
+        with pytest.raises(NumericalUnderflow, match=r"^f\(x\) underflows to .* at a=2\.0, b='u'$"):
+            in_range(x, "f(x)", a=2.0, b="u")
+
+    @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+    def test_not_finite_overflows(self, x):
+        with pytest.raises(NumericalOverflow, match=r"^f\(x\) overflows a double at a=0\.0$"):
+            in_range(x, "f(x)", a=0.0)
+
