@@ -7,7 +7,7 @@ the unified resource, with sub-engines for quantum thermodynamics, black
 hole computers, reference hardware, and assembly pathways.
 """
 
-from . import assembly, blackhole, catalog, measures, units
+from . import units
 from .errors import InputError, NumericalError, PhyscompError
 from .units import Quantity, constants, entropy_convert
 
@@ -31,14 +31,17 @@ __all__ = [
 ]
 
 
+_SUBPACKAGES = ("assembly", "blackhole", "catalog", "measures", "qthermo")
+
+
 def __getattr__(name: str):
     # the active constant set, which units.using rebinds: never a copy
     if name == "CONSTANTS":
         return units.CONSTANTS
-    # qthermo pulls in numpy, which only the quantum-thermodynamics code
-    # needs: load it on first access so everything else starts without it.
-    if name == "qthermo":
+    # each subpackage loads on first access, so a process compiles only the
+    # code it runs, and only qthermo's users pay for numpy
+    if name in _SUBPACKAGES:
         import importlib
 
-        return importlib.import_module(f"{__name__}.qthermo")
+        return importlib.import_module(f"{__name__}.{name}")
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

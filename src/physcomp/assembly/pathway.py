@@ -9,8 +9,8 @@ free physical complexity is the sum.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
+import math
+from collections import namedtuple
 
 from ..errors import (
     FileFormatError,
@@ -18,7 +18,7 @@ from ..errors import (
     MissingAnnotation,
     SymbolNotInBasis,
 )
-from ..units import ENERGY, Quantity, finite_double, read_json
+from ..units import ENERGY, Quantity, finite_double, in_range, read_json
 
 
 def check_basis(basis) -> frozenset[str]:
@@ -31,21 +31,23 @@ def check_basis(basis) -> frozenset[str]:
     return symbols
 
 
-@dataclass(frozen=True)
-class AssemblyPathway:
-    """A join sequence; ``steps[i] = (left, right)`` producing ``left + right``."""
+class AssemblyPathway(
+    namedtuple("AssemblyPathway", "basis steps target step_free_energy", defaults=(None,))
+):
+    """A join sequence; ``steps[i] = (left, right)`` producing ``left + right``.
 
-    basis: frozenset[str]
-    steps: tuple[tuple[str, str], ...]
-    target: str
-    step_free_energy: tuple[Quantity, ...] | None = None
+    ``basis`` is a frozenset of symbols; ``step_free_energy`` is None or one
+    :class:`Quantity` in joules per step.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "basis", check_basis(self.basis))
-        object.__setattr__(
-            self, "steps", tuple((str(l), str(r)) for l, r in self.steps)
-        )
+    __slots__ = ()
+
+    def __new__(cls, basis, steps, target, step_free_energy=None):
+        basis = check_basis(basis)
+        steps = tuple((str(l), str(r)) for l, r in steps)
+        self = super().__new__(cls, basis, steps, target, step_free_energy)
         self.validate()
+        return self
 
     @property
     def products(self) -> tuple[str, ...]:
@@ -91,6 +93,10 @@ def pathway_free_phi(p: AssemblyPathway) -> Quantity:
     if p.step_free_energy is None:
         raise MissingAnnotation("pathway carries no per-step free energies")
     total = sum(q.magnitude for q in p.step_free_energy)
+    # of the range rule only overflow applies: a sum that cancels to 0 or
+    # lands below the normal range is exact
+    if not math.isfinite(total):
+        in_range(total, "sum of step free energies", steps=len(p.steps))
     return Quantity(total, ENERGY, "J")
 
 
@@ -170,6 +176,8 @@ def load_pathway(path: str) -> AssemblyPathway:
 
 
 def write_pathway(path: str, p: AssemblyPathway) -> None:
+    import json  # only writing runs load the encoder
+
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(pathway_to_dict(p), fh)
         fh.write("\n")

@@ -14,8 +14,8 @@ with the quoted total lifetime; it is a model choice, not a quoted result.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from collections import namedtuple
+from collections.abc import Iterable, Sequence
 
 from . import units
 from .errors import NegativeInput, NonPositiveMass, TimeOutOfRange
@@ -39,33 +39,33 @@ PAGE_FRACTION = 1.0 - 2.0 ** (-1.5)  # entropy-crossover time / lifetime
 _MAX_HALVINGS = 1073
 
 
-@dataclass(frozen=True)
-class BlackHoleReport:
-    """Every closed-form property of a black hole of mass M."""
+class BlackHoleReport(
+    namedtuple(
+        "BlackHoleReport",
+        "mass radius temperature entropy_nats entropy_bits lifetime lifetime_years"
+        " ops_per_second total_ops bit_flip_time free_energy page_time_paper"
+        " page_time_entropy max_error_rate",
+    )
+):
+    """Every closed-form property of a black hole of mass M.
 
-    mass: Quantity  # kg
-    radius: Quantity  # m
-    temperature: Quantity  # K
-    entropy_nats: float
-    entropy_bits: float
-    lifetime: Quantity  # s
-    lifetime_years: float
-    ops_per_second: Quantity  # 1/s
-    total_ops: float
-    bit_flip_time: Quantity  # s
-    free_energy: Quantity  # J
-    page_time_paper: Quantity  # s, half the lifetime
-    page_time_entropy: Quantity  # s, radiation-entropy crossover
-    max_error_rate: float
+    Quantities: mass (kg), radius (m), temperature (K), lifetime (s),
+    ops_per_second (1/s), bit_flip_time (s), free_energy (J),
+    page_time_paper (s, half the lifetime) and page_time_entropy (s, the
+    radiation-entropy crossover). The rest are floats.
+    """
+
+    __slots__ = ()
 
 
-class TimelineSample(NamedTuple):
+class TimelineSample(
+    namedtuple(
+        "TimelineSample", "t_seconds mass_kg hole_entropy_bits radiation_entropy_bits"
+    )
+):
     """One point on the evaporation timeline, in canonical units."""
 
-    t_seconds: float
-    mass_kg: float
-    hole_entropy_bits: float
-    radiation_entropy_bits: float
+    __slots__ = ()
 
     @property
     def t(self) -> Quantity:

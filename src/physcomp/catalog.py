@@ -10,7 +10,7 @@ the gap to the thermodynamic floor.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import units
 from .errors import (
@@ -36,21 +36,27 @@ COVALENT_BOND_J = 1.6e-19  # ~ one electron volt
 ROOM_TEMPERATURE_K = 300.0
 
 
-@dataclass(frozen=True)
-class ReferenceSystem:
-    """A named computing system with its per-op energy scale."""
+class ReferenceSystem(
+    namedtuple(
+        "ReferenceSystem",
+        "name energy_per_op power operating_temperature op_rate notes provenance",
+        defaults=(None, None, None, "", ""),
+    )
+):
+    """A named computing system with its per-op energy scale.
 
-    name: str
-    energy_per_op: Quantity  # J
-    power: Quantity | None = None  # W
-    operating_temperature: Quantity | None = None  # K
-    op_rate: Quantity | None = None  # 1/s, for entries quoted as a rate
-    notes: str = ""
-    provenance: str = ""
+    ``energy_per_op`` is in J, ``power`` (or None) in W,
+    ``operating_temperature`` (or None) in K, and ``op_rate`` (or None) in
+    1/s, for entries quoted as a rate.
+    """
 
-    def __post_init__(self):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if require(self.energy_per_op, ENERGY, f"{self.name}: energy per op") <= 0.0:
             raise NonPositiveEnergy(f"{self.name}: energy per op must be positive")
+        return self
 
 
 def builtin_systems() -> tuple[ReferenceSystem, ...]:

@@ -11,7 +11,7 @@ import argparse
 import math
 import sys
 
-from .. import __version__, assembly, blackhole, catalog, measures, units
+from .. import __version__, units
 from ..errors import InputError, NumericalError
 from ..units import (
     ENERGY,
@@ -237,6 +237,8 @@ SWEEP_CSV_HEADER = (
 
 
 def _cmd_bh(args, out) -> Report | None:
+    from .. import blackhole
+
     if args.sweep is not None:
         lines = [SWEEP_CSV_HEADER]
         for m in _parse_sweep(args.sweep):
@@ -282,6 +284,8 @@ def _cmd_bh(args, out) -> Report | None:
 
 
 def _cmd_measure(args, out) -> Report:
+    from .. import measures
+
     op = args.measure_op
     rep = Report(f"measure {op}", __version__)
     if op == "phi-time":
@@ -341,7 +345,7 @@ def _cmd_measure(args, out) -> Report:
 def _cmd_qt(args, out) -> Report:
     import numpy as np
 
-    from .. import qthermo as qt  # the only subcommand that needs numpy
+    from .. import qthermo as qt
 
     op = args.qt_op
     rep = Report(f"qt {op}", __version__)
@@ -429,6 +433,8 @@ def _cmd_qt(args, out) -> Report:
 
 
 def _cmd_assembly(args, out) -> Report:
+    from .. import assembly
+
     rep = Report("assembly", __version__)
     if args.pathway is not None:
         p = assembly.load_pathway(args.pathway)
@@ -459,6 +465,8 @@ def _cmd_assembly(args, out) -> Report:
 
 
 def _cmd_catalog(args, out) -> Report:
+    from .. import catalog
+
     rep = Report(f"catalog {args.mode}", __version__)
     systems = catalog.builtin_systems()
     if args.system is not None:

@@ -7,19 +7,20 @@ re-rendering a parsed report reproduces the bytes.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
-
 FORMATS = ("human", "json", "csv")
 
 
-@dataclass
 class Report:
-    subcommand: str
-    version: str
-    inputs: dict = field(default_factory=dict)
-    results: list = field(default_factory=list)  # (name, value, unit, formula)
-    warnings: list = field(default_factory=list)
+    """One command's inputs, result rows and warnings, before rendering."""
+
+    __slots__ = ("subcommand", "version", "inputs", "results", "warnings")
+
+    def __init__(self, subcommand: str, version: str, inputs=None, results=None, warnings=None):
+        self.subcommand = subcommand
+        self.version = version
+        self.inputs = {} if inputs is None else inputs
+        self.results = [] if results is None else results  # (name, value, unit, formula)
+        self.warnings = [] if warnings is None else warnings
 
     def add(self, name: str, value, unit: str, formula: str) -> None:
         self.results.append((name, value, unit, formula))
@@ -49,27 +50,25 @@ def format_number(x) -> str:
     return f"{x + 0.0:.17g}"  # + 0.0: -0.0 prints as 0
 
 
-def _json_scalar(x) -> str:
-    if isinstance(x, float):
-        return f"{x + 0.0:.17g}"  # JSON reads -0 back as the integer 0
-    return json.dumps(x, ensure_ascii=False)
-
-
-def _json_canonical(obj) -> str:
+def _json_canonical(obj, dumps) -> str:
     if isinstance(obj, dict):
         items = ", ".join(
-            f"{json.dumps(str(k), ensure_ascii=False)}: {_json_canonical(v)}"
+            f"{dumps(str(k), ensure_ascii=False)}: {_json_canonical(v, dumps)}"
             for k, v in sorted(obj.items())
         )
         return "{" + items + "}"
     if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join(_json_canonical(v) for v in obj) + "]"
-    return _json_scalar(obj)
+        return "[" + ", ".join(_json_canonical(v, dumps) for v in obj) + "]"
+    if isinstance(obj, float):
+        return f"{obj + 0.0:.17g}"  # JSON reads -0 back as the integer 0
+    return dumps(obj, ensure_ascii=False)
 
 
 def render_json(report_dict: dict) -> str:
     """Canonical JSON: sorted keys, 17-significant-digit floats."""
-    return _json_canonical(report_dict) + "\n"
+    import json  # human and CSV output never load the encoder
+
+    return _json_canonical(report_dict, json.dumps) + "\n"
 
 
 def render_csv(report_dict: dict) -> str:

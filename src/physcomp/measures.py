@@ -12,7 +12,7 @@ User-facing entropies are in bits throughout; internal math is in nats.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from . import units
 from .errors import (
@@ -31,8 +31,13 @@ def phi_time(E: Quantity, t: Quantity) -> float:
     dt = require(t, TIME, "time")
     if e < 0.0 or dt < 0.0:
         raise NegativeInput("phi_time needs E >= 0 and t >= 0")
-    # E*t first: 2*E alone overflows for E near the double limit
-    ops = 2.0 * (e * dt) / (math.pi * units.CONSTANTS.hbar.magnitude)
+    # mantissas in [1/2, 1) first, exponents added back last: E*t alone can
+    # overflow, or lose bits as a subnormal, where the op count is normal
+    (me, xe), (mt, xt) = math.frexp(e), math.frexp(dt)
+    try:
+        ops = math.ldexp(2.0 * (me * mt) / (math.pi * units.CONSTANTS.hbar.magnitude), xe + xt)
+    except OverflowError:  # ldexp raises where * would give inf
+        ops = math.inf
     return in_range(ops, "op count 2*E*t/(pi*hbar)", E=e, t=dt)
 
 
@@ -124,24 +129,25 @@ def free_phi_thermo(T: Quantity, s_eq: Quantity, s: Quantity) -> Quantity:
     return Quantity(in_range(f, "k_B*T*(S_eq-S)*ln2", T=t, depth=depth), ENERGY, "J")
 
 
-@dataclass(frozen=True)
-class ComplexityReport:
+class ComplexityReport(
+    namedtuple(
+        "ComplexityReport", "phi_time_ops phi_space_bits free_phi landauer_cost metadata"
+    )
+):
     """The three measures plus Landauer accounting for one described system."""
 
-    phi_time_ops: float
-    phi_space_bits: Quantity
-    free_phi: Quantity
-    landauer_cost: Quantity
-    metadata: dict = field(default_factory=dict)
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, phi_time_ops, phi_space_bits, free_phi, landauer_cost, metadata=None):
         if (
-            self.phi_time_ops < 0.0
-            or self.phi_space_bits.magnitude < 0.0
-            or self.free_phi.magnitude < 0.0
-            or self.landauer_cost.magnitude < 0.0
+            phi_time_ops < 0.0
+            or phi_space_bits.magnitude < 0.0
+            or free_phi.magnitude < 0.0
+            or landauer_cost.magnitude < 0.0
         ):
             raise NegativeInput("complexity measures are counts; all must be >= 0")
+        metadata = {} if metadata is None else metadata
+        return super().__new__(cls, phi_time_ops, phi_space_bits, free_phi, landauer_cost, metadata)
 
 
 def complexity_report(

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import chain
 
 import numpy as np
@@ -62,6 +62,10 @@ class HermitianOperator:
         """Eigenvalues (ascending) and eigenvector columns, cached."""
         if self._eig is None:
             vals, vecs = np.linalg.eigh(self.matrix)
+            # entries near the double limit overflow in the symmetrization,
+            # and eigh returns nan for them
+            top = float(np.abs(vals).max())
+            in_range(top, "largest |eigenvalue| of H", max_abs_H=float(np.abs(self.matrix).max()))
             self._eig = (vals, vecs)
         return self._eig
 
@@ -164,24 +168,23 @@ class StateVector:
         return complex(np.vdot(self.amplitudes, other.amplitudes))
 
 
-@dataclass(frozen=True)
-class GibbsState:
+class GibbsState(
+    namedtuple("GibbsState", "rho temperature beta f_eq log_partition_function")
+):
     """Thermal state bundle: rho = exp(-H/(k_B T)) / Z.
 
-    ``temperature`` may be negative (bounded spectra admit population
-    inversion) but never zero. Only ln Z is stored, finite in any gauge; Z
-    raises when read if it is not a normal double.
+    ``temperature`` (K) may be negative (bounded spectra admit population
+    inversion) but never zero; ``beta`` is in 1/J and ``f_eq`` in J. Only
+    ln Z is stored, finite in any gauge; Z raises when read if it is not a
+    normal double.
     """
 
-    rho: DensityMatrix
-    temperature: Quantity  # K
-    beta: Quantity  # 1/J
-    f_eq: Quantity  # J
-    log_partition_function: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        require(self.temperature, TEMPERATURE, "GibbsState temperature")
-        require(self.f_eq, ENERGY, "GibbsState f_eq")
+    def __new__(cls, rho, temperature, beta, f_eq, log_partition_function):
+        require(temperature, TEMPERATURE, "GibbsState temperature")
+        require(f_eq, ENERGY, "GibbsState f_eq")
+        return super().__new__(cls, rho, temperature, beta, f_eq, log_partition_function)
 
     @property
     def partition_function(self) -> float:

@@ -29,6 +29,7 @@ from ..units import (
     DimensionMismatch,
     Dimension,
     Quantity,
+    in_range,
     require,
 )
 from .states import DensityMatrix, GibbsState, HermitianOperator
@@ -81,7 +82,8 @@ def _gibbs_from_beta(H: HermitianOperator, beta: float) -> GibbsState:
     vals, vecs = H.eigensystem()
     probs, log_z = _boltzmann_weights(vals, beta)
     rho = DensityMatrix.from_spectrum(probs, vecs)
-    temperature = 1.0 / (units.CONSTANTS.k_B.magnitude * beta)
+    # T = 1/(k_B*beta) leaves the double range where k_B*beta does
+    temperature = 1.0 / in_range(units.CONSTANTS.k_B.magnitude * beta, "k_B*beta", beta=beta)
     # + 0.0: ln Z = 0 would give -0.0
     f_eq = -log_z / beta + 0.0
     return GibbsState(

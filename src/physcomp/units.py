@@ -12,53 +12,43 @@ the nat is the same dimension scaled by 1/ln 2.
 from __future__ import annotations
 
 import gc
-import json
 import math
 import os
 import sys
+from collections import namedtuple
 from contextlib import contextmanager
-from dataclasses import dataclass
 
 from .errors import DimensionMismatch, FileFormatError, NumericalOverflow, NumericalUnderflow
 
 LN2 = math.log(2.0)
 
 
-@dataclass(frozen=True)
-class Dimension:
-    """Integer exponents over the base dimensions (abelian group under *)."""
+class Dimension(
+    namedtuple(
+        "Dimension", "mass length time temperature current information", defaults=(0,) * 6
+    )
+):
+    """Integer exponents over the base dimensions (abelian group under *).
 
-    mass: int = 0
-    length: int = 0
-    time: int = 0
-    temperature: int = 0
-    current: int = 0
-    information: int = 0
+    A tuple of the six exponents, so it compares and hashes by value.
+    """
+
+    __slots__ = ()
 
     def __mul__(self, other: "Dimension") -> "Dimension":
-        return Dimension(*(a + b for a, b in zip(self._tuple(), other._tuple())))
+        return Dimension(*(a + b for a, b in zip(self, other)))
 
     def __truediv__(self, other: "Dimension") -> "Dimension":
-        return Dimension(*(a - b for a, b in zip(self._tuple(), other._tuple())))
+        return Dimension(*(a - b for a, b in zip(self, other)))
 
     def __pow__(self, n: int) -> "Dimension":
         if not isinstance(n, int):
             raise DimensionMismatch("dimension exponents must stay integers")
-        return Dimension(*(a * n for a in self._tuple()))
-
-    def _tuple(self) -> tuple[int, ...]:
-        return (
-            self.mass,
-            self.length,
-            self.time,
-            self.temperature,
-            self.current,
-            self.information,
-        )
+        return Dimension(*(a * n for a in self))
 
     @property
     def dimensionless(self) -> bool:
-        return all(e == 0 for e in self._tuple())
+        return not any(self)
 
 
 DIMENSIONLESS = Dimension()
@@ -83,32 +73,32 @@ _BASE_SYMBOLS = ("kg", "m", "s", "K", "A", "bit")
 
 # Preferred symbols for dimensions that show up in reports.
 _DIM_SYMBOLS = {
-    DIMENSIONLESS._tuple(): "",
-    MASS._tuple(): "kg",
-    LENGTH._tuple(): "m",
-    TIME._tuple(): "s",
-    TEMPERATURE._tuple(): "K",
-    CURRENT._tuple(): "A",
-    INFORMATION._tuple(): "bit",
-    ENERGY._tuple(): "J",
-    POWER._tuple(): "W",
-    (MASS * LENGTH / TIME**2)._tuple(): "N",
-    VELOCITY._tuple(): "m/s",
-    FREQUENCY._tuple(): "1/s",
-    ENTROPY_THERMO._tuple(): "J/K",
-    VOLTAGE._tuple(): "V",
-    CAPACITANCE._tuple(): "F",
-    ACTION._tuple(): "J·s",
-    (INFORMATION / TIME)._tuple(): "bit/s",
+    DIMENSIONLESS: "",
+    MASS: "kg",
+    LENGTH: "m",
+    TIME: "s",
+    TEMPERATURE: "K",
+    CURRENT: "A",
+    INFORMATION: "bit",
+    ENERGY: "J",
+    POWER: "W",
+    MASS * LENGTH / TIME**2: "N",
+    VELOCITY: "m/s",
+    FREQUENCY: "1/s",
+    ENTROPY_THERMO: "J/K",
+    VOLTAGE: "V",
+    CAPACITANCE: "F",
+    ACTION: "J·s",
+    INFORMATION / TIME: "bit/s",
 }
 
 
 def _compose_symbol(dim: Dimension) -> str:
-    sym = _DIM_SYMBOLS.get(dim._tuple())
+    sym = _DIM_SYMBOLS.get(dim)
     if sym is not None:
         return sym
     parts = []
-    for base, e in zip(_BASE_SYMBOLS, dim._tuple()):
+    for base, e in zip(_BASE_SYMBOLS, dim):
         if e == 1:
             parts.append(base)
         elif e != 0:
@@ -141,26 +131,35 @@ def in_range(x: float, what: str, **inputs) -> float:
     raise NumericalOverflow(f"{what} overflows a double at {at}")
 
 
-@dataclass(frozen=True, eq=False)
 class Quantity:
-    """A finite magnitude in canonical units plus its dimension.
+    """A finite magnitude in canonical units plus its dimension; immutable.
 
     ``unit`` is a display label only; the magnitude is always stored in
     canonical units (SI base units, bit for information). Use
     :meth:`value_in` to read the number in some other unit.
     """
 
-    magnitude: float
-    dim: Dimension = DIMENSIONLESS
-    unit: str = ""
+    __slots__ = ("magnitude", "dim", "unit")
 
-    def __post_init__(self):
-        if not math.isfinite(self.magnitude):
-            raise DimensionMismatch(
-                f"quantity magnitude must be finite, got {self.magnitude!r}"
-            )
-        if not self.unit:
-            object.__setattr__(self, "unit", _compose_symbol(self.dim))
+    def __init__(self, magnitude: float, dim: Dimension = DIMENSIONLESS, unit: str = ""):
+        if not math.isfinite(magnitude):
+            raise DimensionMismatch(f"quantity magnitude must be finite, got {magnitude!r}")
+        # __setattr__ refuses, so the slots are filled through their descriptors
+        _SET_MAGNITUDE(self, magnitude)
+        _SET_DIM(self, dim)
+        _SET_UNIT(self, unit or _compose_symbol(dim))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return Quantity, (self.magnitude, self.dim, self.unit)
+
+    def __repr__(self):
+        return f"Quantity(magnitude={self.magnitude!r}, dim={self.dim!r}, unit={self.unit!r})"
 
     # -- arithmetic -------------------------------------------------------
 
@@ -251,6 +250,8 @@ class Quantity:
         return f"{self.expressed:g} {self.unit}".rstrip()
 
 
+_SET_MAGNITUDE, _SET_DIM, _SET_UNIT = (getattr(Quantity, f).__set__ for f in Quantity.__slots__)
+
 # -- unit constants (canonical magnitudes) --------------------------------
 
 KILOGRAM = Quantity(1.0, MASS)
@@ -328,24 +329,19 @@ _DERIVED_KEYS = ("planck_mass", "planck_length")
 ENV_CONSTANTS_OVERRIDE = "PHYSCOMP_CONSTANTS"
 
 
-@dataclass(frozen=True)
-class Constants:
+class Constants(
+    namedtuple(
+        "Constants",
+        "hbar c G k_B planck_mass planck_length solar_mass electron_volt seconds_per_year source",
+    )
+):
     """A constant set as dimensioned quantities, and where it came from.
 
     ``source`` is ``"pinned"``, ``"file:PATH"`` for an override file named
     by the caller, or ``"env:PATH"`` for one named by ``PHYSCOMP_CONSTANTS``.
     """
 
-    hbar: Quantity
-    c: Quantity
-    G: Quantity
-    k_B: Quantity
-    planck_mass: Quantity
-    planck_length: Quantity
-    solar_mass: Quantity
-    electron_volt: Quantity
-    seconds_per_year: Quantity
-    source: str
+    __slots__ = ()
 
     def self_check(self, rel_tol: float = 1e-10) -> None:
         """Verify the Planck-scale identities; raises on violation."""
@@ -375,6 +371,8 @@ def finite_double(x) -> bool:
 def read_json(path: str):
     """The JSON value in the UTF-8 file ``path``; :class:`FileFormatError` if
     the file cannot be read or decoded."""
+    import json  # only file-reading runs load the decoder
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()

@@ -34,6 +34,7 @@ from physcomp.errors import (
     FileFormatError,
     InvalidPathway,
     MissingAnnotation,
+    NumericalOverflow,
     SymbolNotInBasis,
     TargetTooLarge,
 )
@@ -194,6 +195,24 @@ class TestPathway:
             step_free_energy=(joules(2.0), joules(3.0), joules(5.0)),
         )
         assert pathway_free_phi(p).magnitude == 10.0
+
+    @pytest.mark.parametrize(
+        "energies, total",
+        [([1e308, -1e308], 0.0), ([3e-308, -2.9e-308], 1e-309)],
+        ids=["cancels-to-zero", "subnormal"],
+    )
+    def test_exact_free_energy_sums_are_results(self, energies, total):
+        p = pathway_from_dict(
+            {"basis": "ab", "steps": [["a", "b"], ["ab", "ab"]], "free_energy_joules": energies}
+        )
+        assert pathway_free_phi(p).magnitude == total
+
+    def test_free_energy_sum_overflow_raises(self):
+        p = pathway_from_dict(
+            {"basis": "ab", "steps": [["a", "b"], ["ab", "ab"]], "free_energy_joules": [1e308, 1e308]}
+        )
+        with pytest.raises(NumericalOverflow, match="sum of step free energies"):
+            pathway_free_phi(p)
 
     def test_empty_pathway_is_zero(self):
         p = AssemblyPathway(basis=frozenset("a"), steps=(), target="a")

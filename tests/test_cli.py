@@ -718,15 +718,16 @@ _PATHWAY_FILES = st.one_of(
 )
 
 
-def _assert_exit_0_or_one_line_2(argv, path, content):
+def _assert_exit_0_or_one_line_error(argv, path, content, codes=(2,)):
     path.write_text(content, encoding="utf-8")
     code, out, err = invoke(*argv)
-    assert code in (0, 2), (content, err)
-    if code == 2:
+    assert code in (0, *codes), (content, err)
+    if code != 0:
         assert out == ""
-        _assert_one_line_error(code, err)
+        _assert_one_line_error(code, err, exit_code=code)
     else:
         assert err == ""
+    return code, err
 
 
 @settings(max_examples=40, deadline=None)
@@ -735,15 +736,46 @@ def _assert_exit_0_or_one_line_2(argv, path, content):
 @example(obj={"c": 1e300})
 def test_fuzzed_constants_file(tmp_path_factory, obj):
     path = tmp_path_factory.mktemp("c") / "c.json"
-    _assert_exit_0_or_one_line_2(["constants", "--constants", str(path)], path, json.dumps(obj))
+    _assert_exit_0_or_one_line_error(["constants", "--constants", str(path)], path, json.dumps(obj))
 
 
 @settings(max_examples=40, deadline=None)
 @given(obj=_PATHWAY_FILES)
 @example(obj={"basis": "ab", "steps": [["a", "b"]], "free_energy_joules": [1e308, 1e308]})
+@example(obj={"basis": "ab", "steps": [["a", "b"], ["ab", "ab"]], "free_energy_joules": [1e308, 1e308]})
 def test_fuzzed_pathway_file(tmp_path_factory, obj):
     path = tmp_path_factory.mktemp("p") / "p.json"
-    _assert_exit_0_or_one_line_2(["assembly", "--pathway", str(path)], path, json.dumps(obj))
+    argv = ["assembly", "--pathway", str(path)]
+    code, err = _assert_exit_0_or_one_line_error(argv, path, json.dumps(obj), codes=(2, 3))
+    if code == 3:  # only a free-energy sum that overflows
+        assert "sum of step free energies overflows" in err
+
+
+def test_pathway_free_energy_overflow_exits_3(tmp_path):
+    path = tmp_path / "p.json"
+    path.write_text('{"basis": "ab", "steps": [["a", "b"], ["ab", "ab"]], "free_energy_joules": [1e308, 1e308]}')
+    code, out, err = invoke("assembly", "--pathway", str(path))
+    assert out == ""
+    _assert_one_line_error(code, err, "sum of step free energies overflows", exit_code=3)
+
+
+@pytest.mark.parametrize("op", ["gibbs", "work", "solve-temp", "evolve", "spread"])
+def test_qt_on_a_spectrum_at_the_double_limit_exits_3(tmp_path, op):
+    # H = diag(0, 1e308) J: the symmetrized entry overflows and eigh gives nan
+    ham, state, psi = (str(tmp_path / n) for n in ("h.json", "rho.json", "psi.json"))
+    write_matrix(ham, np.diag([0.0, 1e308]), units="J")
+    write_matrix(state, np.eye(2) / 2)
+    write_vector(psi, np.array([1.0, 0.0]))
+    argv = {
+        "gibbs": ["--ham", ham, "--temp", "1e300"],
+        "work": ["--ham", ham, "--state", state, "--temp", "300"],
+        "solve-temp": ["--ham", ham, "--energy", "1"],
+        "evolve": ["--ham", ham, "--time", "1", "--state-vector", psi],
+        "spread": ["--ham", ham, "--state", state],
+    }[op]
+    code, out, err = invoke("qt", op, *argv)
+    assert out == ""
+    _assert_one_line_error(code, err, "numerical failure: ", exit_code=3)
 
 
 @pytest.mark.parametrize("fmt", ["human", "json"])
@@ -771,20 +803,45 @@ def test_saved_thermal_state_matches_boltzmann(tmp_path):
     assert np.abs(got - want).max() <= 1e-12
 
 
-def test_only_qt_imports_numpy():
-    script = """
+_STARTUP = """
 import io, sys
+before = set(sys.modules)
 from physcomp.cli.main import run
-for argv in (["constants"], ["bh", "--mass", "1"],
-             ["measure", "landauer", "--temp", "300", "--bits", "1"],
-             ["catalog", "list"], ["assembly", "--target", "abab", "--basis", "ab"]):
-    assert run(argv, io.StringIO(), io.StringIO()) == 0, argv
-assert "numpy" not in sys.modules, "numpy loaded before any qt command"
-import physcomp
-physcomp.qthermo
-assert "numpy" in sys.modules, "physcomp.qthermo did not load numpy"
+code = run(sys.argv[1:], io.StringIO(), io.StringIO())
+print(code, *sorted(set(sys.modules) - before))
 """
+_SUBPACKAGES = {f"physcomp.{n}" for n in ("assembly", "blackhole", "catalog", "measures", "qthermo")}
+
+
+@pytest.mark.parametrize(
+    "argv, own, reads_json",
+    [
+        (["constants"], set(), False),
+        (["bh", "--mass", "1"], {"blackhole", "measures"}, False),  # bisection on binary_entropy
+        (["measure", "landauer", "--temp", "300", "--bits", "1"], {"measures"}, False),
+        (["catalog", "compare", "--format", "csv"], {"catalog"}, False),
+        (["assembly", "--target", "abab", "--basis", "ab"], {"assembly"}, False),
+        (["assembly", "--pathway", "path.json"], {"assembly"}, True),
+        (["qt", "entropy", "--state", "rho.json"], {"qthermo"}, True),
+    ],
+    ids=["constants", "bh", "measure", "catalog", "assembly-target", "assembly-pathway", "qt"],
+)
+def test_startup_loads_only_its_own_modules(tmp_path, argv, own, reads_json):
+    # one fresh interpreter per subcommand; the modules its run added
+    (tmp_path / "path.json").write_text('{"basis": "ab", "steps": [["a", "b"]]}')
+    (tmp_path / "rho.json").write_text('{"dim": 2, "entries": [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]}')
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     env.pop("PHYSCOMP_CONSTANTS", None)
-    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    proc = subprocess.run(
+        [sys.executable, "-c", _STARTUP, *argv], cwd=tmp_path, env=env, capture_output=True, text=True
+    )
     assert proc.returncode == 0, proc.stderr
+    code, *names = proc.stdout.split()
+    loaded = set(names)
+    assert code == "0"
+    assert "dataclasses" not in loaded
+    assert ("numpy" in loaded) == ("qthermo" in own)
+    if "numpy" not in loaded:  # numpy itself imports inspect
+        assert "inspect" not in loaded
+    assert ("json" in loaded) == reads_json
+    assert loaded & _SUBPACKAGES == {f"physcomp.{n}" for n in own}

@@ -30,6 +30,8 @@ INPUTS = {
     "rho.json": '{"dim": 2, "entries": [[[0.7, 0.0], [0.1, 0.05]], [[0.1, -0.05], [0.3, 0.0]]]}\n',
     "psi.json": '{"dim": 2, "entries": [[1.0, 0.0], [0.0, 0.0]]}\n',
     "path.json": '{"basis": "ab", "steps": [["a", "b"], ["ab", "ab"]], "target": "abab", "free_energy_joules": [1e-20, 2e-20]}\n',
+    "sum-overflow.json": '{"basis": "ab", "steps": [["a", "b"], ["ab", "ab"]], "free_energy_joules": [1e308, 1e308]}\n',
+    "limit.json": '{"dim": 2, "entries": [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1e308, 0.0]]], "units": "J"}\n',
     "over.json": '{"hbar": 2.109143634e-34, "G": 1.33486e-10, "k_B": 2.761298e-23, "electron_volt": 3.204353268e-19}\n',
     "bool.json": '{"G": true}\n',
     "bad.json": '{\n  "G": 1,\n}\n',
@@ -82,6 +84,8 @@ COMMANDS = dict(
         ("measure-landauer-overflow", ["measure", "landauer", "--temp", "1e300", "--bits", "1e300"]),
         ("measure-landauer-neg-zero", ["measure", "landauer", "--temp", "300", "--bits", "-0"]),
         ("measure-phi-time-neg-zero", ["measure", "phi-time", "--energy", "-0", "--time", "1", "--format", "json"]),
+        ("measure-phi-time-subnormal-product", ["measure", "phi-time", "--energy", "1e-200", "--time", "1e-120", "--format", "json"]),
+        ("measure-phi-time-limit", ["measure", "phi-time", "--energy", "1e308", "--time", "1"]),
         ("measure-flags-before-op", ["measure", "--format", "json", "ml-time", "--energy", "1"]),
         ("qt-gibbs-save", ["qt", "gibbs", "--ham", "h.json", "--ktemp-joules", "1e-21", "--save-state", "thermal.json", "--format", "json"]),
         ("qt-gibbs-both-temps", ["qt", "gibbs", "--ham", "h.json", "--temp", "1", "--ktemp-joules", "1"]),
@@ -95,11 +99,15 @@ COMMANDS = dict(
         ("qt-work", ["qt", "work", "--ham", "h.json", "--state", "rho.json", "--temp", "100"]),
         ("qt-evolve-save", ["qt", "evolve", "--ham", "flip.json", "--time", "3e-15", "--state-vector", "psi.json", "--save-vector", "out.json"]),
         ("qt-spread", ["qt", "spread", "--ham", "flip.json", "--state", "rho.json", "--format", "csv"]),
+        ("qt-gibbs-limit", ["qt", "gibbs", "--ham", "limit.json", "--temp", "1e300"]),
+        ("qt-work-limit", ["qt", "work", "--ham", "limit.json", "--state", "rho.json", "--temp", "300"]),
+        ("qt-solve-temp-limit", ["qt", "solve-temp", "--ham", "limit.json", "--energy", "1"]),
         ("qt-missing-file", ["qt", "entropy", "--state", "missing.json"]),
         ("qt-ham-as-state", ["qt", "entropy", "--state", "h.json"]),
         ("qt-flags-before-op", ["qt", *OVER, "entropy", "--state", "rho.json"]),
         ("assembly-save", ["assembly", "--target", "abababab", "--basis", "ab", "--save-pathway", "witness.json"]),
         ("assembly-pathway", ["assembly", "--pathway", "path.json", "--format", "json"]),
+        ("assembly-pathway-overflow", ["assembly", "--pathway", "sum-overflow.json"]),
         ("assembly-too-long", ["assembly", "--target", "a" * 21, "--basis", "a"]),
         ("assembly-bad-symbol", ["assembly", "--target", "abc", "--basis", "ab"]),
         ("assembly-no-target", ["assembly", "--basis", "ab"]),
@@ -181,6 +189,8 @@ GOLDEN = {
     "measure-landauer-overflow": "96e58dd1680b49cf1b1c7e91d33ade067fa9c6979c394e4fabce5b2c9a884090",
     "measure-landauer-neg-zero": "d1f500b764543507d41c826eebf7650fe486664a88eee28cec49baaf95df7583",
     "measure-phi-time-neg-zero": "0e8a0c096e0b6ceed4410472de9e0f9399c29ab4d69ad6cad51612cf284f0993",
+    "measure-phi-time-subnormal-product": "1a37bcc6c819aecacbcba09e5c4f4cf10f989cbdaac5204db8bc615df4d39727",
+    "measure-phi-time-limit": "6156add6e433a67395d904bfba62af280fa5b0470a6fa1bc5e22c3d7cb4c5140",
     "measure-flags-before-op": "11a3c5f526efa8f4511ffcb470dfc8b32592560585be46a9fdf3c2fbf1131594",
     "qt-gibbs-save": "47bd426f15dbee2b47f3b56682a68c3fdc33976ab180b965852d70a2d909671c",
     "qt-gibbs-both-temps": "4e6d828e8a590b6f7b3f715d363a06dc7faeaf2d0b6b23f19cab3613b6246a5e",
@@ -194,11 +204,15 @@ GOLDEN = {
     "qt-work": "fc02581e512c8141fe0933a2af741d123760a4d286da981cefc6656fd0731bbd",
     "qt-evolve-save": "c9b9d245ba699c5a64f989906b6c812562c3aad63d1b67229e2214ca957a6497",
     "qt-spread": "8420d3855784d47cb57d160dc340e3b863b5109708372fd4d0f095a8691610c2",
+    "qt-gibbs-limit": "6102be9c539074132361e47981b742009c2275b18c6859937d79c04fb9c8d913",
+    "qt-work-limit": "6102be9c539074132361e47981b742009c2275b18c6859937d79c04fb9c8d913",
+    "qt-solve-temp-limit": "6102be9c539074132361e47981b742009c2275b18c6859937d79c04fb9c8d913",
     "qt-missing-file": "ee221f46f1a0544163d888e5f59892b40c7aa03a8492f39427e4deafd7f77d23",
     "qt-ham-as-state": "08f187a01fde1a4c85d119023c45a06ed72ed4ef74f559e080dee71f845faf1d",
     "qt-flags-before-op": "11a3c5f526efa8f4511ffcb470dfc8b32592560585be46a9fdf3c2fbf1131594",
     "assembly-save": "490cd7eed20e807745748050af802494764fd2883e7aa4fe2b74e71cb7f81aa4",
     "assembly-pathway": "7acf126b23d52a1d68123529780deee7e2e16b9e2d526b1843d4c1ea39b25f71",
+    "assembly-pathway-overflow": "05ece62422a32332b63805128ec84b309d1a2812dedd21a9afdb341ebf577843",
     "assembly-too-long": "1d07e6ec571eea4c1ca1eca11a1aee5b5ea235eac55ba82f4734fdc78cec5b8f",
     "assembly-bad-symbol": "8f2e9c5ee0741d8d43e125c35686dd49731c6cc69cc4e506d4873ac9736ef0dc",
     "assembly-no-target": "054936fc561b16b1a2bce88a936917263ed6a6892393b0e6dcfcc541ee792577",

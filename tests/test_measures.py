@@ -1,12 +1,17 @@
 """Temporal/spatial/free complexity measures and error-correction accounting."""
 
 import math
+import sys
+from fractions import Fraction
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from physcomp.errors import (
     EntropyOutOfRange,
     NegativeInput,
+    NumericalOverflow,
     NonPositiveEnergy,
     NonPositiveTemperature,
     ProbabilityOutOfRange,
@@ -69,6 +74,32 @@ class TestPhiTime:
             phi_time(joules(-1.0), seconds(1.0))
         with pytest.raises(NegativeInput):
             phi_time(joules(1.0), seconds(-1.0))
+
+    def test_subnormal_product_of_inputs(self):
+        # E*t = 1e-320 is subnormal; 2Et/(pi hbar), correctly rounded, is not
+        want = 6.036760722267446e-287
+        assert phi_time(joules(1e-200), seconds(1e-120)) == want
+        assert free_phi_op_equivalent(joules(1e-200), seconds(1e-120)) == want
+
+    def test_overflow_at_the_double_limit(self):
+        with pytest.raises(NumericalOverflow, match="E=1e\\+308, t=1.0"):
+            phi_time(joules(1e308), seconds(1.0))
+
+
+_DECADES = st.builds(lambda m, k: m * 10.0**k, st.floats(1.0, 10.0), st.integers(-300, 299))
+
+
+@settings(max_examples=300, deadline=None)
+@given(e=_DECADES, t=_DECADES)
+@example(e=1e-200, t=1e-120)
+@example(e=1e308 / 3, t=1e-300)
+def test_phi_time_within_one_ulp_wherever_the_result_is_normal(e, t):
+    # exact 2Et/D, D the one double pi*hbar the formula divides by
+    exact = 2 * Fraction(e) * Fraction(t) / Fraction(math.pi * HBAR)
+    assume(sys.float_info.min <= exact <= sys.float_info.max)
+    want = float(exact)
+    got = phi_time(joules(e), seconds(t))
+    assert abs(got - want) <= math.ulp(want)
 
 
 class TestMlMinTime:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from physcomp.errors import FileFormatError, InvalidState
+from physcomp.errors import FileFormatError, InvalidState, NumericalOverflow
 from physcomp.qthermo import (
     DensityMatrix,
     HermitianOperator,
@@ -40,6 +40,15 @@ class TestHermitianOperator:
     def test_rejects_non_finite(self):
         with pytest.raises(InvalidState):
             HermitianOperator([[np.inf, 0.0], [0.0, 0.0]])
+
+    def test_eigensystem_at_the_double_limit_raises(self):
+        # the symmetrized entry 0.5*(1e308 + 1e308) overflows; eigh gives nan
+        with np.errstate(over="ignore", invalid="ignore"):
+            h = HermitianOperator(np.diag([0.0, 1e308]))
+        with pytest.raises(NumericalOverflow, match="eigenvalue"):
+            h.eigensystem()
+        vals, _ = HermitianOperator(np.zeros((2, 2))).eigensystem()
+        assert list(vals) == [0.0, 0.0]
 
     def test_eigensystem_cached_and_sorted(self):
         h = HermitianOperator(np.diag([3.0, -1.0, 2.0]))

@@ -1,7 +1,6 @@
 """Entropy, Gibbs states, temperature solving, free energy, work."""
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,6 +18,7 @@ from physcomp.errors import (
 )
 from physcomp.qthermo import (
     DensityMatrix,
+    GibbsState,
     HermitianOperator,
     StateVector,
     extractable_pure_bits,
@@ -139,13 +139,16 @@ class TestGibbsState:
         assert g.log_partition_function == pytest.approx(ev / K_B, rel=1e-12)
         with pytest.raises(NumericalOverflow, match="ln_Z=11604.5"):
             g.partition_function
+        def with_log_z(log_z):
+            return GibbsState(g.rho, g.temperature, g.beta, g.f_eq, log_partition_function=log_z)
+
         # every normal Z is reported, up to the largest double
-        assert replace(g, log_partition_function=709.78).partition_function == math.exp(709.78)
-        assert replace(g, log_partition_function=-708.0).partition_function == math.exp(-708.0)
+        assert with_log_z(709.78).partition_function == math.exp(709.78)
+        assert with_log_z(-708.0).partition_function == math.exp(-708.0)
         # a subnormal Z has lost significant bits, and 0 is no value
         for log_z in (-720.0, -800.0):
             with pytest.raises(NumericalUnderflow, match=f"ln_Z={log_z}"):
-                replace(g, log_partition_function=log_z).partition_function
+                with_log_z(log_z).partition_function
 
     def test_f_eq_is_unsigned_zero_when_ln_z_is_zero(self):
         g = gibbs_state(HermitianOperator(np.diag([0.0, 1.0])), kelvin(1e-3))
@@ -287,6 +290,13 @@ class TestSolveInverseTemperature:
         with pytest.raises(EnergyOutOfRange):
             solve_inverse_temperature(
                 HermitianOperator(np.diag([0.0, 1.0])), Quantity(0.0, ENERGY)
+            )
+
+    def test_temperature_beyond_the_double_range_raises(self):
+        # E = 1 J on a 1e307 J gap needs beta ~ 7e-305 / J: k_B*beta underflows
+        with pytest.raises(NumericalUnderflow, match="k_B\\*beta"):
+            solve_inverse_temperature(
+                HermitianOperator(np.diag([0.0, 1e307])), Quantity(1.0, ENERGY)
             )
 
     def test_uniform_average_is_infinite_temperature(self):

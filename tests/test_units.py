@@ -1,7 +1,9 @@
 """Dimension algebra, quantity arithmetic, entropy conversion, constants."""
 
+import copy
 import json
 import math
+import pickle
 
 import pytest
 
@@ -92,6 +94,36 @@ class TestQuantity:
     def test_equality_ignores_display_unit(self):
         assert Quantity(1.0, INFORMATION, "bit") == Quantity(1.0, INFORMATION, "nat")
         assert Quantity(1.0, INFORMATION) != Quantity(1.0, ENERGY)
+
+    def test_frozen_copyable_and_hashed_by_value(self):
+        q = Quantity(2.0, ENERGY)
+        for name in ("magnitude", "unit", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(q, name, 3.0)
+        with pytest.raises(AttributeError):
+            del q.dim
+        assert copy.deepcopy(q) == q == pickle.loads(pickle.dumps(q))
+        assert hash(q) == hash(Quantity(2.0, ENERGY, "J"))
+        assert repr(q) == (
+            "Quantity(magnitude=2.0, dim=Dimension(mass=1, length=2, time=-2, "
+            "temperature=0, current=0, information=0), unit='J')"
+        )
+
+
+def test_records_are_frozen_values():
+    # equal and hashed by their fields; assigning a field raises
+    records = (
+        MASS,
+        units.PINNED,
+        physcomp.blackhole.characterize(Quantity(1e3, MASS, "kg")),
+        physcomp.catalog.builtin_systems()[0],
+        physcomp.assembly.pathway_from_dict({"basis": "ab", "steps": [["a", "b"]]}),
+    )
+    for rec in records:
+        twin = type(rec)(*rec)
+        assert twin == rec and hash(twin) == hash(rec)
+        with pytest.raises(AttributeError):
+            setattr(rec, rec._fields[0], None)
 
 
 class TestEntropyConvert:
