@@ -6,6 +6,8 @@ the fastest any mean energy E above ground allows.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .. import units
@@ -28,7 +30,12 @@ def evolve(H: HermitianOperator, t: Quantity, psi: StateVector) -> StateVector:
     if dt < 0.0:
         raise NegativeInput("evolution time must be >= 0")
     vals, vecs = H.eigensystem()
-    phases = np.exp(-1j * vals * (dt / units.CONSTANTS.hbar.magnitude))
+    angles = vals * (dt / units.CONSTANTS.hbar.magnitude)
+    top = float(np.abs(angles).max())
+    # exp(-i*inf) is nan; a tiny angle is exact
+    if not math.isfinite(top):
+        in_range(top, "E*t/hbar", max_abs_E=float(np.abs(vals).max()), t=dt)
+    phases = np.exp(-1j * angles)
     amp = vecs @ (phases * (vecs.conj().T @ psi.amplitudes))
     return StateVector(amp)
 

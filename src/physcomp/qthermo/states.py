@@ -42,7 +42,8 @@ def _check_hermitian(arr: np.ndarray, what: str) -> np.ndarray:
             f"{what} is not Hermitian: max|A - A^dag| = {dev:.3e} "
             f"exceeds {HERMITIAN_RTOL:g} * max|A| = {HERMITIAN_RTOL * scale:.3e}"
         )
-    return 0.5 * (arr + arr.conj().T)
+    # halves first: A + A^dag overflows for entries above ~9e307
+    return 0.5 * arr + 0.5 * arr.conj().T
 
 
 class HermitianOperator:
@@ -62,8 +63,7 @@ class HermitianOperator:
         """Eigenvalues (ascending) and eigenvector columns, cached."""
         if self._eig is None:
             vals, vecs = np.linalg.eigh(self.matrix)
-            # entries near the double limit overflow in the symmetrization,
-            # and eigh returns nan for them
+            # finite entries can have eigenvalues beyond the double range
             top = float(np.abs(vals).max())
             in_range(top, "largest |eigenvalue| of H", max_abs_H=float(np.abs(self.matrix).max()))
             self._eig = (vals, vecs)

@@ -197,7 +197,9 @@ def extractable_work(
     log_q = _log_probabilities(vals, 1.0 / (k_b * t))
     ln_rho_th = (vecs * log_q) @ vecs.conj().T
     tr_rho_ln_th = float(np.trace(rho.matrix @ ln_rho_th).real)
-    return Quantity(k_b * t * (tr_rho_ln_rho - tr_rho_ln_th), ENERGY, "J")
+    # a population with log_q = -inf makes D infinite, or nan through -inf*0
+    d = tr_rho_ln_rho - tr_rho_ln_th
+    return Quantity(in_range(k_b * t * d, "k_B*T*D(rho||rho_th)", T=t, D=d), ENERGY, "J")
 
 
 def extractable_pure_bits(

@@ -1,8 +1,9 @@
 """Independent reference implementations used only by the test suite.
 
-These deliberately avoid the production code paths: the assembly oracle
-enumerates pathways exhaustively with plain string operations and no
-bounding, the plain deepening search runs the assembly kernel's
+These deliberately avoid the production code paths: the assembly oracles
+search pathways exhaustively with plain string operations and no bounding
+(one bottom-up over every buildable set, one top-down from the target's
+own cuts), the plain deepening search runs the assembly kernel's
 enumeration with none of its bookkeeping, and the entropy/bisection
 oracles are straight transcriptions of the defining formulas.
 """
@@ -65,6 +66,36 @@ def brute_force_assembly_index(target: str, basis) -> int:
     for depth in itertools.count(1):
         if extend(set(), 0, depth):
             return depth
+
+
+def top_down_assembly_index(target: str, basis) -> int:
+    """Demand-driven search: the size of the smallest set S of substrings of
+    length >= 2 that holds the target and gives each member a cut into two
+    halves, each a basis symbol or a member of S.
+
+    The longest member not yet justified tries each of its cuts, adding the
+    halves S lacks; the search deepens on |S|, with no other bound. It is
+    complete: following a valid S*'s own cuts from the target builds a
+    subset of S*.
+    """
+    assert all(ch in set(basis) for ch in target)
+
+    def justify(members: frozenset, done: frozenset, budget: int) -> bool:
+        pending = members - done
+        if not pending:
+            return True
+        s = max(pending, key=lambda m: (len(m), m))
+        for cut in range(1, len(s)):
+            new = {h for h in (s[:cut], s[cut:]) if len(h) > 1} - members
+            if len(members) + len(new) <= budget and justify(
+                members | new, done | {s}, budget
+            ):
+                return True
+        return False
+
+    if len(target) == 1:
+        return 0
+    return next(n for n in itertools.count(1) if justify(frozenset([target]), frozenset(), n))
 
 
 def deepening_inputs(target: str):

@@ -19,7 +19,7 @@ import pytest
 from _oracles import (
     binary_entropy_bits,
     bisect_error_rate,
-    brute_force_assembly_index,
+    top_down_assembly_index,
 )
 from _random_states import random_density, random_hermitian
 from physcomp import blackhole as bh
@@ -281,7 +281,7 @@ def test_criterion_10_assembly_oracle_equivalence():
     for _ in range(200):
         length = rng.randint(1, 12)
         target = "".join(rng.choice("ab") for _ in range(length))
-        expect = brute_force_assembly_index(target, {"a", "b"})
+        expect = top_down_assembly_index(target, {"a", "b"})
         got, pathway = assembly_index(target, {"a", "b"})
         assert got == expect, f"{target}: {got} != {expect}"
         assert len(pathway.steps) == got

@@ -12,6 +12,7 @@ from _oracles import (
     brute_force_assembly_index,
     deepening_inputs,
     plain_deepening_sequence,
+    top_down_assembly_index,
 )
 
 
@@ -131,6 +132,21 @@ class TestOracleEquivalence:
         for target in targets:
             got, _ = assembly_index(target, {"a", "b"})
             assert got == oracle_index(target), target
+
+
+    def test_top_down_oracle_matches_brute_force(self):
+        # the two oracles share no code or enumeration order: every ab
+        # string of length <= 8 and every abc string of length <= 6
+        for alphabet, longest in (("ab", 8), ("abc", 6)):
+            for length in range(1, longest + 1):
+                for tup in itertools.product(alphabet, repeat=length):
+                    target = "".join(tup)
+                    want = (
+                        oracle_index(target)
+                        if alphabet == "ab"
+                        else brute_force_assembly_index(target, set(alphabet))
+                    )
+                    assert top_down_assembly_index(target, alphabet) == want, target
 
 
 # (target, index, steps) from the plain deepening search: the deep

@@ -761,9 +761,9 @@ def test_pathway_free_energy_overflow_exits_3(tmp_path):
 
 @pytest.mark.parametrize("op", ["gibbs", "work", "solve-temp", "evolve", "spread"])
 def test_qt_on_a_spectrum_at_the_double_limit_exits_3(tmp_path, op):
-    # H = diag(0, 1e308) J: the symmetrized entry overflows and eigh gives nan
+    # every entry 1e308 J: the eigenvalues are 0 and 2e308 J
     ham, state, psi = (str(tmp_path / n) for n in ("h.json", "rho.json", "psi.json"))
-    write_matrix(ham, np.diag([0.0, 1e308]), units="J")
+    write_matrix(ham, np.full((2, 2), 1e308), units="J")
     write_matrix(state, np.eye(2) / 2)
     write_vector(psi, np.array([1.0, 0.0]))
     argv = {
@@ -776,6 +776,26 @@ def test_qt_on_a_spectrum_at_the_double_limit_exits_3(tmp_path, op):
     code, out, err = invoke("qt", op, *argv)
     assert out == ""
     _assert_one_line_error(code, err, "numerical failure: ", exit_code=3)
+
+
+@pytest.mark.parametrize("top", [1e307, 1e308])
+def test_qt_on_a_finite_spectrum_near_the_double_limit(tmp_path, top):
+    # H = diag(0, top) J loads; work needs ln of an exp(-inf) population and
+    # evolve the phase top * 1 s / hbar, both beyond a double
+    ham, state, psi = (str(tmp_path / n) for n in ("h.json", "rho.json", "psi.json"))
+    write_matrix(ham, np.diag([0.0, top]), units="J")
+    write_matrix(state, np.eye(2) / 2)
+    write_vector(psi, np.array([1.0, 0.0]))
+    code, out, err = invoke("qt", "gibbs", "--ham", ham, "--temp", "300", "--format", "json")
+    assert (code, err) == (0, "")
+    rows = {r["name"]: r["value"] for r in json.loads(out)["results"]}
+    assert rows["mean_energy"] == 0.0 and rows["entropy"] == 0.0
+    code, out, err = invoke("qt", "work", "--ham", ham, "--state", state, "--temp", "300")
+    assert out == ""
+    _assert_one_line_error(code, err, "k_B*T*D(rho||rho_th) overflows", exit_code=3)
+    code, out, err = invoke("qt", "evolve", "--ham", ham, "--time", "1", "--state-vector", psi)
+    assert out == ""
+    _assert_one_line_error(code, err, "E*t/hbar overflows", exit_code=3)
 
 
 @pytest.mark.parametrize("fmt", ["human", "json"])
@@ -844,4 +864,5 @@ def test_startup_loads_only_its_own_modules(tmp_path, argv, own, reads_json):
     if "numpy" not in loaded:  # numpy itself imports inspect
         assert "inspect" not in loaded
     assert ("json" in loaded) == reads_json
+    assert "orjson" not in loaded  # small files keep json.loads
     assert loaded & _SUBPACKAGES == {f"physcomp.{n}" for n in own}

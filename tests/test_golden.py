@@ -204,9 +204,9 @@ GOLDEN = {
     "qt-work": "fc02581e512c8141fe0933a2af741d123760a4d286da981cefc6656fd0731bbd",
     "qt-evolve-save": "c9b9d245ba699c5a64f989906b6c812562c3aad63d1b67229e2214ca957a6497",
     "qt-spread": "8420d3855784d47cb57d160dc340e3b863b5109708372fd4d0f095a8691610c2",
-    "qt-gibbs-limit": "6102be9c539074132361e47981b742009c2275b18c6859937d79c04fb9c8d913",
-    "qt-work-limit": "6102be9c539074132361e47981b742009c2275b18c6859937d79c04fb9c8d913",
-    "qt-solve-temp-limit": "6102be9c539074132361e47981b742009c2275b18c6859937d79c04fb9c8d913",
+    "qt-gibbs-limit": "d98ccf0294c2e88a5b182446375b1faffcea6a6e7552a5c20baff1ae8508624d",
+    "qt-work-limit": "8aba2d537904c9127696642c01fb0032aa52c199738dfd582edf164eabe48597",
+    "qt-solve-temp-limit": "581d5f2785b69e90bb950714430520f5aee67b6618a8a6410c63deae8fbd2a64",
     "qt-missing-file": "ee221f46f1a0544163d888e5f59892b40c7aa03a8492f39427e4deafd7f77d23",
     "qt-ham-as-state": "08f187a01fde1a4c85d119023c45a06ed72ed4ef74f559e080dee71f845faf1d",
     "qt-flags-before-op": "11a3c5f526efa8f4511ffcb470dfc8b32592560585be46a9fdf3c2fbf1131594",

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from physcomp.errors import FileFormatError, InvalidState, NumericalOverflow
+from physcomp.units import ORJSON_MIN_CHARS, read_json
 from physcomp.qthermo import (
     DensityMatrix,
     HermitianOperator,
@@ -42,9 +43,8 @@ class TestHermitianOperator:
             HermitianOperator([[np.inf, 0.0], [0.0, 0.0]])
 
     def test_eigensystem_at_the_double_limit_raises(self):
-        # the symmetrized entry 0.5*(1e308 + 1e308) overflows; eigh gives nan
-        with np.errstate(over="ignore", invalid="ignore"):
-            h = HermitianOperator(np.diag([0.0, 1e308]))
+        # finite entries, eigenvalues 0 and 2e308
+        h = HermitianOperator(np.full((2, 2), 1e308))
         with pytest.raises(NumericalOverflow, match="eigenvalue"):
             h.eigensystem()
         vals, _ = HermitianOperator(np.zeros((2, 2))).eigensystem()
@@ -226,27 +226,56 @@ MALFORMED_IDS = [
 ]
 
 
+# JSON allows trailing whitespace: a padded text takes the orjson decoder
+PAD = " " * ORJSON_MIN_CHARS
+
+
 class TestParserEquivalence:
-    def test_exact_numbers_match_per_entry_complex(self, tmp_path):
+    def test_exact_numbers_match_per_entry_complex(self, tmp_path, pad=""):
         # ints beyond 2**53 round once, as float(int) does; signed zero,
         # subnormal and extreme values survive bit for bit
         pairs = [[2**60 + 1, 10**30], [-0.0, 5e-324], [1e300, -(2**53 + 1)], [3, -0.0]]
         mat, vec = tmp_path / "m.json", tmp_path / "v.json"
-        mat.write_text(json.dumps({"dim": 2, "entries": [pairs[:2], pairs[2:]]}))
-        vec.write_text(json.dumps({"dim": 4, "entries": pairs}))
+        mat.write_text(json.dumps({"dim": 2, "entries": [pairs[:2], pairs[2:]]}) + pad)
+        vec.write_text(json.dumps({"dim": 4, "entries": pairs}) + pad)
         want = np.array([complex(re, im) for re, im in pairs])
         got_mat, _ = read_matrix(str(mat))
         assert got_mat.ravel().view(np.uint64).tolist() == want.view(np.uint64).tolist()
         got_vec = read_vector(str(vec))
         assert got_vec.view(np.uint64).tolist() == want.view(np.uint64).tolist()
 
+    def test_exact_numbers_match_per_entry_complex_padded(self, tmp_path):
+        self.test_exact_numbers_match_per_entry_complex(tmp_path, PAD)
+
     @pytest.mark.parametrize("reader, entries, dim, message", MALFORMED, ids=MALFORMED_IDS)
-    def test_malformed_file_message(self, tmp_path, reader, entries, dim, message):
+    def test_malformed_file_message(self, tmp_path, reader, entries, dim, message, pad=""):
         path = tmp_path / "bad.json"
-        path.write_text('{"dim": %d, "entries": %s}' % (dim, entries))
+        path.write_text('{"dim": %d, "entries": %s}' % (dim, entries) + pad)
         with pytest.raises(FileFormatError) as exc:
             reader(str(path))
         assert str(exc.value) == f"{path}: {message}"
+
+    @pytest.mark.parametrize("reader, entries, dim, message", MALFORMED, ids=MALFORMED_IDS)
+    def test_malformed_file_message_padded(self, tmp_path, reader, entries, dim, message):
+        self.test_malformed_file_message(tmp_path, reader, entries, dim, message, PAD)
+
+    def test_integer_beyond_64_bits_is_a_double_in_a_large_text(self, tmp_path):
+        # the one known difference of the two decoders: orjson reads such an
+        # integer as its nearest double, json.loads as an int
+        path = tmp_path / "n.json"
+        path.write_text("18446744073709551616")
+        small = read_json(str(path))
+        assert small == 2**64 and type(small) is int
+        path.write_text("18446744073709551616" + PAD)
+        assert repr(read_json(str(path))) == "1.8446744073709552e+19"
+        # so a huge dim fails on a different check; both exit 2
+        text = '{"dim": 18446744073709551616, "entries": [[[0, 0]]]}'
+        path.write_text(text)
+        with pytest.raises(FileFormatError, match="entries: expected 18446744073709551616 rows"):
+            read_matrix(str(path))
+        path.write_text(text + PAD)
+        with pytest.raises(FileFormatError, match="dim: expected a positive integer"):
+            read_matrix(str(path))
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -267,6 +296,52 @@ def test_random_matrix_round_trips_exactly(tmp_path_factory, mat):
     write_matrix(path, mat)
     back, _ = read_matrix(path)
     assert back.view(np.uint64).tolist() == mat.view(np.uint64).tolist()
+
+
+@settings(max_examples=30, deadline=None)
+@given(mat=matrices())
+def test_random_matrix_round_trips_exactly_padded(tmp_path_factory, mat):
+    path = tmp_path_factory.mktemp("rt") / "m.json"
+    write_matrix(str(path), mat)
+    path.write_text(path.read_text() + PAD)
+    back, _ = read_matrix(str(path))
+    assert back.view(np.uint64).tolist() == mat.view(np.uint64).tolist()
+
+
+_TOKENS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),  # subnormals, -0.0
+    st.integers(-(2**63), 2**64 - 1).map(str),
+    st.sampled_from(["NaN", "Infinity", "-Infinity", "1e400", "-1e400", '"\\ud800"', '"x"']),
+)
+
+
+def _same(a, b) -> bool:
+    """Equal values of equal types, floats compared bit for bit."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, float):
+        return np.float64(a).view(np.uint64) == np.float64(b).view(np.uint64)
+    if isinstance(a, list):
+        return len(a) == len(b) and all(map(_same, a, b))
+    return a == b
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(tokens=st.lists(_TOKENS, max_size=12), cut=st.none() | st.integers(0, 200))
+def test_large_texts_decode_as_json_loads_does(tmp_path_factory, tokens, cut):
+    text = "[" + ", ".join(tokens) + "]"
+    if cut is not None:
+        text = text[:cut]  # a truncated document when the cut falls inside
+    path = tmp_path_factory.mktemp("js") / "t.json"
+    path.write_text(text + PAD, encoding="utf-8")
+    try:
+        want = json.loads(text)
+    except json.JSONDecodeError as exc:
+        with pytest.raises(FileFormatError) as err:
+            read_json(str(path))
+        assert str(err.value) == f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}"
+    else:
+        assert _same(read_json(str(path)), want)
 
 
 @settings(max_examples=60, deadline=None)
