@@ -12,22 +12,17 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from ..errors import (
-    FileFormatError,
-    InvalidPathway,
-    MissingAnnotation,
-    SymbolNotInBasis,
-)
+from ..errors import FileFormatError, InputError
 from ..units import ENERGY, Quantity, finite_double, in_range, read_json
 
 
 def check_basis(basis) -> frozenset[str]:
     symbols = frozenset(basis)
     if not symbols:
-        raise SymbolNotInBasis("basis must contain at least one symbol")
+        raise InputError("basis must contain at least one symbol")
     for sym in symbols:
         if not isinstance(sym, str) or len(sym) != 1:
-            raise SymbolNotInBasis(f"basis symbols must be single characters, got {sym!r}")
+            raise InputError(f"basis symbols must be single characters, got {sym!r}")
     return symbols
 
 
@@ -58,7 +53,7 @@ class AssemblyPathway(
         for k, (left, right) in enumerate(self.steps):
             for operand in (left, right):
                 if operand not in available:
-                    raise InvalidPathway(
+                    raise InputError(
                         f"step {k}: operand {operand!r} is neither a basis "
                         "symbol nor an earlier product"
                     )
@@ -66,23 +61,23 @@ class AssemblyPathway(
         produced = self.products[-1] if self.steps else None
         if self.steps:
             if produced != self.target:
-                raise InvalidPathway(
+                raise InputError(
                     f"final product {produced!r} does not equal target {self.target!r}"
                 )
         else:
             if self.target not in self.basis:
-                raise InvalidPathway(
+                raise InputError(
                     f"empty pathway target {self.target!r} must be a basis symbol"
                 )
         if self.step_free_energy is not None:
             if len(self.step_free_energy) != len(self.steps):
-                raise InvalidPathway(
+                raise InputError(
                     f"{len(self.step_free_energy)} free energies for "
                     f"{len(self.steps)} steps"
                 )
             for k, q in enumerate(self.step_free_energy):
                 if not isinstance(q, Quantity) or q.dim != ENERGY:
-                    raise InvalidPathway(f"step {k}: free energy must be in joules")
+                    raise InputError(f"step {k}: free energy must be in joules")
 
 
 def pathway_free_phi(p: AssemblyPathway) -> Quantity:
@@ -91,7 +86,7 @@ def pathway_free_phi(p: AssemblyPathway) -> Quantity:
     if not p.steps:
         return Quantity(0.0, ENERGY, "J")
     if p.step_free_energy is None:
-        raise MissingAnnotation("pathway carries no per-step free energies")
+        raise InputError("pathway carries no per-step free energies")
     total = sum(q.magnitude for q in p.step_free_energy)
     # of the range rule only overflow applies: a sum that cancels to 0 or
     # lands below the normal range is exact
@@ -167,7 +162,7 @@ def pathway_from_dict(obj: dict, where: str = "pathway") -> AssemblyPathway:
             target=target,
             step_free_energy=energies,
         )
-    except (InvalidPathway, SymbolNotInBasis) as exc:
+    except InputError as exc:
         raise FileFormatError(f"{where}: {exc}")
 
 

@@ -19,7 +19,7 @@ and so the witness, is that of a plain deepening search
 
 from __future__ import annotations
 
-from ..errors import SymbolNotInBasis, TargetTooLarge
+from ..errors import InputError
 from .pathway import AssemblyPathway, check_basis
 
 MAX_TARGET_LENGTH = 20
@@ -178,14 +178,14 @@ def assembly_index(target: str, basis) -> tuple[int, AssemblyPathway]:
     """
     symbols = check_basis(basis)
     if not isinstance(target, str) or not target:
-        raise SymbolNotInBasis("target must be a non-empty string")
+        raise InputError("target must be a non-empty string")
     if len(target) > MAX_TARGET_LENGTH:
-        raise TargetTooLarge(
+        raise InputError(
             f"target length {len(target)} exceeds the supported {MAX_TARGET_LENGTH}"
         )
     missing = set(target) - symbols
     if missing:
-        raise SymbolNotInBasis(
+        raise InputError(
             f"target symbols {sorted(missing)!r} are not in the basis"
         )
     if len(target) == 1:

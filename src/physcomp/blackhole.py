@@ -18,7 +18,7 @@ from collections import namedtuple
 from collections.abc import Iterable, Sequence
 
 from . import units
-from .errors import NegativeInput, NonPositiveMass, TimeOutOfRange
+from .errors import InputError
 from .measures import binary_entropy
 from .units import (
     ENERGY,
@@ -79,7 +79,7 @@ class TimelineSample(
 def _mass_kg(M: Quantity) -> float:
     m = require(M, MASS, "black hole mass")
     if m <= 0.0:
-        raise NonPositiveMass(f"mass must be positive, got {M}")
+        raise InputError(f"mass must be positive, got {M}")
     return m
 
 
@@ -172,7 +172,7 @@ def solve_error_rate(ops: float, capacity_bits: float) -> float:
     at maximal error rate (the bound is vacuous).
     """
     if ops <= 0.0 or capacity_bits <= 0.0:
-        raise NegativeInput("op count and capacity must be positive")
+        raise InputError("op count and capacity must be positive")
     target = capacity_bits / ops  # bits of entropy affordable per op
     if target >= 1.0:
         return 0.5
@@ -237,7 +237,7 @@ def mass_at_time(M0: Quantity, t: Quantity) -> Quantity:
     dt = require(t, TIME, "time")
     t_m = _lifetime_s(m0)
     if not (0.0 <= dt <= t_m):
-        raise TimeOutOfRange(f"time {dt!r} s outside the lifetime [0, {t_m!r}] s")
+        raise InputError(f"time {dt!r} s outside the lifetime [0, {t_m!r}] s")
     return Quantity(_mass_left(m0, dt, t_m), MASS, "kg")
 
 
@@ -250,7 +250,7 @@ def page_curve(M0: Quantity, n_samples: int) -> list[TimelineSample]:
     """
     m0 = _mass_kg(M0)
     if n_samples < 2:
-        raise TimeOutOfRange("need at least 2 samples")
+        raise InputError("need at least 2 samples")
     t_m = _lifetime_s(m0)
     m_p = units.CONSTANTS.planck_mass.magnitude
     s0_bits = entropy_nats(M0) / LN2

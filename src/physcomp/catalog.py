@@ -13,12 +13,7 @@ import math
 from collections import namedtuple
 
 from . import units
-from .errors import (
-    NonPositiveCapacitance,
-    NonPositiveEnergy,
-    NonPositiveTemperature,
-    UnknownSystem,
-)
+from .errors import InputError
 from .units import (
     CAPACITANCE,
     ENERGY,
@@ -55,7 +50,7 @@ class ReferenceSystem(
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
         if require(self.energy_per_op, ENERGY, f"{self.name}: energy per op") <= 0.0:
-            raise NonPositiveEnergy(f"{self.name}: energy per op must be positive")
+            raise InputError(f"{self.name}: energy per op must be positive")
         return self
 
 
@@ -117,14 +112,14 @@ def get_system(name: str) -> ReferenceSystem:
         if sys_.name == name:
             return sys_
     known = ", ".join(s.name for s in builtin_systems())
-    raise UnknownSystem(f"unknown reference system {name!r}; known: {known}")
+    raise InputError(f"unknown reference system {name!r}; known: {known}")
 
 
 def inefficiency_factor(sys_: ReferenceSystem, T: Quantity) -> float:
     """Energy per op over k_B T ln 2: how far above the Landauer floor."""
     t = require(T, TEMPERATURE, "temperature")
     if t <= 0.0:
-        raise NonPositiveTemperature("inefficiency factor needs T > 0")
+        raise InputError("inefficiency factor needs T > 0")
     # a subnormal floor has lost significant bits, and so has the quotient
     floor = in_range(units.CONSTANTS.k_B.magnitude * t * LN2, "k_B*T*ln2", T=t)
     return sys_.energy_per_op.magnitude / floor
@@ -135,9 +130,9 @@ def op_rate(power: Quantity, energy_per_op: Quantity) -> Quantity:
     p = require(power, POWER, "power")
     e = require(energy_per_op, ENERGY, "energy per op")
     if p < 0.0:
-        raise NonPositiveEnergy("power must be >= 0")
+        raise InputError("power must be >= 0")
     if e <= 0.0:
-        raise NonPositiveEnergy("energy per op must be positive")
+        raise InputError("energy per op must be positive")
     rate = in_range(p / e, "power/energy_per_op", power=p, energy_per_op=e)
     return Quantity(rate, FREQUENCY, "1/s")
 
@@ -147,7 +142,7 @@ def switch_energy(C: Quantity, V: Quantity) -> Quantity:
     c = require(C, CAPACITANCE, "capacitance")
     v = require(V, VOLTAGE, "voltage")
     if c <= 0.0:
-        raise NonPositiveCapacitance("capacitance must be positive")
+        raise InputError("capacitance must be positive")
     try:
         energy = 0.5 * c * v**2
     except OverflowError:  # float ** raises where * would give inf

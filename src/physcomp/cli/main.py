@@ -68,8 +68,8 @@ def _base_parser() -> argparse.ArgumentParser:
         default="report",
     )
     bh.add_argument("--mass", type=_finite, required=False, help="mass value")
-    bh.add_argument("--unit", choices=MASS_UNITS, default="kg")
-    bh.add_argument("--samples", type=int, default=100, help="timeline samples")
+    bh.add_argument("--unit", choices=MASS_UNITS, default=None, help="default kg")
+    bh.add_argument("--samples", type=int, default=None, help="timeline samples (100)")
     bh.add_argument("--out", metavar="FILE", default=None, help="write CSV here")
     bh.add_argument(
         "--sweep",
@@ -147,7 +147,7 @@ def _base_parser() -> argparse.ArgumentParser:
 
     cat = sub.add_parser("catalog", parents=[common], help="reference systems")
     cat.add_argument("mode", nargs="?", choices=("list", "compare"), default="list")
-    cat.add_argument("--temp", type=_finite, default=300.0, help="kelvin")
+    cat.add_argument("--temp", type=_finite, default=None, help="kelvin (300)")
     cat.add_argument("--system", default=None, help="restrict to one entry")
     cat.add_argument("--power", type=_finite, default=None, help="watts, adds op rate")
     cat.add_argument(
@@ -156,6 +156,13 @@ def _base_parser() -> argparse.ArgumentParser:
     cat.add_argument("--volts", type=_finite, default=None)
 
     return parser
+
+
+def _unused(args, where: str, *flags: str) -> None:
+    """Refuse a flag that was given where it would have no effect."""
+    for flag in flags:
+        if getattr(args, flag.replace("-", "_")) is not None:
+            raise InputError(f"--{flag} has no effect {where}")
 
 
 def _mass_quantity(args) -> Quantity:
@@ -240,6 +247,9 @@ def _cmd_bh(args, out) -> Report | None:
     from .. import blackhole
 
     if args.sweep is not None:
+        if args.mode != "report":
+            raise InputError(f"--sweep has no effect in {args.mode} mode")
+        _unused(args, "with --sweep", "mass", "unit", "samples")
         lines = [SWEEP_CSV_HEADER]
         for m in _parse_sweep(args.sweep):
             r = blackhole.characterize(Quantity(m, MASS, "kg"))
@@ -251,9 +261,12 @@ def _cmd_bh(args, out) -> Report | None:
             )
         _write_lines(lines, args.out, out)
         return None
+    if args.mode == "report":
+        _unused(args, "in report mode", "out", "samples")
+    args.unit = args.unit or "kg"
     mass = _mass_quantity(args)
     if args.mode in ("timeline", "page-curve"):
-        samples = blackhole.page_curve(mass, args.samples)
+        samples = blackhole.page_curve(mass, 100 if args.samples is None else args.samples)
         _write_lines(list(blackhole.timeline_csv_lines(samples)), args.out, out)
         return None
     r = blackhole.characterize(mass)
@@ -437,6 +450,7 @@ def _cmd_assembly(args, out) -> Report:
 
     rep = Report("assembly", __version__)
     if args.pathway is not None:
+        _unused(args, "with --pathway", "target", "basis", "save-pathway")
         p = assembly.load_pathway(args.pathway)
         rep.inputs = {"pathway": args.pathway}
         rep.add("target", p.target, "", "pathway file")
@@ -468,6 +482,10 @@ def _cmd_catalog(args, out) -> Report:
     from .. import catalog
 
     rep = Report(f"catalog {args.mode}", __version__)
+    if args.mode == "list":
+        _unused(args, "in list mode", "temp", "power", "capacitance", "volts")
+    elif (args.capacitance is None) != (args.volts is None):
+        raise InputError("give both --capacitance and --volts, or neither")
     systems = catalog.builtin_systems()
     if args.system is not None:
         systems = (catalog.get_system(args.system),)
@@ -479,8 +497,9 @@ def _cmd_catalog(args, out) -> Report:
             if s.op_rate is not None:
                 rep.add(f"{s.name}.op_rate", s.op_rate.magnitude, "1/s", s.provenance)
         return rep
-    T = Quantity(args.temp, TEMPERATURE, "K")
-    rep.inputs = {"temp": args.temp}
+    temp = 300.0 if args.temp is None else args.temp
+    T = Quantity(temp, TEMPERATURE, "K")
+    rep.inputs = {"temp": temp}
     for s in systems:
         rep.add(
             f"{s.name}.inefficiency",
@@ -506,7 +525,7 @@ def _cmd_catalog(args, out) -> Report:
                 "1/s",
                 "power/energy_per_op",
             )
-    if args.capacitance is not None and args.volts is not None:
+    if args.capacitance is not None:
         rep.inputs["capacitance"] = args.capacitance
         rep.inputs["volts"] = args.volts
         q = catalog.switch_energy(args.capacitance * FARAD, args.volts * VOLT)

@@ -15,13 +15,7 @@ import math
 from collections import namedtuple
 
 from . import units
-from .errors import (
-    EntropyOutOfRange,
-    NegativeInput,
-    NonPositiveEnergy,
-    NonPositiveTemperature,
-    ProbabilityOutOfRange,
-)
+from .errors import InputError
 from .units import ENERGY, INFORMATION, LN2, TEMPERATURE, TIME, Quantity, in_range, require
 
 
@@ -30,7 +24,7 @@ def phi_time(E: Quantity, t: Quantity) -> float:
     e = require(E, ENERGY, "energy")
     dt = require(t, TIME, "time")
     if e < 0.0 or dt < 0.0:
-        raise NegativeInput("phi_time needs E >= 0 and t >= 0")
+        raise InputError("phi_time needs E >= 0 and t >= 0")
     # mantissas in [1/2, 1) first, exponents added back last: E*t alone can
     # overflow, or lose bits as a subnormal, where the op count is normal
     (me, xe), (mt, xt) = math.frexp(e), math.frexp(dt)
@@ -45,7 +39,7 @@ def ml_min_time(E: Quantity) -> Quantity:
     """Minimum time pi hbar / (2E) for one orthogonal state change."""
     e = require(E, ENERGY, "energy")
     if e <= 0.0:
-        raise NonPositiveEnergy("minimum flip time needs E > 0")
+        raise InputError("minimum flip time needs E > 0")
     t = math.pi * units.CONSTANTS.hbar.magnitude / (2.0 * e)
     return Quantity(in_range(t, "flip time pi*hbar/(2*E)", E=e), TIME, "s")
 
@@ -55,7 +49,7 @@ def phi_space(s_max: Quantity, s: Quantity) -> Quantity:
     hi = require(s_max, INFORMATION, "maximum entropy")
     lo = require(s, INFORMATION, "entropy")
     if not (0.0 <= lo <= hi):
-        raise EntropyOutOfRange(f"need 0 <= S <= S_max, got S={lo!r}, S_max={hi!r}")
+        raise InputError(f"need 0 <= S <= S_max, got S={lo!r}, S_max={hi!r}")
     return Quantity(hi - lo, INFORMATION, "bit")
 
 
@@ -63,9 +57,9 @@ def landauer_cost(T: Quantity, n_bits: float) -> Quantity:
     """Free energy n k_B T ln 2 dissipated by erasing n bits at temperature T."""
     t = require(T, TEMPERATURE, "temperature")
     if t <= 0.0:
-        raise NonPositiveTemperature("Landauer cost needs T > 0")
+        raise InputError("Landauer cost needs T > 0")
     if n_bits < 0:
-        raise NegativeInput("bit count must be >= 0")
+        raise InputError("bit count must be >= 0")
     cost = n_bits * units.CONSTANTS.k_B.magnitude * t * LN2
     return Quantity(in_range(cost, "n*k_B*T*ln2", n=n_bits, T=t), ENERGY, "J")
 
@@ -73,7 +67,7 @@ def landauer_cost(T: Quantity, n_bits: float) -> Quantity:
 def binary_entropy(eps: float) -> Quantity:
     """h(eps) = -eps log2 eps - (1-eps) log2 (1-eps), in bits."""
     if not (0.0 <= eps <= 1.0):
-        raise ProbabilityOutOfRange(f"probability must be in [0, 1], got {eps!r}")
+        raise InputError(f"probability must be in [0, 1], got {eps!r}")
     h = 0.0
     for p in (eps, 1.0 - eps):
         if p > 0.0:
@@ -89,15 +83,15 @@ def error_correction_space(t_ops: float, eps: float, mode: str = "exact") -> Qua
     (0, 1/2).
     """
     if t_ops < 0:
-        raise NegativeInput("op count must be >= 0")
+        raise InputError("op count must be >= 0")
     if not (0.0 <= eps <= 0.5):
-        raise ProbabilityOutOfRange(f"error rate must be in [0, 1/2], got {eps!r}")
+        raise InputError(f"error rate must be in [0, 1/2], got {eps!r}")
     if mode == "exact":
         per_op = binary_entropy(eps).magnitude
     elif mode == "asymptotic":
         per_op = eps * math.log2(1.0 / eps) if eps > 0.0 else 0.0
     else:
-        raise ProbabilityOutOfRange(f"unknown mode {mode!r}")
+        raise InputError(f"unknown mode {mode!r}")
     bits = in_range(t_ops * per_op, "t*h(eps)", t=t_ops, eps=eps, mode=mode)
     return Quantity(bits, INFORMATION, "bit")
 
@@ -106,7 +100,7 @@ def free_phi(delta_F: Quantity) -> Quantity:
     """Free complexity: the free energy consumed, identity in joules."""
     df = require(delta_F, ENERGY, "free energy")
     if df < 0.0:
-        raise NegativeInput("consumed free energy must be >= 0")
+        raise InputError("consumed free energy must be >= 0")
     return Quantity(df, ENERGY, "J")
 
 
@@ -123,7 +117,7 @@ def free_phi_thermo(T: Quantity, s_eq: Quantity, s: Quantity) -> Quantity:
     """
     t = require(T, TEMPERATURE, "temperature")
     if t <= 0.0:
-        raise NonPositiveTemperature("free_phi_thermo needs T > 0")
+        raise InputError("free_phi_thermo needs T > 0")
     depth = phi_space(s_eq, s).magnitude
     f = depth * units.CONSTANTS.k_B.magnitude * t * LN2
     return Quantity(in_range(f, "k_B*T*(S_eq-S)*ln2", T=t, depth=depth), ENERGY, "J")
@@ -145,7 +139,7 @@ class ComplexityReport(
             or free_phi.magnitude < 0.0
             or landauer_cost.magnitude < 0.0
         ):
-            raise NegativeInput("complexity measures are counts; all must be >= 0")
+            raise InputError("complexity measures are counts; all must be >= 0")
         metadata = {} if metadata is None else metadata
         return super().__new__(cls, phi_time_ops, phi_space_bits, free_phi, landauer_cost, metadata)
 

@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from .. import units
-from ..errors import NegativeInput, NonPositiveEnergy
+from ..errors import InputError
 from ..units import ENERGY, TIME, Quantity, in_range, require
 from .states import DensityMatrix, HermitianOperator, StateVector
 
@@ -20,7 +20,7 @@ def bitflip_hamiltonian(E: Quantity) -> HermitianOperator:
     """The 2x2 driving operator -E sigma_x (off-diagonal -E, in joules)."""
     e = require(E, ENERGY, "bit-flip energy")
     if e <= 0.0:
-        raise NonPositiveEnergy(f"bit-flip energy must be positive, got {E}")
+        raise InputError(f"bit-flip energy must be positive, got {E}")
     return HermitianOperator([[0.0, -e], [-e, 0.0]])
 
 
@@ -28,7 +28,7 @@ def evolve(H: HermitianOperator, t: Quantity, psi: StateVector) -> StateVector:
     """Apply exp(-i H t / hbar) to a pure state via spectral decomposition."""
     dt = require(t, TIME, "evolution time")
     if dt < 0.0:
-        raise NegativeInput("evolution time must be >= 0")
+        raise InputError("evolution time must be >= 0")
     vals, vecs = H.eigensystem()
     angles = vals * (dt / units.CONSTANTS.hbar.magnitude)
     top = float(np.abs(angles).max())
@@ -41,10 +41,15 @@ def evolve(H: HermitianOperator, t: Quantity, psi: StateVector) -> StateVector:
 
 
 def energy_spread(rho: DensityMatrix, H: HermitianOperator) -> Quantity:
-    """Standard deviation of energy, sqrt(tr rho H^2 - (tr rho H)^2)."""
-    h = H.matrix
-    mean = float(np.trace(rho.matrix @ h).real)
-    mean_sq = float(np.trace(rho.matrix @ h @ h).real)
-    var = max(mean_sq - mean * mean, 0.0)  # keeps a nan
-    spread = in_range(float(np.sqrt(var)), "sqrt(<H^2>-<H>^2)", variance=var)
-    return Quantity(spread, ENERGY, "J")
+    """Standard deviation of energy, sqrt(tr rho (H - <H>)^2)."""
+    # in units of 2^(e-1) <= max|H| (2^e overflows near 1e308), so H^2 stays
+    # a double wherever the spread is one
+    top = float(np.abs(H.matrix).max())
+    scale = math.ldexp(1.0, max(math.frexp(top)[1] - 1, -1022))
+    g = H.matrix / scale
+    c = g - np.vdot(rho.matrix, g).real * np.eye(H.dim)
+    var = max(float(np.vdot(c, rho.matrix @ c).real), 0.0)
+    spread = math.sqrt(var) * scale
+    return Quantity(
+        in_range(spread, "sqrt(<H^2>-<H>^2)", variance=var * scale * scale), ENERGY, "J"
+    )

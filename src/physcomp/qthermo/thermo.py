@@ -13,14 +13,7 @@ import math
 import numpy as np
 
 from .. import units
-from ..errors import (
-    EnergyOutOfRange,
-    EntropyOutOfRange,
-    InfiniteTemperature,
-    NonConvergence,
-    NonPositiveTemperature,
-    ZeroTemperature,
-)
+from ..errors import InputError, NumericalError
 from ..units import (
     ENERGY,
     INFORMATION,
@@ -60,7 +53,7 @@ def entropy_nats(rho: DensityMatrix) -> float:
 
 
 def mean_energy(rho: DensityMatrix, H: HermitianOperator) -> Quantity:
-    return Quantity(float(np.trace(rho.matrix @ H.matrix).real), ENERGY, "J")
+    return Quantity(float(np.vdot(rho.matrix, H.matrix).real), ENERGY, "J")
 
 
 def _boltzmann_weights(vals: np.ndarray, beta: float):
@@ -99,7 +92,7 @@ def gibbs_state(H: HermitianOperator, T: Quantity) -> GibbsState:
     """Thermal state exp(-H/(k_B T)) / Z at temperature T (nonzero, signed)."""
     t = require(T, TEMPERATURE, "temperature")
     if t == 0.0:
-        raise ZeroTemperature("Gibbs state undefined at T = 0")
+        raise InputError("Gibbs state undefined at T = 0")
     return _gibbs_from_beta(H, 1.0 / (units.CONSTANTS.k_B.magnitude * t))
 
 
@@ -116,19 +109,19 @@ def solve_inverse_temperature(
     Mean energy is strictly decreasing in beta, so a sign-free bisection on
     beta converges for any target strictly inside the spectral range. A
     target at the uniform average tr H / d corresponds to beta = 0 and
-    raises :class:`InfiniteTemperature`.
+    raises :class:`InputError`.
     """
     e = require(E_target, ENERGY, "target energy")
     vals, _ = H.eigensystem()
     e_min, e_max = float(vals.min()), float(vals.max())
     spread = e_max - e_min
     if not (e_min < e < e_max):
-        raise EnergyOutOfRange(
+        raise InputError(
             f"target {e!r} J outside open spectral interval ({e_min!r}, {e_max!r})"
         )
     e_mean = float(vals.mean())
     if abs(e - e_mean) <= BETA_ZERO_RTOL * spread:
-        raise InfiniteTemperature(
+        raise InputError(
             "target equals the uniform-average energy: beta = 0 has no finite T"
         )
 
@@ -158,7 +151,7 @@ def solve_inverse_temperature(
     beta = 0.5 * (b_lo + b_hi)
     if abs(_energy_at_beta(vals, beta) - e) <= ENERGY_MATCH_RTOL * spread:
         return _gibbs_from_beta(H, beta)
-    raise NonConvergence("inverse-temperature bisection did not converge")
+    raise NumericalError("inverse-temperature bisection did not converge")
 
 
 def nonequilibrium_free_energy(
@@ -167,7 +160,7 @@ def nonequilibrium_free_energy(
     """F(rho) = tr(rho H) - T k_B S(rho), in joules."""
     t = require(T, TEMPERATURE, "temperature")
     if t == 0.0:
-        raise ZeroTemperature("free energy needs T != 0")
+        raise InputError("free energy needs T != 0")
     e = mean_energy(rho, H).magnitude
     k_b = units.CONSTANTS.k_B.magnitude
     return Quantity(e - t * k_b * entropy_nats(rho), ENERGY, "J")
@@ -182,10 +175,8 @@ def extractable_work(
     state's own spectrum; agrees with F(rho) - F_eq to numerical precision.
     """
     t = require(T, TEMPERATURE, "temperature")
-    if t == 0.0:
-        raise ZeroTemperature("extractable work needs T > 0")
-    if t < 0.0:
-        raise NonPositiveTemperature("extractable work needs T > 0")
+    if t <= 0.0:
+        raise InputError("extractable work needs T > 0")
     k_b = units.CONSTANTS.k_B.magnitude
     p = rho.probabilities
     nz = p[p > 0.0]
@@ -195,10 +186,11 @@ def extractable_work(
     # re-diagonalizing the reconstructed matrix would lose them
     vals, vecs = H.eigensystem()
     log_q = _log_probabilities(vals, 1.0 / (k_b * t))
-    ln_rho_th = (vecs * log_q) @ vecs.conj().T
-    tr_rho_ln_th = float(np.trace(rho.matrix @ ln_rho_th).real)
-    # a population with log_q = -inf makes D infinite, or nan through -inf*0
-    d = tr_rho_ln_rho - tr_rho_ln_th
+    # rho's populations on H's eigenstates; a level rho leaves empty adds 0
+    # even where log_q = -inf, and a populated one makes D infinite
+    pops = (vecs.conj() * (rho.matrix @ vecs)).sum(0).real
+    full = pops > 0.0
+    d = tr_rho_ln_rho - float(pops[full] @ log_q[full])
     return Quantity(in_range(k_b * t * d, "k_B*T*D(rho||rho_th)", T=t, D=d), ENERGY, "J")
 
 
@@ -212,9 +204,9 @@ def extractable_pure_bits(
     s = require(s_per_dof, INFORMATION, "entropy per dof")
     s_max = require(s_max_per_dof, INFORMATION, "max entropy per dof")
     if n < 0:
-        raise EntropyOutOfRange("degree-of-freedom count must be >= 0")
+        raise InputError("degree-of-freedom count must be >= 0")
     if not (0.0 <= s <= s_max):
-        raise EntropyOutOfRange(
+        raise InputError(
             f"entropy per dof must satisfy 0 <= S <= S_max, got {s!r}, {s_max!r}"
         )
     return Quantity(n * (s_max - s), INFORMATION, "bit")

@@ -31,14 +31,7 @@ from physcomp.assembly import (
     write_pathway,
 )
 from physcomp.assembly.search import _witness, solve_sequence
-from physcomp.errors import (
-    FileFormatError,
-    InvalidPathway,
-    MissingAnnotation,
-    NumericalOverflow,
-    SymbolNotInBasis,
-    TargetTooLarge,
-)
+from physcomp.errors import FileFormatError, InputError, NumericalOverflow
 from physcomp.units import ENERGY, LENGTH, Quantity
 
 def joules(x):
@@ -76,19 +69,19 @@ class TestAssemblyIndexExamples:
 
 class TestGuards:
     def test_symbol_not_in_basis(self):
-        with pytest.raises(SymbolNotInBasis):
+        with pytest.raises(InputError, match="are not in the basis"):
             assembly_index("abc", {"a", "b"})
 
     def test_empty_target(self):
-        with pytest.raises(SymbolNotInBasis):
+        with pytest.raises(InputError, match="target must be a non-empty string"):
             assembly_index("", {"a"})
 
     def test_target_too_large(self):
-        with pytest.raises(TargetTooLarge):
+        with pytest.raises(InputError, match="target length 21 exceeds the supported 20"):
             assembly_index("a" * 21, {"a"})
 
     def test_multicharacter_basis_symbol_rejected(self):
-        with pytest.raises(SymbolNotInBasis):
+        with pytest.raises(InputError, match="basis symbols must be single characters"):
             assembly_index("ab", {"ab"})
 
 
@@ -235,7 +228,7 @@ class TestPathway:
         assert pathway_free_phi(p).magnitude == 0.0
 
     def test_unbuilt_operand_rejected(self):
-        with pytest.raises(InvalidPathway):
+        with pytest.raises(InputError, match="neither a basis symbol nor an earlier product"):
             AssemblyPathway(
                 basis=frozenset("ab"),
                 steps=(("ab", "b"),),  # "ab" never built
@@ -243,7 +236,7 @@ class TestPathway:
             )
 
     def test_final_product_must_equal_target(self):
-        with pytest.raises(InvalidPathway):
+        with pytest.raises(InputError, match="does not equal target"):
             AssemblyPathway(
                 basis=frozenset("ab"), steps=(("a", "b"),), target="ba"
             )
@@ -252,11 +245,11 @@ class TestPathway:
         p = AssemblyPathway(
             basis=frozenset("ab"), steps=(("a", "b"),), target="ab"
         )
-        with pytest.raises(MissingAnnotation):
+        with pytest.raises(InputError, match="pathway carries no per-step free energies"):
             pathway_free_phi(p)
 
     def test_wrong_annotation_count(self):
-        with pytest.raises(InvalidPathway):
+        with pytest.raises(InputError, match="2 free energies for 1 steps"):
             AssemblyPathway(
                 basis=frozenset("ab"),
                 steps=(("a", "b"),),
@@ -265,7 +258,7 @@ class TestPathway:
             )
 
     def test_wrong_annotation_dimension(self):
-        with pytest.raises(InvalidPathway):
+        with pytest.raises(InputError, match="step 0: free energy must be in joules"):
             AssemblyPathway(
                 basis=frozenset("ab"),
                 steps=(("a", "b"),),

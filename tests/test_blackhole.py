@@ -9,12 +9,7 @@ from hypothesis import strategies as st
 
 from _oracles import binary_entropy_bits, bisect_error_rate, full_bisect_error_rate
 from physcomp import blackhole as bh
-from physcomp.errors import (
-    NonPositiveMass,
-    NumericalOverflow,
-    NumericalUnderflow,
-    TimeOutOfRange,
-)
+from physcomp.errors import InputError, NumericalOverflow, NumericalUnderflow
 from physcomp.measures import binary_entropy, phi_time
 from physcomp.units import CONSTANTS, ENERGY, LN2, MASS, TIME, Quantity
 
@@ -87,9 +82,9 @@ class TestCharacterize:
         assert rep.page_time_paper.magnitude == rep.lifetime.magnitude / 2.0
 
     def test_non_positive_mass_rejected(self):
-        with pytest.raises(NonPositiveMass):
+        with pytest.raises(InputError, match="mass must be positive"):
             bh.characterize(kg(0.0))
-        with pytest.raises(NonPositiveMass):
+        with pytest.raises(InputError, match="mass must be positive"):
             bh.characterize(kg(-1.0))
 
     def test_overflowing_mass_is_typed(self):
@@ -192,9 +187,9 @@ class TestEvaporation:
 
     def test_time_out_of_range(self):
         m0 = kg(1.0)
-        with pytest.raises(TimeOutOfRange):
+        with pytest.raises(InputError, match="outside the lifetime"):
             bh.mass_at_time(m0, Quantity(-1.0, TIME, "s"))
-        with pytest.raises(TimeOutOfRange):
+        with pytest.raises(InputError, match="outside the lifetime"):
             bh.mass_at_time(m0, Quantity(bh.lifetime(m0).magnitude * 1.01, TIME, "s"))
 
 

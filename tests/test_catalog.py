@@ -10,12 +10,7 @@ from physcomp.catalog import (
     op_rate,
     switch_energy,
 )
-from physcomp.errors import (
-    NonPositiveCapacitance,
-    NonPositiveEnergy,
-    NonPositiveTemperature,
-    UnknownSystem,
-)
+from physcomp.errors import InputError
 from physcomp.units import (
     ENERGY,
     FARAD,
@@ -71,12 +66,11 @@ class TestBuiltinSystems:
         assert 1e-2 <= bio / world <= 1e2
 
     def test_unknown_system(self):
-        with pytest.raises(UnknownSystem, match="unknown") as info:
+        with pytest.raises(InputError, match="unknown reference system"):
             get_system("abacus")
-        assert not isinstance(info.value, NonPositiveEnergy)
 
     def test_zero_energy_entry_rejected(self):
-        with pytest.raises(NonPositiveEnergy):
+        with pytest.raises(InputError, match="x: energy per op must be positive"):
             ReferenceSystem(name="x", energy_per_op=Quantity(0.0, ENERGY, "J"))
 
 
@@ -96,7 +90,7 @@ class TestInefficiencyFactor:
         assert b == pytest.approx(2.0 * a, rel=1e-12)
 
     def test_non_positive_temperature(self):
-        with pytest.raises(NonPositiveTemperature):
+        with pytest.raises(InputError, match="inefficiency factor needs T > 0"):
             inefficiency_factor(get_system("5nm-transistor"), Quantity(0.0, TEMPERATURE))
 
 
@@ -117,7 +111,7 @@ class TestOpRate:
         assert rate.magnitude == pytest.approx(6.25e21, rel=1e-12)
 
     def test_non_positive_energy(self):
-        with pytest.raises(NonPositiveEnergy):
+        with pytest.raises(InputError, match="^energy per op must be positive"):
             op_rate(Quantity(1.0, POWER, "W"), Quantity(0.0, ENERGY, "J"))
 
     def test_wrong_dimensions(self):
@@ -141,5 +135,5 @@ class TestSwitchEnergy:
         assert two == pytest.approx(4.0 * one, rel=1e-12)
 
     def test_non_positive_capacitance(self):
-        with pytest.raises(NonPositiveCapacitance):
+        with pytest.raises(InputError, match="capacitance must be positive"):
             switch_energy(0.0 * FARAD, 1.0 * VOLT)

@@ -350,6 +350,54 @@ class TestFlagPlacement:
         assert json.loads(out)["inputs"]["constants"] == f"file:{over}"
 
 
+class TestIgnoredFlags:
+    """A flag that would have no effect is refused, not dropped."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["bh", "--mass", "1", "--samples", "5"], "--samples has no effect in report mode"),
+            (["bh", "timeline", "--mass", "1", "--sweep", "1:2:2"], "--sweep has no effect in timeline mode"),
+            (["bh", "page-curve", "--sweep", "1:2:2"], "--sweep has no effect in page-curve mode"),
+            (["bh", "--sweep", "1:2:2", "--mass", "1"], "--mass has no effect with --sweep"),
+            (["bh", "--sweep", "1:2:2", "--unit", "solar"], "--unit has no effect with --sweep"),
+            (["bh", "--sweep", "1:2:2", "--samples", "5"], "--samples has no effect with --sweep"),
+            (["catalog", "compare", "--capacitance", "1e-15"], "give both --capacitance and --volts"),
+            (["catalog", "compare", "--volts", "0.8"], "give both --capacitance and --volts"),
+            (["catalog", "list", "--temp", "77"], "--temp has no effect in list mode"),
+            (["catalog", "list", "--power", "100"], "--power has no effect in list mode"),
+            (["catalog", "list", "--capacitance", "1e-15"], "--capacitance has no effect in list mode"),
+            (["catalog", "list", "--volts", "0.8"], "--volts has no effect in list mode"),
+        ],
+    )
+    def test_refused(self, argv, message):
+        code, out, err = invoke(*argv)
+        assert out == ""
+        _assert_one_line_error(code, err, message)
+
+    def test_report_writes_no_file(self, tmp_path):
+        out_file = tmp_path / "x.csv"
+        code, out, err = invoke("bh", "--mass", "1", "--out", str(out_file))
+        assert out == "" and not out_file.exists()
+        _assert_one_line_error(code, err, "--out has no effect in report mode")
+
+    @pytest.mark.parametrize(
+        "extra", [["--target", "ab"], ["--basis", "ab"], ["--save-pathway", "w.json"]]
+    )
+    def test_pathway_takes_no_search_flags(self, tmp_path, extra):
+        path = tmp_path / "p.json"
+        path.write_text('{"basis": "ab", "steps": [["a", "b"]]}')
+        code, out, err = invoke("assembly", "--pathway", str(path), *extra)
+        assert out == ""
+        _assert_one_line_error(code, err, f"{extra[0]} has no effect with --pathway")
+
+    def test_defaults_still_apply(self):
+        code, out, _ = invoke("bh", "timeline", "--mass", "1e3")
+        assert code == 0 and len(out.splitlines()) == 101  # header and 100 samples
+        code, out, _ = invoke("catalog", "compare", "--format", "json")
+        assert code == 0 and json.loads(out)["inputs"] == {"temp": 300.0}
+
+
 class TestOpCountOverflow:
     """2*E*t/(pi*hbar) beyond the double range: exit 3, never an "inf" report."""
 
@@ -536,7 +584,8 @@ class TestTinyMass:
     @pytest.mark.parametrize("mode", ["report", "timeline"])
     def test_subnormal_lifetime(self, mode):
         # t_M = 4.94e-324 s, a single significant bit
-        code, out, err = invoke("bh", mode, "--mass", "4e-103", "--samples", "6")
+        samples = ["--samples", "6"] if mode == "timeline" else []
+        code, out, err = invoke("bh", mode, "--mass", "4e-103", *samples)
         assert out == ""
         _assert_one_line_error(code, err, "lifetime", "4e-103", exit_code=3)
 
@@ -599,14 +648,34 @@ class TestResultRange:
         assert rows["log_partition_function"] == pytest.approx(-720.0, rel=1e-12)
 
     def test_spread_overflow_is_one_line(self, tmp_path):
+        # eigenvalues 5e308 and 0 (four times), populations 1/5: the spread is 2e308 J
         ham, rho = str(tmp_path / "h.mat"), str(tmp_path / "rho.mat")
-        write_matrix(ham, np.array([[0.0, 1e200], [1e200, 0.0]]), units="J")
-        write_matrix(rho, np.diag([0.7, 0.3]))
+        write_matrix(ham, np.full((5, 5), 1e308), units="J")
+        write_matrix(rho, np.eye(5) / 5)
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # a numpy RuntimeWarning fails the test
             code, out, err = invoke("qt", "spread", "--ham", ham, "--state", rho)
         assert out == ""
         _assert_one_line_error(code, err, "sqrt(<H^2>-<H>^2)", "overflows", exit_code=3)
+
+    @pytest.mark.parametrize(
+        "h, rho, spread",
+        [
+            (np.array([[0.0, 1e200], [1e200, 0.0]]), np.diag([0.7, 0.3]), 1e200),
+            # eigenvalues 0 and 2e308 J, each half populated
+            (np.full((2, 2), 1e308), np.eye(2) / 2, 1e308),
+        ],
+        ids=["1e200-off-diagonal", "1e308-every-entry"],
+    )
+    def test_spread_is_a_double_where_h_squared_is_not(self, tmp_path, h, rho, spread):
+        ham, state = str(tmp_path / "h.mat"), str(tmp_path / "rho.mat")
+        write_matrix(ham, h, units="J")
+        write_matrix(state, rho)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = invoke("qt", "spread", "--ham", ham, "--state", state, "--format", "json")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["results"][0]["value"] == pytest.approx(spread, rel=1e-14)
 
     @pytest.mark.parametrize(
         "argv",
@@ -759,7 +828,7 @@ def test_pathway_free_energy_overflow_exits_3(tmp_path):
     _assert_one_line_error(code, err, "sum of step free energies overflows", exit_code=3)
 
 
-@pytest.mark.parametrize("op", ["gibbs", "work", "solve-temp", "evolve", "spread"])
+@pytest.mark.parametrize("op", ["gibbs", "work", "solve-temp", "evolve"])
 def test_qt_on_a_spectrum_at_the_double_limit_exits_3(tmp_path, op):
     # every entry 1e308 J: the eigenvalues are 0 and 2e308 J
     ham, state, psi = (str(tmp_path / n) for n in ("h.json", "rho.json", "psi.json"))
@@ -771,7 +840,6 @@ def test_qt_on_a_spectrum_at_the_double_limit_exits_3(tmp_path, op):
         "work": ["--ham", ham, "--state", state, "--temp", "300"],
         "solve-temp": ["--ham", ham, "--energy", "1"],
         "evolve": ["--ham", ham, "--time", "1", "--state-vector", psi],
-        "spread": ["--ham", ham, "--state", state],
     }[op]
     code, out, err = invoke("qt", op, *argv)
     assert out == ""
@@ -780,11 +848,15 @@ def test_qt_on_a_spectrum_at_the_double_limit_exits_3(tmp_path, op):
 
 @pytest.mark.parametrize("top", [1e307, 1e308])
 def test_qt_on_a_finite_spectrum_near_the_double_limit(tmp_path, top):
-    # H = diag(0, top) J loads; work needs ln of an exp(-inf) population and
-    # evolve the phase top * 1 s / hbar, both beyond a double
-    ham, state, psi = (str(tmp_path / n) for n in ("h.json", "rho.json", "psi.json"))
+    # H = diag(0, top) J loads; work needs ln of an exp(-inf) population,
+    # evolve the phase top * 1 s / hbar and solve-temp a T near 1e327 K, all
+    # beyond a double
+    ham, state, psi, ground = (
+        str(tmp_path / n) for n in ("h.json", "rho.json", "psi.json", "ground.json")
+    )
     write_matrix(ham, np.diag([0.0, top]), units="J")
     write_matrix(state, np.eye(2) / 2)
+    write_matrix(ground, np.diag([1.0, 0.0]))
     write_vector(psi, np.array([1.0, 0.0]))
     code, out, err = invoke("qt", "gibbs", "--ham", ham, "--temp", "300", "--format", "json")
     assert (code, err) == (0, "")
@@ -796,6 +868,18 @@ def test_qt_on_a_finite_spectrum_near_the_double_limit(tmp_path, top):
     code, out, err = invoke("qt", "evolve", "--ham", ham, "--time", "1", "--state-vector", psi)
     assert out == ""
     _assert_one_line_error(code, err, "E*t/hbar overflows", exit_code=3)
+    code, out, err = invoke("qt", "solve-temp", "--ham", ham, "--energy", "1")
+    assert out == ""
+    _assert_one_line_error(code, err, "k_B*beta underflows", exit_code=3)
+    # the empty top level adds 0 to tr(rho ln rho_th), not -inf*0
+    code, out, err = invoke(
+        "qt", "work", "--ham", ham, "--state", ground, "--temp", "300", "--format", "json"
+    )
+    assert (code, err) == (0, "")
+    assert [r["value"] for r in json.loads(out)["results"]] == [0.0, 0.0]
+    code, out, err = invoke("qt", "spread", "--ham", ham, "--state", state, "--format", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["results"][0]["value"] == pytest.approx(top / 2, rel=1e-14)
 
 
 @pytest.mark.parametrize("fmt", ["human", "json"])

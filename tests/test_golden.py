@@ -32,6 +32,9 @@ INPUTS = {
     "path.json": '{"basis": "ab", "steps": [["a", "b"], ["ab", "ab"]], "target": "abab", "free_energy_joules": [1e-20, 2e-20]}\n',
     "sum-overflow.json": '{"basis": "ab", "steps": [["a", "b"], ["ab", "ab"]], "free_energy_joules": [1e308, 1e308]}\n',
     "limit.json": '{"dim": 2, "entries": [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1e308, 0.0]]], "units": "J"}\n',
+    "near-limit.json": '{"dim": 2, "entries": [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1e307, 0.0]]], "units": "J"}\n',
+    "half.json": '{"dim": 2, "entries": [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]}\n',
+    "ground.json": '{"dim": 2, "entries": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]}\n',
     "over.json": '{"hbar": 2.109143634e-34, "G": 1.33486e-10, "k_B": 2.761298e-23, "electron_volt": 3.204353268e-19}\n',
     "bool.json": '{"G": true}\n',
     "bad.json": '{\n  "G": 1,\n}\n',
@@ -102,6 +105,8 @@ COMMANDS = dict(
         ("qt-gibbs-limit", ["qt", "gibbs", "--ham", "limit.json", "--temp", "1e300"]),
         ("qt-work-limit", ["qt", "work", "--ham", "limit.json", "--state", "rho.json", "--temp", "300"]),
         ("qt-solve-temp-limit", ["qt", "solve-temp", "--ham", "limit.json", "--energy", "1"]),
+        ("qt-spread-near-limit", ["qt", "spread", "--ham", "near-limit.json", "--state", "half.json", "--format", "json"]),
+        ("qt-work-near-limit-ground", ["qt", "work", "--ham", "near-limit.json", "--state", "ground.json", "--temp", "300"]),
         ("qt-missing-file", ["qt", "entropy", "--state", "missing.json"]),
         ("qt-ham-as-state", ["qt", "entropy", "--state", "h.json"]),
         ("qt-flags-before-op", ["qt", *OVER, "entropy", "--state", "rho.json"]),
@@ -205,8 +210,10 @@ GOLDEN = {
     "qt-evolve-save": "c9b9d245ba699c5a64f989906b6c812562c3aad63d1b67229e2214ca957a6497",
     "qt-spread": "8420d3855784d47cb57d160dc340e3b863b5109708372fd4d0f095a8691610c2",
     "qt-gibbs-limit": "d98ccf0294c2e88a5b182446375b1faffcea6a6e7552a5c20baff1ae8508624d",
-    "qt-work-limit": "8aba2d537904c9127696642c01fb0032aa52c199738dfd582edf164eabe48597",
+    "qt-work-limit": "364e06810d782a28e6e739e4868bfbe282bd050e014b713bc1a4fcfc65de457b",
     "qt-solve-temp-limit": "581d5f2785b69e90bb950714430520f5aee67b6618a8a6410c63deae8fbd2a64",
+    "qt-spread-near-limit": "c58dc7b9f6d69b212b2d094bef02698493fe8aeeee796cae06b30d9ca44f0ee3",
+    "qt-work-near-limit-ground": "f7a99f3033f70eb532b4e21a114cdff8f1ad96d6d882380478a278f67183299d",
     "qt-missing-file": "ee221f46f1a0544163d888e5f59892b40c7aa03a8492f39427e4deafd7f77d23",
     "qt-ham-as-state": "08f187a01fde1a4c85d119023c45a06ed72ed4ef74f559e080dee71f845faf1d",
     "qt-flags-before-op": "11a3c5f526efa8f4511ffcb470dfc8b32592560585be46a9fdf3c2fbf1131594",

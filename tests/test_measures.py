@@ -8,14 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from physcomp.errors import (
-    EntropyOutOfRange,
-    NegativeInput,
-    NumericalOverflow,
-    NonPositiveEnergy,
-    NonPositiveTemperature,
-    ProbabilityOutOfRange,
-)
+from physcomp.errors import InputError, NumericalOverflow
 from physcomp.measures import (
     ComplexityReport,
     binary_entropy,
@@ -70,9 +63,9 @@ class TestPhiTime:
         )
 
     def test_negative_inputs_rejected(self):
-        with pytest.raises(NegativeInput):
+        with pytest.raises(InputError, match="phi_time needs E >= 0 and t >= 0"):
             phi_time(joules(-1.0), seconds(1.0))
-        with pytest.raises(NegativeInput):
+        with pytest.raises(InputError, match="phi_time needs E >= 0 and t >= 0"):
             phi_time(joules(1.0), seconds(-1.0))
 
     def test_subnormal_product_of_inputs(self):
@@ -119,7 +112,7 @@ class TestMlMinTime:
         )
 
     def test_non_positive_rejected(self):
-        with pytest.raises(NonPositiveEnergy):
+        with pytest.raises(InputError, match="minimum flip time needs E > 0"):
             ml_min_time(joules(0.0))
 
 
@@ -135,7 +128,7 @@ class TestPhiSpace:
         assert got.magnitude == pytest.approx(1e77, rel=1e-12)
 
     def test_out_of_range(self):
-        with pytest.raises(EntropyOutOfRange):
+        with pytest.raises(InputError, match="need 0 <= S <= S_max"):
             phi_space(1 * BIT, 2 * BIT)
 
 
@@ -153,7 +146,7 @@ class TestLandauer:
         assert abs(kt - 5e-21) / 5e-21 < 0.25
 
     def test_non_positive_temperature(self):
-        with pytest.raises(NonPositiveTemperature):
+        with pytest.raises(InputError, match="Landauer cost needs T > 0"):
             landauer_cost(kelvin_t(0.0), 1)
 
 
@@ -177,9 +170,9 @@ class TestBinaryEntropy:
             )
 
     def test_out_of_range(self):
-        with pytest.raises(ProbabilityOutOfRange):
+        with pytest.raises(InputError, match=r"probability must be in \[0, 1\]"):
             binary_entropy(-0.1)
-        with pytest.raises(ProbabilityOutOfRange):
+        with pytest.raises(InputError, match=r"probability must be in \[0, 1\]"):
             binary_entropy(1.1)
 
 
@@ -218,7 +211,7 @@ class TestErrorCorrectionSpace:
         assert ratios[0] > ratios[1] > ratios[2] >= 1.0
 
     def test_rate_above_half_rejected(self):
-        with pytest.raises(ProbabilityOutOfRange):
+        with pytest.raises(InputError, match=r"error rate must be in \[0, 1/2\]"):
             error_correction_space(10.0, 0.6)
 
 
@@ -238,7 +231,7 @@ class TestFreePhi:
         ) == pytest.approx(1.0, rel=1e-12)
 
     def test_negative_rejected(self):
-        with pytest.raises(NegativeInput):
+        with pytest.raises(InputError, match="consumed free energy must be >= 0"):
             free_phi(joules(-1.0))
 
 
@@ -280,7 +273,7 @@ class TestComplexityReport:
         assert rep.metadata["label"] == "demo"
 
     def test_negative_counts_rejected(self):
-        with pytest.raises(NegativeInput):
+        with pytest.raises(InputError, match="complexity measures are counts"):
             ComplexityReport(
                 phi_time_ops=-1.0,
                 phi_space_bits=0 * BIT,

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from _random_states import random_density, random_hermitian
-from physcomp.errors import NegativeInput, NonPositiveEnergy
+from physcomp.errors import InputError
 from physcomp.qthermo import (
     DensityMatrix,
     HermitianOperator,
@@ -45,9 +45,9 @@ class TestBitflipHamiltonian:
         assert mean - h.eigenvalues()[0] == pytest.approx(e, rel=1e-12)
 
     def test_non_positive_energy_rejected(self):
-        with pytest.raises(NonPositiveEnergy):
+        with pytest.raises(InputError, match="bit-flip energy must be positive"):
             bitflip_hamiltonian(Quantity(0.0, ENERGY, "J"))
-        with pytest.raises(NonPositiveEnergy):
+        with pytest.raises(InputError, match="bit-flip energy must be positive"):
             bitflip_hamiltonian(Quantity(-1.0, ENERGY, "J"))
 
 
@@ -74,7 +74,7 @@ class TestEvolve:
 
     def test_negative_time_rejected(self):
         h = bitflip_hamiltonian(Quantity(1.0, ENERGY, "J"))
-        with pytest.raises(NegativeInput):
+        with pytest.raises(InputError, match="evolution time must be >= 0"):
             evolve(h, Quantity(-1.0, TIME, "s"), StateVector.basis_state(2, 0))
 
     def test_unitarity_preserves_norm_and_overlaps(self):
@@ -137,3 +137,20 @@ class TestEnergySpread:
             d = int(rng.integers(2, 7))
             s = energy_spread(random_density(rng, d), random_hermitian(rng, d))
             assert s.magnitude >= 0.0
+
+    @pytest.mark.parametrize("k", [-1000, 1000])
+    def test_matches_eigenbasis_and_scales_exactly_by_powers_of_two(self, k):
+        # the spread is taken in units of a power of two, so H * 2^k gives
+        # the spread * 2^k to the bit, far past where tr(rho H^2) is a double
+        rng = np.random.default_rng(37)
+        for _ in range(20):
+            d = int(rng.integers(2, 7))
+            rho, h = random_density(rng, d), random_hermitian(rng, d)
+            vals, vecs = np.linalg.eigh(h.matrix)
+            pops = np.einsum("ik,ij,jk->k", vecs.conj(), rho.matrix, vecs).real
+            mean = pops @ vals
+            want = math.sqrt(pops @ (vals - mean) ** 2)
+            base = energy_spread(rho, h).magnitude
+            assert base == pytest.approx(want, rel=1e-10)
+            scaled = energy_spread(rho, HermitianOperator(h.matrix * 2.0**k))
+            assert scaled.magnitude == math.ldexp(base, k)

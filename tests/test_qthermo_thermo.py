@@ -8,14 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _random_states import random_density, random_hermitian
-from physcomp.errors import (
-    EnergyOutOfRange,
-    EntropyOutOfRange,
-    InfiniteTemperature,
-    NumericalOverflow,
-    NumericalUnderflow,
-    ZeroTemperature,
-)
+from physcomp.errors import InputError, NumericalOverflow, NumericalUnderflow
 from physcomp.qthermo import (
     DensityMatrix,
     GibbsState,
@@ -91,7 +84,7 @@ class TestGibbsState:
         assert g.partition_function == pytest.approx(3.0, rel=1e-12)
 
     def test_zero_temperature_rejected(self):
-        with pytest.raises(ZeroTemperature):
+        with pytest.raises(InputError, match="Gibbs state undefined at T = 0"):
             gibbs_state(HermitianOperator(np.diag([0.0, 1.0])), 0 * Quantity(1.0, TEMPERATURE))
 
     def test_negative_temperature_inverts_populations(self):
@@ -281,13 +274,13 @@ class TestSolveInverseTemperature:
         )
 
     def test_above_spectrum_rejected(self):
-        with pytest.raises(EnergyOutOfRange):
+        with pytest.raises(InputError, match="outside open spectral interval"):
             solve_inverse_temperature(
                 HermitianOperator(np.diag([0.0, 1.0])), Quantity(1.5, ENERGY)
             )
 
     def test_at_spectrum_edge_rejected(self):
-        with pytest.raises(EnergyOutOfRange):
+        with pytest.raises(InputError, match="outside open spectral interval"):
             solve_inverse_temperature(
                 HermitianOperator(np.diag([0.0, 1.0])), Quantity(0.0, ENERGY)
             )
@@ -300,7 +293,7 @@ class TestSolveInverseTemperature:
             )
 
     def test_uniform_average_is_infinite_temperature(self):
-        with pytest.raises(InfiniteTemperature):
+        with pytest.raises(InputError, match="uniform-average energy"):
             solve_inverse_temperature(
                 HermitianOperator(np.diag([0.0, 1.0])), Quantity(0.5, ENERGY)
             )
@@ -381,7 +374,7 @@ class TestFreeEnergyAndWork:
     def test_zero_and_negative_temperature_rejected(self):
         h = HermitianOperator(np.diag([0.0, 1.0]))
         rho = DensityMatrix.maximally_mixed(2)
-        with pytest.raises(ZeroTemperature):
+        with pytest.raises(InputError, match="extractable work needs T > 0"):
             extractable_work(rho, h, Quantity(0.0, TEMPERATURE))
         with pytest.raises(Exception):
             extractable_work(rho, h, Quantity(-1.0, TEMPERATURE))
@@ -399,7 +392,7 @@ class TestExtractablePureBits:
         assert extractable_pure_bits(10, 0 * BIT, 1 * BIT).magnitude == 10.0
 
     def test_entropy_out_of_range(self):
-        with pytest.raises(EntropyOutOfRange):
+        with pytest.raises(InputError, match="entropy per dof must satisfy"):
             extractable_pure_bits(10, 2 * BIT, 1 * BIT)
-        with pytest.raises(EntropyOutOfRange):
+        with pytest.raises(InputError, match="entropy per dof must satisfy"):
             extractable_pure_bits(10, -1 * BIT, 1 * BIT)

@@ -1,4 +1,4 @@
-"""Repository hygiene: what git tracks, and where the range rule lives."""
+"""Repository hygiene: what git tracks, where the range rule lives, which errors exist."""
 
 import ast
 import shutil
@@ -40,3 +40,21 @@ def test_range_errors_are_built_only_by_the_range_rule():
                     offenders.append(f"{path.relative_to(ROOT)}:{node.lineno}")
     assert offenders == []
 
+
+
+def test_errors_are_two_families_and_five_named_kinds():
+    # a refusal is an InputError (exit 2) or a NumericalError (exit 3); its
+    # message says which check fired. A new class needs a caller that tells
+    # it apart from its family.
+    tree = ast.parse((ROOT / "src" / "physcomp" / "errors.py").read_text(encoding="utf-8"))
+    classes = {node.name for node in tree.body if isinstance(node, ast.ClassDef)}
+    assert classes == {
+        "PhyscompError",
+        "InputError",
+        "NumericalError",
+        "DimensionMismatch",
+        "InvalidState",
+        "FileFormatError",
+        "NumericalOverflow",
+        "NumericalUnderflow",
+    }
