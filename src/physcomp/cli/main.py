@@ -497,7 +497,7 @@ def _cmd_catalog(args, out) -> Report:
             if s.op_rate is not None:
                 rep.add(f"{s.name}.op_rate", s.op_rate.magnitude, "1/s", s.provenance)
         return rep
-    temp = 300.0 if args.temp is None else args.temp
+    temp = catalog.ROOM_TEMPERATURE_K if args.temp is None else args.temp
     T = Quantity(temp, TEMPERATURE, "K")
     rep.inputs = {"temp": temp}
     for s in systems:

@@ -115,12 +115,7 @@ def free_phi_thermo(T: Quantity, s_eq: Quantity, s: Quantity) -> Quantity:
     Equals the Landauer cost of the depth: k_B T (S_eq - S) ln 2 with the
     entropies in bits.
     """
-    t = require(T, TEMPERATURE, "temperature")
-    if t <= 0.0:
-        raise InputError("free_phi_thermo needs T > 0")
-    depth = phi_space(s_eq, s).magnitude
-    f = depth * units.CONSTANTS.k_B.magnitude * t * LN2
-    return Quantity(in_range(f, "k_B*T*(S_eq-S)*ln2", T=t, depth=depth), ENERGY, "J")
+    return landauer_cost(T, phi_space(s_eq, s).magnitude)
 
 
 class ComplexityReport(

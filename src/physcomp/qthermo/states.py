@@ -17,7 +17,7 @@ from itertools import chain
 import numpy as np
 
 from ..errors import FileFormatError, InvalidState
-from ..units import ENERGY, TEMPERATURE, Quantity, finite_double, in_range, read_json, require
+from ..units import ENERGY, TEMPERATURE, finite_double, in_range, read_json, require
 
 HERMITIAN_RTOL = 1e-9
 TRACE_TOL = 1e-9
@@ -201,23 +201,12 @@ class GibbsState(
 # A vector file uses a flat length-d "entries" array of [re, im] pairs.
 
 
-def _check_pair(raw, where: str, path: str) -> None:
-    if (
-        not isinstance(raw, (list, tuple))
-        or len(raw) != 2
-        or not all(type(x) in (int, float) for x in raw)  # JSON numbers, not bools
-    ):
-        raise FileFormatError(f"{path}: {where}: expected an [re, im] number pair")
-    if not (finite_double(raw[0]) and finite_double(raw[1])):
-        raise FileFormatError(f"{path}: {where}: entries must be finite doubles")
-
-
-def _pair_array(entries: list, shape: tuple[int, ...]) -> np.ndarray | None:
+def _pair_array(entries, shape: tuple[int, ...]) -> np.ndarray | None:
     """``entries`` as a complex array of ``shape``, or None if they are not
     nested lists of that shape holding finite [re, im] pairs of JSON numbers.
     """
-    level = entries  # a list of length shape[0], checked by the caller
-    for n in shape[1:] + (2,):
+    level = [entries]
+    for n in shape + (2,):
         if set(map(type, level)) != {list} or set(map(len, level)) != {n}:
             return None
         level = list(chain.from_iterable(level))
@@ -234,79 +223,76 @@ def _pair_array(entries: list, shape: tuple[int, ...]) -> np.ndarray | None:
     return flat.view(complex).reshape(shape)
 
 
-def _load_json_object(path: str) -> dict:
+def _check_entries(level, depth: int, dim: int, where: str, path: str) -> None:
+    """Raise naming the first entry at or below ``where`` that is not
+    ``depth`` nested lists of ``dim`` items ending in [re, im] pairs."""
+    if depth > 0:
+        if not isinstance(level, list) or len(level) != dim:
+            what = "rows" if depth > 1 else "pairs"
+            raise FileFormatError(f"{path}: {where}: expected {dim} {what}")
+        for i, item in enumerate(level):
+            _check_entries(item, depth - 1, dim, f"{where}[{i}]", path)
+    elif (
+        not isinstance(level, (list, tuple))
+        or len(level) != 2
+        or not all(type(x) in (int, float) for x in level)  # JSON numbers, not bools
+    ):
+        raise FileFormatError(f"{path}: {where}: expected an [re, im] number pair")
+    elif not (finite_double(level[0]) and finite_double(level[1])):
+        raise FileFormatError(f"{path}: {where}: entries must be finite doubles")
+
+
+def _read_entries(path: str, ndim: int) -> tuple[np.ndarray, str | None]:
+    """Parse a matrix (ndim 2) or vector (ndim 1) file; returns (complex
+    array, the file's "units" or None)."""
     raw = read_json(path)
     if not isinstance(raw, dict):
         raise FileFormatError(f"{path}: top level must be an object")
-    return raw
-
-
-def _parse_dim(raw: dict, path: str) -> int:
     dim = raw.get("dim")
     if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
         raise FileFormatError(f"{path}: dim: expected a positive integer")
-    return dim
+    entries = raw.get("entries")
+    out = _pair_array(entries, (dim,) * ndim)
+    if out is None:  # walk the entries only to say which one is bad
+        _check_entries(entries, ndim, dim, "entries", path)
+        shape = f"{dim} rows of {dim} pairs" if ndim == 2 else f"{dim} pairs"
+        raise FileFormatError(f"{path}: entries: expected {shape}")
+    return out, raw.get("units")
 
 
 def read_matrix(path: str) -> tuple[np.ndarray, str | None]:
     """Parse a matrix file; returns (complex d x d array, units or None)."""
-    raw = _load_json_object(path)
-    dim = _parse_dim(raw, path)
-    entries = raw.get("entries")
-    if not isinstance(entries, list) or len(entries) != dim:
-        raise FileFormatError(f"{path}: entries: expected {dim} rows")
-    out = _pair_array(entries, (dim, dim))
-    if out is None:  # walk the entries only to say which one is bad
-        for i, row in enumerate(entries):
-            if not isinstance(row, list) or len(row) != dim:
-                raise FileFormatError(f"{path}: entries[{i}]: expected {dim} pairs")
-            for j, cell in enumerate(row):
-                _check_pair(cell, f"entries[{i}][{j}]", path)
-        raise FileFormatError(f"{path}: entries: expected {dim} rows of {dim} pairs")
-    units = raw.get("units")
+    out, units = _read_entries(path, 2)
     if units is not None and units != "J":
         raise FileFormatError(f"{path}: units: only \"J\" is supported")
     return out, units
 
 
 def read_vector(path: str) -> np.ndarray:
-    raw = _load_json_object(path)
-    dim = _parse_dim(raw, path)
-    entries = raw.get("entries")
-    if not isinstance(entries, list) or len(entries) != dim:
-        raise FileFormatError(f"{path}: entries: expected {dim} pairs")
-    out = _pair_array(entries, (dim,))
-    if out is None:  # walk the entries only to say which one is bad
-        for i, cell in enumerate(entries):
-            _check_pair(cell, f"entries[{i}]", path)
-        raise FileFormatError(f"{path}: entries: expected {dim} pairs")
-    return out
+    return _read_entries(path, 1)[0]
+
+
+def _load(cls, path: str, entries: np.ndarray):
+    """``cls(entries)``, with an invalid state reported against its file."""
+    try:
+        return cls(entries)
+    except InvalidState as exc:
+        raise FileFormatError(f"{path}: {exc}")
 
 
 def load_hamiltonian(path: str) -> HermitianOperator:
-    mat, _units = read_matrix(path)
-    try:
-        return HermitianOperator(mat)
-    except InvalidState as exc:
-        raise FileFormatError(f"{path}: {exc}")
+    return _load(HermitianOperator, path, read_matrix(path)[0])
 
 
 def load_density(path: str) -> DensityMatrix:
     mat, units = read_matrix(path)
     if units is not None:
         raise FileFormatError(f"{path}: units: states are dimensionless")
-    try:
-        return DensityMatrix(mat)
-    except InvalidState as exc:
-        raise FileFormatError(f"{path}: {exc}")
+    return _load(DensityMatrix, path, mat)
 
 
 def load_state_vector(path: str) -> StateVector:
-    amp = read_vector(path)
-    try:
-        return StateVector(amp)
-    except InvalidState as exc:
-        raise FileFormatError(f"{path}: {exc}")
+    return _load(StateVector, path, read_vector(path))
 
 
 def _write_entries(path: str, arr: np.ndarray, units: str | None = None) -> None:

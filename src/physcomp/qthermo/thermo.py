@@ -33,23 +33,21 @@ ENERGY_MATCH_RTOL = 1e-10  # relative to the spectral range
 BETA_ZERO_RTOL = 1e-12
 
 
-def von_neumann_entropy(rho: DensityMatrix, unit: str = "bits") -> Quantity:
-    """S = -sum(p ln p) over the state's spectrum, with 0 ln 0 = 0."""
+def _entropy(rho: DensityMatrix) -> float:
+    """S = -sum(p ln p) in nats over the state's spectrum, with 0 ln 0 = 0."""
     p = rho.probabilities
     nz = p[p > 0.0]
-    s_nats = float(-(nz * np.log(nz)).sum())
     # 0.0 first: max() keeps its first argument on a tie, and a pure state
     # sums to -0.0
-    s_nats = min(max(0.0, s_nats), math.log(rho.dim))
-    if unit == "bits":
-        return Quantity(s_nats / LN2, INFORMATION, "bit")
-    if unit == "nats":
-        return Quantity(s_nats / LN2, INFORMATION, "nat")
-    raise DimensionMismatch(f"unknown entropy unit {unit!r}")
+    return min(max(0.0, float(-(nz * np.log(nz)).sum())), math.log(rho.dim))
 
 
-def entropy_nats(rho: DensityMatrix) -> float:
-    return von_neumann_entropy(rho, "nats").magnitude * LN2
+def von_neumann_entropy(rho: DensityMatrix, unit: str = "bits") -> Quantity:
+    """S(rho), stored in bits and displayed in ``unit`` ("bits" or "nats")."""
+    label = {"bits": "bit", "nats": "nat"}.get(unit)
+    if label is None:
+        raise DimensionMismatch(f"unknown entropy unit {unit!r}")
+    return Quantity(_entropy(rho) / LN2, INFORMATION, label)
 
 
 def mean_energy(rho: DensityMatrix, H: HermitianOperator) -> Quantity:
@@ -57,23 +55,21 @@ def mean_energy(rho: DensityMatrix, H: HermitianOperator) -> Quantity:
 
 
 def _boltzmann_weights(vals: np.ndarray, beta: float):
-    """Stable weights exp(-beta(vals - ref)); returns (probs, ln Z)."""
+    """Populations exp(-beta(vals - ref)) / z, shifted by the dominant level
+    ref so no weight overflows; returns (probs, ref, ln z).
+
+    ln Z = -beta ref + ln z.
+    """
     ref = vals.min() if beta >= 0.0 else vals.max()
     w = np.exp(-beta * (vals - ref))
     total = w.sum()
-    return w / total, float(-beta * ref + math.log(total))
-
-
-def _log_probabilities(vals: np.ndarray, beta: float) -> np.ndarray:
-    """Exact thermal log-populations; finite even where exp() underflows."""
-    ref = vals.min() if beta >= 0.0 else vals.max()
-    x = -beta * (vals - ref)
-    return x - math.log(np.exp(x).sum())
+    return w / total, ref, math.log(total)
 
 
 def _gibbs_from_beta(H: HermitianOperator, beta: float) -> GibbsState:
     vals, vecs = H.eigensystem()
-    probs, log_z = _boltzmann_weights(vals, beta)
+    probs, ref, log_z_shifted = _boltzmann_weights(vals, beta)
+    log_z = float(-beta * ref + log_z_shifted)
     rho = DensityMatrix.from_spectrum(probs, vecs)
     # T = 1/(k_B*beta) leaves the double range where k_B*beta does
     temperature = 1.0 / in_range(units.CONSTANTS.k_B.magnitude * beta, "k_B*beta", beta=beta)
@@ -97,7 +93,7 @@ def gibbs_state(H: HermitianOperator, T: Quantity) -> GibbsState:
 
 
 def _energy_at_beta(vals: np.ndarray, beta: float) -> float:
-    probs, _ = _boltzmann_weights(vals, beta)
+    probs, _, _ = _boltzmann_weights(vals, beta)
     return float((probs * vals).sum())
 
 
@@ -126,16 +122,11 @@ def solve_inverse_temperature(
         )
 
     # bracket: energy(0) = e_mean; expand towards the correct sign of beta
-    if e < e_mean:
-        lo, hi = 0.0, 1.0 / spread
-        while _energy_at_beta(vals, hi) > e:
-            hi *= 2.0
-        b_lo, b_hi = lo, hi
-    else:
-        lo, hi = -1.0 / spread, 0.0
-        while _energy_at_beta(vals, lo) < e:
-            lo *= 2.0
-        b_lo, b_hi = lo, hi
+    sign = 1.0 if e < e_mean else -1.0
+    beta = sign / spread
+    while sign * _energy_at_beta(vals, beta) > sign * e:
+        beta *= 2.0
+    b_lo, b_hi = sorted((0.0, beta))
 
     # bisect beta all the way to float resolution, then check the energy:
     # stopping at the energy tolerance alone would leave beta (hence the
@@ -163,35 +154,31 @@ def nonequilibrium_free_energy(
         raise InputError("free energy needs T != 0")
     e = mean_energy(rho, H).magnitude
     k_b = units.CONSTANTS.k_B.magnitude
-    return Quantity(e - t * k_b * entropy_nats(rho), ENERGY, "J")
+    return Quantity(e - t * k_b * _entropy(rho), ENERGY, "J")
 
 
 def extractable_work(
     rho: DensityMatrix, H: HermitianOperator, T: Quantity
 ) -> Quantity:
-    """W = k_B T D(rho || rho_th), the work recoverable against a bath at T.
+    """W = F(rho) - F_eq = k_B T D(rho || rho_th), the work recoverable
+    against a bath at T.
 
-    Computed through the relative entropy between the state and the thermal
-    state's own spectrum; agrees with F(rho) - F_eq to numerical precision.
+    Both free energies are measured from the ground level E_0:
+    W = (tr(rho H) - E_0) - k_B T (S(rho) - ln sum_k exp(-(E_k - E_0)/(k_B T))),
+    so no thermal log-weight is formed and W is a result wherever it is a
+    double, even where D is not.
     """
     t = require(T, TEMPERATURE, "temperature")
     if t <= 0.0:
         raise InputError("extractable work needs T > 0")
-    k_b = units.CONSTANTS.k_B.magnitude
-    p = rho.probabilities
-    nz = p[p > 0.0]
-    tr_rho_ln_rho = float((nz * np.log(nz)).sum())
-    # ln(rho_th) from the thermal state's spectral data; the exact
-    # log-populations stay accurate deep in the Boltzmann tail, where
-    # re-diagonalizing the reconstructed matrix would lose them
-    vals, vecs = H.eigensystem()
-    log_q = _log_probabilities(vals, 1.0 / (k_b * t))
-    # rho's populations on H's eigenstates; a level rho leaves empty adds 0
-    # even where log_q = -inf, and a populated one makes D infinite
-    pops = (vecs.conj() * (rho.matrix @ vecs)).sum(0).real
-    full = pops > 0.0
-    d = tr_rho_ln_rho - float(pops[full] @ log_q[full])
-    return Quantity(in_range(k_b * t * d, "k_B*T*D(rho||rho_th)", T=t, D=d), ENERGY, "J")
+    kt = units.CONSTANTS.k_B.magnitude * t
+    _, e_0, log_z_shifted = _boltzmann_weights(H.eigenvalues(), 1.0 / kt)
+    e = mean_energy(rho, H).magnitude
+    w = float((e - e_0) - kt * (_entropy(rho) - log_z_shifted))
+    # of the range rule only overflow applies: W = 0 at rho = rho_th
+    if not math.isfinite(w):
+        in_range(w, "k_B*T*D(rho||rho_th)", T=t, E=e, E_0=float(e_0))
+    return Quantity(w, ENERGY, "J")
 
 
 def extractable_pure_bits(

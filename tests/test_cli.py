@@ -848,9 +848,9 @@ def test_qt_on_a_spectrum_at_the_double_limit_exits_3(tmp_path, op):
 
 @pytest.mark.parametrize("top", [1e307, 1e308])
 def test_qt_on_a_finite_spectrum_near_the_double_limit(tmp_path, top):
-    # H = diag(0, top) J loads; work needs ln of an exp(-inf) population,
-    # evolve the phase top * 1 s / hbar and solve-temp a T near 1e327 K, all
-    # beyond a double
+    # H = diag(0, top) J loads; evolve needs the phase top * 1 s / hbar and
+    # solve-temp a T near 1e327 K, both beyond a double, while W = F(rho) -
+    # F_eq is a double although D(rho||rho_th) is not
     ham, state, psi, ground = (
         str(tmp_path / n) for n in ("h.json", "rho.json", "psi.json", "ground.json")
     )
@@ -862,9 +862,11 @@ def test_qt_on_a_finite_spectrum_near_the_double_limit(tmp_path, top):
     assert (code, err) == (0, "")
     rows = {r["name"]: r["value"] for r in json.loads(out)["results"]}
     assert rows["mean_energy"] == 0.0 and rows["entropy"] == 0.0
-    code, out, err = invoke("qt", "work", "--ham", ham, "--state", state, "--temp", "300")
-    assert out == ""
-    _assert_one_line_error(code, err, "k_B*T*D(rho||rho_th) overflows", exit_code=3)
+    code, out, err = invoke(
+        "qt", "work", "--ham", ham, "--state", state, "--temp", "300", "--format", "json"
+    )
+    assert (code, err) == (0, "")
+    assert json.loads(out)["results"][0]["value"] == pytest.approx(top / 2, rel=1e-14)
     code, out, err = invoke("qt", "evolve", "--ham", ham, "--time", "1", "--state-vector", psi)
     assert out == ""
     _assert_one_line_error(code, err, "E*t/hbar overflows", exit_code=3)
@@ -880,6 +882,24 @@ def test_qt_on_a_finite_spectrum_near_the_double_limit(tmp_path, top):
     code, out, err = invoke("qt", "spread", "--ham", ham, "--state", state, "--format", "json")
     assert (code, err) == (0, "")
     assert json.loads(out)["results"][0]["value"] == pytest.approx(top / 2, rel=1e-14)
+
+
+def test_qt_work_on_a_spectrum_spanning_the_double_range(tmp_path):
+    # H = diag(-1e308, 1e308) J: E_1 - E_0 overflows, so rho_th is the
+    # ground state at any T, and W = tr(rho H) - E_0 - k_B T ln 2
+    ham, half, top = (str(tmp_path / n) for n in ("h.json", "half.json", "top.json"))
+    write_matrix(ham, np.diag([-1e308, 1e308]), units="J")
+    write_matrix(half, np.eye(2) / 2)
+    write_matrix(top, np.diag([0.0, 1.0]))
+    code, out, err = invoke(
+        "qt", "work", "--ham", ham, "--state", half, "--temp", "300", "--format", "json"
+    )
+    assert (code, err) == (0, "")
+    assert json.loads(out)["results"][0]["value"] == 1e308
+    # all weight on the top level: W = 2e308 J is not a double
+    code, out, err = invoke("qt", "work", "--ham", ham, "--state", top, "--temp", "300")
+    assert out == ""
+    _assert_one_line_error(code, err, "k_B*T*D(rho||rho_th) overflows", exit_code=3)
 
 
 @pytest.mark.parametrize("fmt", ["human", "json"])

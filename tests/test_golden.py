@@ -206,11 +206,11 @@ GOLDEN = {
     "qt-solve-temp": "fa136d27379087cf817250509bd4097ee00e8a166e7c00948e43b7fb597aa1ff",
     "qt-solve-temp-range": "144075307ed8c39e4168e3613ad340535abc14c3b1b049f94e09c00bd52154b8",
     "qt-solve-temp-shifted": "06952a2414e170e422e0ca27c3398455d18344fcf9c1678fcd1d8ca3ecfba92f",
-    "qt-work": "fc02581e512c8141fe0933a2af741d123760a4d286da981cefc6656fd0731bbd",
+    "qt-work": "9b47b3529f5ba0808acfd95bf906431977143731786f94dea9f2a492f6580559",
     "qt-evolve-save": "c9b9d245ba699c5a64f989906b6c812562c3aad63d1b67229e2214ca957a6497",
     "qt-spread": "8420d3855784d47cb57d160dc340e3b863b5109708372fd4d0f095a8691610c2",
     "qt-gibbs-limit": "d98ccf0294c2e88a5b182446375b1faffcea6a6e7552a5c20baff1ae8508624d",
-    "qt-work-limit": "364e06810d782a28e6e739e4868bfbe282bd050e014b713bc1a4fcfc65de457b",
+    "qt-work-limit": "d3f1d6f48a967a5d96eb2741b4ff74e2ff15e40df16b695152ce13a26325a316",
     "qt-solve-temp-limit": "581d5f2785b69e90bb950714430520f5aee67b6618a8a6410c63deae8fbd2a64",
     "qt-spread-near-limit": "c58dc7b9f6d69b212b2d094bef02698493fe8aeeee796cae06b30d9ca44f0ee3",
     "qt-work-near-limit-ground": "f7a99f3033f70eb532b4e21a114cdff8f1ad96d6d882380478a278f67183299d",

@@ -197,11 +197,14 @@ class TestThermalSpectrum:
         assert g.rho.probabilities.min() == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
-# energy scale of the gauge property: spectra span a few E0, k_B T is
+# energy scale of the property tests: spectra span a few E0, k_B T is
 # 0.5-5 E0, and shifts up to 5000 E0 put |ln Z| far past ln(DBL_MAX) = 709.8
 E0 = 1e-21
 
 
+# the gauge also holds at 1e284 J; shifts near 1e300 J are out of reach, as
+# T = k_B T / k_B must be a double (k_B * DBL_MAX is about 2.5e285 J)
+@pytest.mark.parametrize("scale", [E0, 1e284])
 @settings(max_examples=40, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -211,22 +214,22 @@ E0 = 1e-21
 )
 @example(seed=1, d=2, kt=0.5, shift=-5000.0)
 @example(seed=2, d=8, kt=5.0, shift=5000.0)
-def test_energy_shift_is_a_gauge(seed, d, kt, shift):
+def test_energy_shift_is_a_gauge(scale, seed, d, kt, shift):
     rng = np.random.default_rng(seed)
-    h = random_hermitian(rng, d, scale=E0)
-    c = shift * E0
+    h = random_hermitian(rng, d, scale=scale)
+    c = shift * scale
     h_c = HermitianOperator(h.matrix + c * np.eye(d))
-    T = kelvin(kt * E0)
+    T = kelvin(kt * scale)
     g, g_c = gibbs_state(h, T), gibbs_state(h_c, T)
     assert np.allclose(g_c.rho.matrix, g.rho.matrix, rtol=0.0, atol=1e-9)
-    assert g_c.f_eq.magnitude == pytest.approx(g.f_eq.magnitude + c, abs=1e-9 * E0)
+    assert g_c.f_eq.magnitude == pytest.approx(g.f_eq.magnitude + c, abs=1e-9 * scale)
     beta = g.beta.magnitude
     assert g_c.log_partition_function == pytest.approx(
         g.log_partition_function - beta * c, abs=1e-9
     )
     rho = random_density(rng, d)
     assert extractable_work(rho, h_c, T).magnitude == pytest.approx(
-        extractable_work(rho, h, T).magnitude, rel=1e-6, abs=1e-9 * E0
+        extractable_work(rho, h, T).magnitude, rel=1e-6, abs=1e-9 * scale
     )
     e = mean_energy(g.rho, h).magnitude
     t = solve_inverse_temperature(h, Quantity(e, ENERGY, "J")).temperature.magnitude
