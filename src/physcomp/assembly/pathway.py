@@ -13,7 +13,7 @@ import math
 from collections import namedtuple
 
 from ..errors import FileFormatError, InputError
-from ..units import ENERGY, Quantity, finite_double, in_range, read_json
+from ..units import ENERGY, Quantity, finite_double, in_range, read_json, write_text
 
 
 def check_basis(basis) -> frozenset[str]:
@@ -173,6 +173,4 @@ def load_pathway(path: str) -> AssemblyPathway:
 def write_pathway(path: str, p: AssemblyPathway) -> None:
     import json  # only writing runs load the encoder
 
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(pathway_to_dict(p), fh)
-        fh.write("\n")
+    write_text(path, json.dumps(pathway_to_dict(p)) + "\n")

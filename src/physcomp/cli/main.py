@@ -201,23 +201,9 @@ def _add_partition_function(rep: Report, g) -> None:
         rep.add("log_partition_function", g.log_partition_function, "", f"ln({formula})")
 
 
-# name, unit, where the pinned value comes from
-_CONSTANT_ROWS = (
-    ("hbar", "J·s", "pinned CODATA 2018"),
-    ("c", "m/s", "pinned exact"),
-    ("G", "m^3·kg^-1·s^-2", "pinned CODATA 2018"),
-    ("k_B", "J/K", "pinned exact"),
-    ("planck_mass", "kg", "sqrt(hbar*c/G)"),
-    ("planck_length", "m", "sqrt(hbar*G/c^3)"),
-    ("solar_mass", "kg", "pinned"),
-    ("electron_volt", "J", "pinned exact"),
-    ("seconds_per_year", "s", "Julian year"),
-)
-
-
 def _cmd_constants(args, out) -> Report:
     rep = Report("constants", __version__)
-    for name, unit, origin in _CONSTANT_ROWS:
+    for name, _, unit, _, origin in units.CONSTANT_TABLE:
         value = getattr(units.CONSTANTS, name).magnitude
         if value != getattr(units.PINNED, name).magnitude:
             origin = "override"
@@ -368,8 +354,7 @@ def _cmd_qt(args, out) -> Report:
             rho = qt.load_density(args.state)
             rep.inputs = {"state": args.state, "entropy_unit": args.entropy_unit}
             s = qt.von_neumann_entropy(rho, args.entropy_unit)
-            unit = "bit" if args.entropy_unit == "bits" else "nat"
-            rep.add("entropy", s.expressed, unit, "-tr(rho*ln(rho))")
+            rep.add("entropy", s.expressed, s.unit, "-tr(rho*ln(rho))")
         elif op == "gibbs":
             ham = qt.load_hamiltonian(args.ham)
             T = _temperature(args)
@@ -536,8 +521,7 @@ def _cmd_catalog(args, out) -> Report:
 def _write_lines(lines: list[str], out_path: str | None, out) -> None:
     text = "\n".join(lines) + "\n"
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        units.write_text(out_path, text)
     else:
         out.write(text)
 

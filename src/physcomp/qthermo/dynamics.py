@@ -29,6 +29,7 @@ def evolve(H: HermitianOperator, t: Quantity, psi: StateVector) -> StateVector:
     dt = require(t, TIME, "evolution time")
     if dt < 0.0:
         raise InputError("evolution time must be >= 0")
+    H.check_acts_on(psi)
     vals, vecs = H.eigensystem()
     angles = vals * (dt / units.CONSTANTS.hbar.magnitude)
     top = float(np.abs(angles).max())
@@ -42,6 +43,7 @@ def evolve(H: HermitianOperator, t: Quantity, psi: StateVector) -> StateVector:
 
 def energy_spread(rho: DensityMatrix, H: HermitianOperator) -> Quantity:
     """Standard deviation of energy, sqrt(tr rho (H - <H>)^2)."""
+    H.check_acts_on(rho)
     # in units of 2^(e-1) <= max|H| (2^e overflows near 1e308), so H^2 stays
     # a double wherever the spread is one
     top = float(np.abs(H.matrix).max())

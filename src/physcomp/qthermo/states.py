@@ -17,7 +17,7 @@ from itertools import chain
 import numpy as np
 
 from ..errors import FileFormatError, InvalidState
-from ..units import ENERGY, TEMPERATURE, finite_double, in_range, read_json, require
+from ..units import ENERGY, TEMPERATURE, finite_double, in_range, read_json, require, write_text
 
 HERMITIAN_RTOL = 1e-9
 TRACE_TOL = 1e-9
@@ -71,6 +71,13 @@ class HermitianOperator:
 
     def eigenvalues(self) -> np.ndarray:
         return self.eigensystem()[0]
+
+    def check_acts_on(self, state) -> None:
+        """Refuse a state (density matrix or vector) of another dimension."""
+        if state.dim != self.dim:
+            raise InvalidState(
+                f"Hamiltonian has dimension {self.dim} but the state has dimension {state.dim}"
+            )
 
 
 class DensityMatrix:
@@ -304,8 +311,7 @@ def _write_entries(path: str, arr: np.ndarray, units: str | None = None) -> None
     }
     if units is not None:
         obj["units"] = units
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(obj) + "\n")
+    write_text(path, json.dumps(obj) + "\n")
 
 
 def write_matrix(path: str, matrix: np.ndarray, units: str | None = None) -> None:

@@ -51,6 +51,7 @@ def von_neumann_entropy(rho: DensityMatrix, unit: str = "bits") -> Quantity:
 
 
 def mean_energy(rho: DensityMatrix, H: HermitianOperator) -> Quantity:
+    H.check_acts_on(rho)
     return Quantity(float(np.vdot(rho.matrix, H.matrix).real), ENERGY, "J")
 
 
@@ -89,7 +90,7 @@ def gibbs_state(H: HermitianOperator, T: Quantity) -> GibbsState:
     t = require(T, TEMPERATURE, "temperature")
     if t == 0.0:
         raise InputError("Gibbs state undefined at T = 0")
-    return _gibbs_from_beta(H, 1.0 / (units.CONSTANTS.k_B.magnitude * t))
+    return _gibbs_from_beta(H, 1.0 / in_range(units.CONSTANTS.k_B.magnitude * t, "k_B*T", T=t))
 
 
 def _energy_at_beta(vals: np.ndarray, beta: float) -> float:
@@ -171,7 +172,8 @@ def extractable_work(
     t = require(T, TEMPERATURE, "temperature")
     if t <= 0.0:
         raise InputError("extractable work needs T > 0")
-    kt = units.CONSTANTS.k_B.magnitude * t
+    H.check_acts_on(rho)
+    kt = in_range(units.CONSTANTS.k_B.magnitude * t, "k_B*T", T=t)
     _, e_0, log_z_shifted = _boltzmann_weights(H.eigenvalues(), 1.0 / kt)
     e = mean_energy(rho, H).magnitude
     w = float((e - e_0) - kt * (_entropy(rho) - log_z_shifted))

@@ -46,10 +46,6 @@ class Dimension(
             raise DimensionMismatch("dimension exponents must stay integers")
         return Dimension(*(a * n for a in self))
 
-    @property
-    def dimensionless(self) -> bool:
-        return not any(self)
-
 
 DIMENSIONLESS = Dimension()
 MASS = Dimension(mass=1)
@@ -254,38 +250,10 @@ _SET_MAGNITUDE, _SET_DIM, _SET_UNIT = (getattr(Quantity, f).__set__ for f in Qua
 
 # -- unit constants (canonical magnitudes) --------------------------------
 
-KILOGRAM = Quantity(1.0, MASS)
-METER = Quantity(1.0, LENGTH)
-SECOND = Quantity(1.0, TIME)
-KELVIN = Quantity(1.0, TEMPERATURE)
-AMPERE = Quantity(1.0, CURRENT)
-BIT = Quantity(1.0, INFORMATION)
-NAT = Quantity(1.0 / LN2, INFORMATION, "nat")
-JOULE = Quantity(1.0, ENERGY)
-WATT = Quantity(1.0, POWER)
-NEWTON = Quantity(1.0, MASS * LENGTH / TIME**2)
-VOLT = Quantity(1.0, VOLTAGE)
-FARAD = Quantity(1.0, CAPACITANCE)
-
-UNITS: dict[str, Quantity] = {
-    "kg": KILOGRAM,
-    "m": METER,
-    "s": SECOND,
-    "K": KELVIN,
-    "A": AMPERE,
-    "bit": BIT,
-    "nat": NAT,
-    "J": JOULE,
-    "W": WATT,
-    "N": NEWTON,
-    "V": VOLT,
-    "F": FARAD,
-    "J/K": Quantity(1.0, ENTROPY_THERMO),
-    "J·s": Quantity(1.0, ACTION),
-    "m/s": Quantity(1.0, VELOCITY),
-    "1/s": Quantity(1.0, FREQUENCY),
-    "bit/s": Quantity(1.0, INFORMATION / TIME),
-}
+# one unit of magnitude 1 per named dimension, and the nat
+UNITS: dict[str, Quantity] = {sym: Quantity(1.0, dim) for dim, sym in _DIM_SYMBOLS.items() if sym}
+NAT = UNITS["nat"] = Quantity(1.0 / LN2, INFORMATION, "nat")
+KILOGRAM, SECOND, BIT, JOULE, VOLT, FARAD = (UNITS[s] for s in ("kg", "s", "bit", "J", "V", "F"))
 
 
 def entropy_convert(s: Quantity, target_unit: str) -> Quantity:
@@ -314,27 +282,27 @@ def entropy_convert(s: Quantity, target_unit: str) -> Quantity:
 
 # -- physical constants ----------------------------------------------------
 
-# CODATA 2018. c, k_B and the electron volt are exact by definition.
-_PINNED = {
-    "hbar": 1.054571817e-34,  # J·s
-    "c": 299792458.0,  # m/s
-    "G": 6.67430e-11,  # m^3 kg^-1 s^-2
-    "k_B": 1.380649e-23,  # J/K
-    "solar_mass": 1.98892e30,  # kg
-    "electron_volt": 1.602176634e-19,  # J
-    "seconds_per_year": 3.15576e7,  # Julian year
-}
-_DERIVED_KEYS = ("planck_mass", "planck_length")
+# One row per constant: name, dimension, display unit, pinned SI value and
+# the origin `physcomp constants` prints. CODATA 2018; c, k_B and the
+# electron volt are exact by definition. A Planck unit has no pinned value:
+# it is derived from hbar, c and G unless an override file gives it.
+CONSTANT_TABLE = (
+    ("hbar", ACTION, "J·s", 1.054571817e-34, "pinned CODATA 2018"),
+    ("c", VELOCITY, "m/s", 299792458.0, "pinned exact"),
+    ("G", LENGTH**3 / (MASS * TIME**2), "m^3·kg^-1·s^-2", 6.67430e-11, "pinned CODATA 2018"),
+    ("k_B", ENTROPY_THERMO, "J/K", 1.380649e-23, "pinned exact"),
+    ("planck_mass", MASS, "kg", None, "sqrt(hbar*c/G)"),
+    ("planck_length", LENGTH, "m", None, "sqrt(hbar*G/c^3)"),
+    ("solar_mass", MASS, "kg", 1.98892e30, "pinned"),
+    ("electron_volt", ENERGY, "J", 1.602176634e-19, "pinned exact"),
+    ("seconds_per_year", TIME, "s", 3.15576e7, "Julian year"),
+)
+_NAMES = tuple(row[0] for row in CONSTANT_TABLE)
 
 ENV_CONSTANTS_OVERRIDE = "PHYSCOMP_CONSTANTS"
 
 
-class Constants(
-    namedtuple(
-        "Constants",
-        "hbar c G k_B planck_mass planck_length solar_mass electron_volt seconds_per_year source",
-    )
-):
+class Constants(namedtuple("Constants", [*_NAMES, "source"])):
     """A constant set as dimensioned quantities, and where it came from.
 
     ``source`` is ``"pinned"``, ``"file:PATH"`` for an override file named
@@ -405,13 +373,23 @@ def read_json(path: str):
             gc.enable()
 
 
-def _load_overrides(path: str, known) -> dict[str, float]:
+def write_text(path: str, text: str) -> None:
+    """Write ``text`` to ``path`` as UTF-8; :class:`FileFormatError` if the
+    file cannot be written."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise FileFormatError(f"{path}: cannot write: {exc}")
+
+
+def _load_overrides(path: str) -> dict[str, float]:
     raw = read_json(path)
     if not isinstance(raw, dict):
         raise FileFormatError(f"{path}: constants override must be a flat object")
     out = {}
     for key, val in raw.items():
-        if key not in known:
+        if key not in _NAMES:
             raise FileFormatError(f"{path}: unknown constant {key!r}")
         if not finite_double(val) or val <= 0:
             raise FileFormatError(f"{path}: {key}: expected a positive finite number")
@@ -435,29 +413,18 @@ def constants(override_path: str | None = None) -> Constants:
     if override_path is None:
         override_path = os.environ.get(ENV_CONSTANTS_OVERRIDE) or None
         origin = "env"
-    values = dict(_PINNED)
+    values = {name: pinned for name, _, _, pinned, _ in CONSTANT_TABLE if pinned is not None}
     source = "pinned"
     if override_path:
-        values.update(_load_overrides(override_path, {*_PINNED, *_DERIVED_KEYS}))
+        values.update(_load_overrides(override_path))
         source = f"{origin}:{override_path}"
     try:
-        m_p = values.get(
-            "planck_mass", math.sqrt(values["hbar"] * values["c"] / values["G"])
-        )
-        l_p = values.get(
-            "planck_length", math.sqrt(values["hbar"] * values["G"] / values["c"] ** 3)
-        )
+        hbar, c, g = values["hbar"], values["c"], values["G"]
+        values.setdefault("planck_mass", math.sqrt(hbar * c / g))
+        values.setdefault("planck_length", math.sqrt(hbar * g / c**3))
         consts = Constants(
-            hbar=Quantity(values["hbar"], ACTION, "J·s"),
-            c=Quantity(values["c"], VELOCITY, "m/s"),
-            G=Quantity(values["G"], LENGTH**3 / (MASS * TIME**2)),
-            k_B=Quantity(values["k_B"], ENTROPY_THERMO, "J/K"),
-            planck_mass=Quantity(m_p, MASS, "kg"),
-            planck_length=Quantity(l_p, LENGTH, "m"),
-            solar_mass=Quantity(values["solar_mass"], MASS, "kg"),
-            electron_volt=Quantity(values["electron_volt"], ENERGY, "J"),
-            seconds_per_year=Quantity(values["seconds_per_year"], TIME, "s"),
-            source=source,
+            *(Quantity(values[name], dim, unit) for name, dim, unit, _, _ in CONSTANT_TABLE),
+            source,
         )
         consts.self_check()
     except ArithmeticError:  # a Planck unit leaves the double range

@@ -237,6 +237,34 @@ class TestExitCodes:
         assert code == 2
         assert "exactly one" in err
 
+    @pytest.mark.parametrize("op", ["work", "spread", "evolve"])
+    def test_state_of_another_dimension_is_2(self, two_level, tmp_path, op):
+        ham, _ = two_level
+        state = str(tmp_path / "three.mat")
+        if op == "evolve":
+            write_vector(state, np.eye(3)[0])
+            argv = ["--time", "1", "--state-vector", state]
+        else:
+            write_matrix(state, np.eye(3) / 3)
+            argv = ["--state", state, *(["--temp", "300"] if op == "work" else [])]
+        code, out, err = invoke("qt", op, "--ham", ham, *argv)
+        assert out == ""
+        _assert_one_line_error(code, err, "dimension 2", "dimension 3")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bh", "timeline", "--mass", "1e3", "--samples", "3", "--out"],
+            ["bh", "--sweep", "1:10:2", "--out"],
+            ["assembly", "--target", "abab", "--basis", "ab", "--save-pathway"],
+        ],
+    )
+    def test_unwritable_output_is_2(self, tmp_path, argv):
+        path = str(tmp_path / "missing" / "out")
+        code, out, err = invoke(*argv, path)
+        assert out == ""
+        _assert_one_line_error(code, err, f"{path}: cannot write:")
+
 
 # a JSON integer beyond the double range: math.isfinite raises OverflowError on it
 HUGE_INT = "1" + "0" * 400
@@ -636,6 +664,17 @@ class TestResultRange:
         code, out, err = invoke("qt", "gibbs", "--ham", ham, "--ktemp-joules", "1e300")
         assert out == ""
         _assert_one_line_error(code, err, "--ktemp-joules/k_B", "1e+300", exit_code=3)
+
+    @pytest.mark.parametrize("op", ["gibbs", "work"])
+    @pytest.mark.parametrize(
+        "temp", [("--temp", "1e-310"), ("--temp", "1e-300"), ("--ktemp-joules", "1e-320")]
+    )
+    def test_k_b_t_below_normal_is_3(self, two_level, op, temp):
+        ham, ground = two_level
+        state = ["--state", ground] if op == "work" else []
+        code, out, err = invoke("qt", op, "--ham", ham, *state, *temp)
+        assert out == ""
+        _assert_one_line_error(code, err, "k_B*T underflows", exit_code=3)
 
     def test_subnormal_partition_function_swaps_in_log_z(self, tmp_path):
         # ln Z = -720: Z = 2.03e-313 is subnormal

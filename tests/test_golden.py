@@ -35,6 +35,8 @@ INPUTS = {
     "near-limit.json": '{"dim": 2, "entries": [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1e307, 0.0]]], "units": "J"}\n',
     "half.json": '{"dim": 2, "entries": [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]}\n',
     "ground.json": '{"dim": 2, "entries": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]}\n',
+    "third.json": '{"dim": 3, "entries": [[[0.5, 0.0], [0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.25, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0], [0.25, 0.0]]]}\n',
+    "psi3.json": '{"dim": 3, "entries": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]}\n',
     "over.json": '{"hbar": 2.109143634e-34, "G": 1.33486e-10, "k_B": 2.761298e-23, "electron_volt": 3.204353268e-19}\n',
     "bool.json": '{"G": true}\n',
     "bad.json": '{\n  "G": 1,\n}\n',
@@ -122,6 +124,18 @@ COMMANDS = dict(
         ("catalog-compare-underflow", ["catalog", "compare", "--temp", "1e-320"]),
         ("catalog-op-rate-overflow", ["catalog", "compare", "--power", "1e300", "--system", "landauer-300K"]),
         ("catalog-switch-overflow", ["catalog", "compare", "--capacitance", "1", "--volts", "1e200"]),
+        ("qt-gibbs-kt-zero", ["qt", "gibbs", "--ham", "h.json", "--temp", "1e-310"]),
+        ("qt-gibbs-kt-subnormal", ["qt", "gibbs", "--ham", "h.json", "--temp", "1e-300"]),
+        ("qt-gibbs-ktemp-subnormal", ["qt", "gibbs", "--ham", "h.json", "--ktemp-joules", "1e-320"]),
+        ("qt-work-kt-zero", ["qt", "work", "--ham", "h.json", "--state", "rho.json", "--temp", "1e-310"]),
+        ("qt-work-size-mismatch", ["qt", "work", "--ham", "h.json", "--state", "third.json", "--temp", "300"]),
+        ("qt-spread-size-mismatch", ["qt", "spread", "--ham", "h.json", "--state", "third.json"]),
+        ("qt-evolve-size-mismatch", ["qt", "evolve", "--ham", "flip.json", "--time", "1e-15", "--state-vector", "psi3.json"]),
+        ("bh-out-unwritable", ["bh", "timeline", "--mass", "1e3", "--samples", "3", "--out", "missing/curve.csv"]),
+        ("bh-sweep-out-unwritable", ["bh", "--sweep", "1e3:1e30:3", "--out", "missing/sweep.csv"]),
+        ("qt-gibbs-save-unwritable", ["qt", "gibbs", "--ham", "h.json", "--temp", "300", "--save-state", "missing/thermal.json"]),
+        ("qt-evolve-save-unwritable", ["qt", "evolve", "--ham", "flip.json", "--time", "3e-15", "--state-vector", "psi.json", "--save-vector", "missing/out.json"]),
+        ("assembly-save-unwritable", ["assembly", "--target", "abab", "--basis", "ab", "--save-pathway", "missing/witness.json"]),
     ]
     + _formats("over-constants", ["constants", *OVER])
     + [
@@ -229,6 +243,18 @@ GOLDEN = {
     "catalog-compare-underflow": "2cf75da894e3d914570a3d7edc4c005c1b87f163ac93df4d04179f1c3d26fe55",
     "catalog-op-rate-overflow": "81f81d92c811c101d9b66d64be9ba95a11dd4e234b57037b4b1def2829449648",
     "catalog-switch-overflow": "f3f286f1350189632368fabf10c5e8e9442826fdd178dbce3f8cd562dec2e972",
+    "qt-gibbs-kt-zero": "99c172621b602cd782ba4af2a9eb2d1fa1755d8ee9cb9a44007a65c5eecaf304",
+    "qt-gibbs-kt-subnormal": "eac86061201150c04b65139c5193b6e112c52e97be1be5584b83f68ed858908a",
+    "qt-gibbs-ktemp-subnormal": "da44643bc6fc0fd74a3d21a65d6cbb4351dfc9f0be0aded636379434d7e5510f",
+    "qt-work-kt-zero": "99c172621b602cd782ba4af2a9eb2d1fa1755d8ee9cb9a44007a65c5eecaf304",
+    "qt-work-size-mismatch": "776fac7f5c0e61bde5236305616cfde960ae4c1f5a3ca84f339c3235a2e2b3a5",
+    "qt-spread-size-mismatch": "776fac7f5c0e61bde5236305616cfde960ae4c1f5a3ca84f339c3235a2e2b3a5",
+    "qt-evolve-size-mismatch": "776fac7f5c0e61bde5236305616cfde960ae4c1f5a3ca84f339c3235a2e2b3a5",
+    "bh-out-unwritable": "e524db0c36f1066d2f5e1b7ed291058fc6e6bd7b5927bd791b5a3cb1a80b7caa",
+    "bh-sweep-out-unwritable": "96f625844b8f11f738c33c18bc650793036d37a7879657b4ca73e688ac34e9e4",
+    "qt-gibbs-save-unwritable": "c82c2906b912e9789bc5073ea99ed1b7b74e8ab9cc1a59d83de3acc4eed97a92",
+    "qt-evolve-save-unwritable": "af71ec92e7823d1863531844ff2740bd4bff17d4cd662606353ed704c4972122",
+    "assembly-save-unwritable": "0f169ff6d190d78118b0090b8add3fc7934dd8f426df3c632db63550b4d92ae9",
     "over-constants-human": "869a855c66858d89c406335d590955bc698f77e5b11f13350170c26cb9a1ea58",
     "over-constants-json": "d7408e3b24cade3acd039fc933cb6314d337afddc37fcb36226235b7ad16166e",
     "over-constants-csv": "556a59e635d8551c0cafa9a657d31a5b945481cb45d16bd42a863dc0c3e35cbd",

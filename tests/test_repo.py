@@ -1,4 +1,5 @@
-"""Repository hygiene: what git tracks, where the range rule lives, which errors exist."""
+"""Repository hygiene: what git tracks, where the range rule lives, which
+module opens files, which errors exist."""
 
 import ast
 import shutil
@@ -23,11 +24,8 @@ def test_no_tracked_file_is_ignored():
     assert proc.stdout == ""
 
 
-def test_range_errors_are_built_only_by_the_range_rule():
-    # units.in_range is the one place that decides a formula result left
-    # the double range; nowhere else constructs its errors
-    allowed = {"units.py", "errors.py"}
-    names = {"NumericalOverflow", "NumericalUnderflow"}
+def _calls(names, allowed):
+    """Where a module under src/physcomp outside ``allowed`` calls one of ``names``."""
     offenders = []
     for path in sorted((ROOT / "src" / "physcomp").rglob("*.py")):
         if path.name in allowed and path.parent.name == "physcomp":
@@ -38,8 +36,19 @@ def test_range_errors_are_built_only_by_the_range_rule():
                 name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
                 if name in names:
                     offenders.append(f"{path.relative_to(ROOT)}:{node.lineno}")
-    assert offenders == []
+    return offenders
 
+
+def test_range_errors_are_built_only_by_the_range_rule():
+    # units.in_range is the one place that decides a formula result left
+    # the double range; nowhere else constructs its errors
+    assert _calls({"NumericalOverflow", "NumericalUnderflow"}, {"units.py", "errors.py"}) == []
+
+
+def test_files_are_opened_only_by_units():
+    # units.read_json and units.write_text are the one reader and the one
+    # writer, so every file error is the same one-line FileFormatError
+    assert _calls({"open"}, {"units.py"}) == []
 
 
 def test_errors_are_two_families_and_five_named_kinds():

@@ -126,6 +126,15 @@ def test_records_are_frozen_values():
             setattr(rec, rec._fields[0], None)
 
 
+def test_units_are_one_per_named_dimension_and_the_nat():
+    named = ("kg", "m", "s", "K", "A", "bit", "J", "W", "N", "V", "F",
+             "J/K", "J·s", "m/s", "1/s", "bit/s")
+    assert {k: q.magnitude for k, q in units.UNITS.items()} == {
+        **dict.fromkeys(named, 1.0), "nat": 1.0 / math.log(2.0)
+    }
+    assert all(q.unit == k for k, q in units.UNITS.items())
+
+
 class TestEntropyConvert:
     def test_one_nat_is_bits(self):
         got = entropy_convert(NAT, "bits")
