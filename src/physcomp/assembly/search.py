@@ -23,6 +23,10 @@ from ..errors import InputError
 from .pathway import AssemblyPathway, check_basis
 
 MAX_TARGET_LENGTH = 20
+# search nodes (dfs calls, over all deepening passes) before a target is
+# refused: a count, not a clock, so the outcome does not depend on the host.
+# Over 10x the 306,658 nodes of the costliest benchmark or test target.
+NODE_BUDGET = 3_500_000
 
 
 def active_backend() -> str:
@@ -107,8 +111,16 @@ def solve_sequence(subs: list[str]) -> list[int]:
     target_bit = 1 << target
     below_target = target_bit - 1
     seq: list[int] = []
+    nodes, node_limit = 0, NODE_BUDGET
 
     def dfs(start: int, built: int, avail: int, near: int, maxlen: int, remaining: int) -> bool:
+        nonlocal nodes
+        nodes += 1
+        if nodes > node_limit:
+            raise InputError(
+                f"assembly search for a length-{tlen} target over {len(set(subs[target]))} "
+                f"symbols exceeds the budget of {node_limit} search nodes"
+            )
         # each join at most doubles the longest available piece
         if maxlen << remaining < tlen:
             return False

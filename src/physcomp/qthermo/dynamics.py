@@ -13,7 +13,7 @@ import numpy as np
 from .. import units
 from ..errors import InputError
 from ..units import ENERGY, TIME, Quantity, in_range, require
-from .states import DensityMatrix, HermitianOperator, StateVector
+from .states import DensityMatrix, HermitianOperator, StateVector, real_inner
 
 
 def bitflip_hamiltonian(E: Quantity) -> HermitianOperator:
@@ -49,8 +49,8 @@ def energy_spread(rho: DensityMatrix, H: HermitianOperator) -> Quantity:
     top = float(np.abs(H.matrix).max())
     scale = math.ldexp(1.0, max(math.frexp(top)[1] - 1, -1022))
     g = H.matrix / scale
-    c = g - np.vdot(rho.matrix, g).real * np.eye(H.dim)
-    var = max(float(np.vdot(c, rho.matrix @ c).real), 0.0)
+    c = g - real_inner(rho.matrix, g) * np.eye(H.dim)
+    var = max(real_inner(c, rho.matrix @ c), 0.0)
     spread = math.sqrt(var) * scale
     return Quantity(
         in_range(spread, "sqrt(<H^2>-<H>^2)", variance=var * scale * scale), ENERGY, "J"

@@ -46,31 +46,54 @@ def _check_hermitian(arr: np.ndarray, what: str) -> np.ndarray:
     return 0.5 * arr + 0.5 * arr.conj().T
 
 
+def real_inner(a: np.ndarray, b: np.ndarray) -> float:
+    """Re tr(a^dag b), which is tr(a b) for Hermitian a and b.
+
+    Summed elementwise by numpy rather than by BLAS ``zdotc``, so the
+    digits do not depend on the BLAS kernel picked at run time.
+    """
+    return float((a.conj() * b).real.sum())
+
+
 class HermitianOperator:
-    """A d x d Hermitian observable; entries in joules for Hamiltonians."""
+    """A d x d Hermitian observable; entries in joules for Hamiltonians.
+
+    The spectrum is computed on first use and cached: ``eigenvalues()``
+    alone runs ``eigvalsh``; ``eigensystem()`` runs ``eigh``, whose values
+    ``eigenvalues()`` then returns.
+    """
 
     def __init__(self, entries):
         mat = _as_complex_matrix(entries, "operator")
         self.matrix = _check_hermitian(mat, "operator")
         self.matrix.setflags(write=False)
+        self._vals: np.ndarray | None = None
         self._eig: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
 
+    def _keep_values(self, vals: np.ndarray) -> None:
+        # finite entries can have eigenvalues beyond the double range
+        top = float(np.abs(vals).max())
+        in_range(top, "largest |eigenvalue| of H", max_abs_H=float(np.abs(self.matrix).max()))
+        self._vals = vals
+
     def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
         """Eigenvalues (ascending) and eigenvector columns, cached."""
         if self._eig is None:
             vals, vecs = np.linalg.eigh(self.matrix)
-            # finite entries can have eigenvalues beyond the double range
-            top = float(np.abs(vals).max())
-            in_range(top, "largest |eigenvalue| of H", max_abs_H=float(np.abs(self.matrix).max()))
-            self._eig = (vals, vecs)
+            if self._vals is None:
+                self._keep_values(vals)
+            self._eig = (self._vals, vecs)
         return self._eig
 
     def eigenvalues(self) -> np.ndarray:
-        return self.eigensystem()[0]
+        """Eigenvalues (ascending), cached; no eigenvectors are computed."""
+        if self._vals is None:
+            self._keep_values(np.linalg.eigvalsh(self.matrix))
+        return self._vals
 
     def check_acts_on(self, state) -> None:
         """Refuse a state (density matrix or vector) of another dimension."""
@@ -83,8 +106,9 @@ class HermitianOperator:
 class DensityMatrix:
     """A valid quantum state: Hermitian, unit trace, positive semidefinite.
 
-    Eigenvalues in [-1e-9, 0) are clamped to zero and the spectrum is
-    renormalized; larger violations raise :class:`InvalidState`.
+    The matrix is the validated input divided by its trace. Eigenvalues in
+    [-1e-9, 0) are clamped to zero, the spectrum is renormalized and the
+    matrix rebuilt from it; larger violations raise :class:`InvalidState`.
     """
 
     def __init__(self, entries):
@@ -93,23 +117,34 @@ class DensityMatrix:
         tr = mat.trace().real
         if abs(tr - 1.0) > TRACE_TOL:
             raise InvalidState(f"density matrix trace {tr!r} differs from 1")
-        vals, vecs = np.linalg.eigh(mat)
+        vals = np.linalg.eigvalsh(mat)
         if vals.min() < PSD_FLOOR:
             raise InvalidState(
                 f"density matrix has eigenvalue {vals.min():.3e} below {PSD_FLOOR:g}"
             )
-        vals = np.clip(vals, 0.0, None)
-        self._set_spectrum(vals / vals.sum(), vecs)
+        self._matrix = self._basis = None
+        if vals.min() < 0.0:
+            vals, self._basis = np.linalg.eigh(mat)
+            vals = np.clip(vals, 0.0, None)
+        else:
+            self._matrix = mat / tr
+            self._matrix.setflags(write=False)
+        self.probabilities = vals / vals.sum()
 
-    def _set_spectrum(self, probabilities: np.ndarray, eigenvectors: np.ndarray) -> None:
-        self.probabilities = probabilities
-        self.eigenvectors = eigenvectors
-        self.matrix = (eigenvectors * probabilities) @ eigenvectors.conj().T
-        self.matrix.setflags(write=False)
+    @property
+    def matrix(self) -> np.ndarray:
+        """The d x d matrix; a state known by its spectrum builds
+        sum_k p_k |v_k><v_k| on first read."""
+        if self._matrix is None:
+            basis = self._basis
+            vecs = basis.eigensystem()[1] if isinstance(basis, HermitianOperator) else basis
+            self._matrix = (vecs * self.probabilities) @ vecs.conj().T
+            self._matrix.setflags(write=False)
+        return self._matrix
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.probabilities.size
 
     @classmethod
     def maximally_mixed(cls, dim: int) -> "DensityMatrix":
@@ -119,17 +154,23 @@ class DensityMatrix:
     def from_spectrum(cls, probabilities, eigenvectors) -> "DensityMatrix":
         """The state sum_k p_k |v_k><v_k| from a known spectral decomposition.
 
-        ``eigenvectors`` holds orthonormal columns v_k. No diagonalization:
-        the probabilities are kept exactly as given, after checking that
-        they are nonnegative, sum to 1 within ``TRACE_TOL`` and match the
-        columns in number.
+        ``eigenvectors`` holds orthonormal columns v_k, or is the
+        :class:`HermitianOperator` whose eigenvectors they are; those are
+        computed only if the matrix is read. No diagonalization of the
+        state: the probabilities are kept exactly as given, after checking
+        that they are nonnegative, sum to 1 within ``TRACE_TOL`` and match
+        the columns in number.
         """
         p = np.asarray(probabilities, dtype=float)
-        vecs = np.asarray(eigenvectors, dtype=complex)
-        if p.ndim != 1 or p.size < 1 or vecs.shape != (p.size, p.size):
+        if isinstance(eigenvectors, HermitianOperator):
+            basis, shape = eigenvectors, eigenvectors.matrix.shape
+        else:
+            basis = np.asarray(eigenvectors, dtype=complex)
+            shape = basis.shape
+        if p.ndim != 1 or p.size < 1 or shape != (p.size, p.size):
             raise InvalidState(
                 f"spectrum of {p.shape} probabilities does not match "
-                f"eigenvectors of shape {vecs.shape}"
+                f"eigenvectors of shape {shape}"
             )
         if not p.min() >= 0.0:
             raise InvalidState(f"density matrix has probability {p.min():.3e} below 0")
@@ -137,7 +178,7 @@ class DensityMatrix:
         if abs(total - 1.0) > TRACE_TOL:
             raise InvalidState(f"density matrix trace {total!r} differs from 1")
         rho = cls.__new__(cls)
-        rho._set_spectrum(p, vecs)
+        rho.probabilities, rho._basis, rho._matrix = p, basis, None
         return rho
 
     @classmethod

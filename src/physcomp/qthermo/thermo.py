@@ -25,7 +25,7 @@ from ..units import (
     in_range,
     require,
 )
-from .states import DensityMatrix, GibbsState, HermitianOperator
+from .states import DensityMatrix, GibbsState, HermitianOperator, real_inner
 
 _INV_ENERGY = Dimension() / ENERGY
 
@@ -52,7 +52,7 @@ def von_neumann_entropy(rho: DensityMatrix, unit: str = "bits") -> Quantity:
 
 def mean_energy(rho: DensityMatrix, H: HermitianOperator) -> Quantity:
     H.check_acts_on(rho)
-    return Quantity(float(np.vdot(rho.matrix, H.matrix).real), ENERGY, "J")
+    return Quantity(real_inner(rho.matrix, H.matrix), ENERGY, "J")
 
 
 def _boltzmann_weights(vals: np.ndarray, beta: float):
@@ -68,10 +68,10 @@ def _boltzmann_weights(vals: np.ndarray, beta: float):
 
 
 def _gibbs_from_beta(H: HermitianOperator, beta: float) -> GibbsState:
-    vals, vecs = H.eigensystem()
-    probs, ref, log_z_shifted = _boltzmann_weights(vals, beta)
+    probs, ref, log_z_shifted = _boltzmann_weights(H.eigenvalues(), beta)
     log_z = float(-beta * ref + log_z_shifted)
-    rho = DensityMatrix.from_spectrum(probs, vecs)
+    # diagonal in H's eigenbasis: its matrix needs eigenvectors only if read
+    rho = DensityMatrix.from_spectrum(probs, H)
     # T = 1/(k_B*beta) leaves the double range where k_B*beta does
     temperature = 1.0 / in_range(units.CONSTANTS.k_B.magnitude * beta, "k_B*beta", beta=beta)
     # + 0.0: ln Z = 0 would give -0.0
@@ -109,7 +109,7 @@ def solve_inverse_temperature(
     raises :class:`InputError`.
     """
     e = require(E_target, ENERGY, "target energy")
-    vals, _ = H.eigensystem()
+    vals = H.eigenvalues()
     e_min, e_max = float(vals.min()), float(vals.max())
     spread = e_max - e_min
     if not (e_min < e < e_max):

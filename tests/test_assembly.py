@@ -30,6 +30,7 @@ from physcomp.assembly import (
     pathway_from_dict,
     write_pathway,
 )
+from physcomp.assembly import search
 from physcomp.assembly.search import _witness, solve_sequence
 from physcomp.errors import FileFormatError, InputError, NumericalOverflow
 from physcomp.units import ENERGY, LENGTH, Quantity
@@ -79,6 +80,14 @@ class TestGuards:
     def test_target_too_large(self):
         with pytest.raises(InputError, match="target length 21 exceeds the supported 20"):
             assembly_index("a" * 21, {"a"})
+
+    def test_search_past_the_node_budget_is_refused(self, monkeypatch):
+        monkeypatch.setattr(search, "NODE_BUDGET", 10)
+        with pytest.raises(
+            InputError,
+            match="length-9 target over 3 symbols exceeds the budget of 10 search nodes",
+        ):
+            assembly_index("abcbacbca", {"a", "b", "c", "d"})
 
     def test_multicharacter_basis_symbol_rejected(self):
         with pytest.raises(InputError, match="basis symbols must be single characters"):

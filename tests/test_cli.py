@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from physcomp.cli import run
+from physcomp.cli import main, run
 from physcomp.cli.report import render_csv, render_json
 from physcomp.qthermo import read_matrix, write_matrix, write_vector
 
@@ -1009,3 +1009,65 @@ def test_startup_loads_only_its_own_modules(tmp_path, argv, own, reads_json):
     assert ("json" in loaded) == reads_json
     assert "orjson" not in loaded  # small files keep json.loads
     assert loaded & _SUBPACKAGES == {f"physcomp.{n}" for n in own}
+
+
+class TestSpectralWork:
+    """Each qt op runs only the LAPACK work its output needs."""
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        write_matrix(tmp_path / "h.json", np.array([[0.0, 1e-21], [1e-21, 2e-21]]), units="J")
+        write_matrix(tmp_path / "rho.json", np.array([[0.7, 0.1 + 0.05j], [0.1 - 0.05j, 0.3]]))
+        write_vector(tmp_path / "psi.json", np.array([1.0, 0.0]))
+        return tmp_path
+
+    # (eigh calls, eigvalsh calls)
+    @pytest.mark.parametrize(
+        "argv, calls",
+        [
+            (["entropy", "--state", "rho.json"], (0, 1)),
+            (["solve-temp", "--ham", "h.json", "--energy", "5e-22"], (0, 1)),
+            (["gibbs", "--ham", "h.json", "--temp", "100"], (0, 1)),
+            (["gibbs", "--ham", "h.json", "--temp", "100", "--save-state", "th.json"], (1, 0)),
+            (["work", "--ham", "h.json", "--state", "rho.json", "--temp", "100"], (0, 2)),
+            (["spread", "--ham", "h.json", "--state", "rho.json"], (0, 1)),
+            (["evolve", "--ham", "h.json", "--time", "1e-15", "--state-vector", "psi.json"], (1, 0)),
+        ],
+        ids=["entropy", "solve-temp", "gibbs", "gibbs-save", "work", "spread", "evolve"],
+    )
+    def test_decompositions(self, files, monkeypatch, argv, calls):
+        seen = []
+        for name in ("eigh", "eigvalsh"):
+            f = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name, lambda a, f=f, n=name: seen.append(n) or f(a))
+        monkeypatch.chdir(files)
+        code, _, err = invoke("qt", *argv)
+        assert code == 0, err
+        assert (seen.count("eigh"), seen.count("eigvalsh")) == calls
+
+
+class TestBlasThreads:
+    """main() picks one BLAS thread unless the user chose a count; run() does not."""
+
+    def _main(self, monkeypatch, env: dict) -> dict:
+        monkeypatch.setattr(os, "environ", env)
+        monkeypatch.setattr(sys, "argv", ["physcomp", "constants"])
+        with pytest.raises(SystemExit) as exc:
+            main()
+        assert exc.value.code == 0
+        return env
+
+    def test_one_thread_when_unset(self, monkeypatch, capsys):
+        env = self._main(monkeypatch, {"LANG": "C"})
+        assert env == {"LANG": "C", "OPENBLAS_NUM_THREADS": "1"}
+
+    @pytest.mark.parametrize("var", ["OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"])
+    def test_user_setting_kept(self, monkeypatch, capsys, var):
+        assert self._main(monkeypatch, {var: "2"}) == {var: "2"}
+
+    def test_run_leaves_the_environment_alone(self, monkeypatch, two_level):
+        env: dict = {}
+        monkeypatch.setattr(os, "environ", env)
+        ham, ground = two_level
+        assert invoke("qt", "work", "--ham", ham, "--state", ground, "--temp", "300")[0] == 0
+        assert env == {}

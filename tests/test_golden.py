@@ -5,19 +5,23 @@ directory holding the input files below, so every path in the output is
 relative and the bytes do not depend on where the test runs. The digest is
 the sha256 of the exit code, stdout, stderr and every file the command
 wrote. A change that moves output on purpose updates the digests here and
-says why in CHANGES.md; print the current table with
+says why in CHANGES.md; print the current table, or the rows of the
+commands named, with
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py [NAME ...]
 """
 
 import hashlib
 import io
 import json
 import os
+import platform
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from physcomp.cli.main import run
@@ -33,6 +37,7 @@ INPUTS = {
     "sum-overflow.json": '{"basis": "ab", "steps": [["a", "b"], ["ab", "ab"]], "free_energy_joules": [1e308, 1e308]}\n',
     "limit.json": '{"dim": 2, "entries": [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1e308, 0.0]]], "units": "J"}\n',
     "near-limit.json": '{"dim": 2, "entries": [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1e307, 0.0]]], "units": "J"}\n',
+    "dense.json": '{"dim": 2, "entries": [[[3.3e-21, 0.0], [-1.7e-21, 2.9e-21]], [[-1.7e-21, -2.9e-21], [1.1e-21, 0.0]]], "units": "J"}\n',
     "half.json": '{"dim": 2, "entries": [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]}\n',
     "ground.json": '{"dim": 2, "entries": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]}\n',
     "third.json": '{"dim": 3, "entries": [[[0.5, 0.0], [0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.25, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0], [0.25, 0.0]]]}\n',
@@ -102,6 +107,7 @@ COMMANDS = dict(
         ("qt-solve-temp-range", ["qt", "solve-temp", "--ham", "h.json", "--energy", "1"]),
         ("qt-solve-temp-shifted", ["qt", "solve-temp", "--ham", "shifted.json", "--energy=-9.999e-19"]),
         ("qt-work", ["qt", "work", "--ham", "h.json", "--state", "rho.json", "--temp", "100"]),
+        ("qt-work-dense", ["qt", "work", "--ham", "dense.json", "--state", "rho.json", "--temp", "100"]),
         ("qt-evolve-save", ["qt", "evolve", "--ham", "flip.json", "--time", "3e-15", "--state-vector", "psi.json", "--save-vector", "out.json"]),
         ("qt-spread", ["qt", "spread", "--ham", "flip.json", "--state", "rho.json", "--format", "csv"]),
         ("qt-gibbs-limit", ["qt", "gibbs", "--ham", "limit.json", "--temp", "1e300"]),
@@ -116,6 +122,7 @@ COMMANDS = dict(
         ("assembly-pathway", ["assembly", "--pathway", "path.json", "--format", "json"]),
         ("assembly-pathway-overflow", ["assembly", "--pathway", "sum-overflow.json"]),
         ("assembly-too-long", ["assembly", "--target", "a" * 21, "--basis", "a"]),
+        ("assembly-over-budget", ["assembly", "--target", "acbdbadcbdacdbcabdca", "--basis", "abcd"]),
         ("assembly-bad-symbol", ["assembly", "--target", "abc", "--basis", "ab"]),
         ("assembly-no-target", ["assembly", "--basis", "ab"]),
         ("assembly-bad-json", ["assembly", "--pathway", "bad.json"]),
@@ -220,11 +227,12 @@ GOLDEN = {
     "qt-solve-temp": "fa136d27379087cf817250509bd4097ee00e8a166e7c00948e43b7fb597aa1ff",
     "qt-solve-temp-range": "144075307ed8c39e4168e3613ad340535abc14c3b1b049f94e09c00bd52154b8",
     "qt-solve-temp-shifted": "06952a2414e170e422e0ca27c3398455d18344fcf9c1678fcd1d8ca3ecfba92f",
-    "qt-work": "9b47b3529f5ba0808acfd95bf906431977143731786f94dea9f2a492f6580559",
+    "qt-work": "34424cfe38855270f484a5fd80a06b32e203da21a547045cd19e42d64944cc00",
+    "qt-work-dense": "1b6992753551b87e29a58170e27f9dc1aee6ee31fb51656d426e07f454fff31d",
     "qt-evolve-save": "c9b9d245ba699c5a64f989906b6c812562c3aad63d1b67229e2214ca957a6497",
-    "qt-spread": "8420d3855784d47cb57d160dc340e3b863b5109708372fd4d0f095a8691610c2",
+    "qt-spread": "27390062e2f5887efcbd23a48c9688073c5651e0f05f073312db1eed400cfcd1",
     "qt-gibbs-limit": "d98ccf0294c2e88a5b182446375b1faffcea6a6e7552a5c20baff1ae8508624d",
-    "qt-work-limit": "d3f1d6f48a967a5d96eb2741b4ff74e2ff15e40df16b695152ce13a26325a316",
+    "qt-work-limit": "41520200f1c429fbb19fc9b0901e9630b7f75fad21a01e799b7644e81b67e885",
     "qt-solve-temp-limit": "581d5f2785b69e90bb950714430520f5aee67b6618a8a6410c63deae8fbd2a64",
     "qt-spread-near-limit": "c58dc7b9f6d69b212b2d094bef02698493fe8aeeee796cae06b30d9ca44f0ee3",
     "qt-work-near-limit-ground": "f7a99f3033f70eb532b4e21a114cdff8f1ad96d6d882380478a278f67183299d",
@@ -235,6 +243,7 @@ GOLDEN = {
     "assembly-pathway": "7acf126b23d52a1d68123529780deee7e2e16b9e2d526b1843d4c1ea39b25f71",
     "assembly-pathway-overflow": "05ece62422a32332b63805128ec84b309d1a2812dedd21a9afdb341ebf577843",
     "assembly-too-long": "1d07e6ec571eea4c1ca1eca11a1aee5b5ea235eac55ba82f4734fdc78cec5b8f",
+    "assembly-over-budget": "bc24c94bb289b16da5d0780f9d918a0649c72d6bbcced2e4ced7a5e168908a81",
     "assembly-bad-symbol": "8f2e9c5ee0741d8d43e125c35686dd49731c6cc69cc4e506d4873ac9736ef0dc",
     "assembly-no-target": "054936fc561b16b1a2bce88a936917263ed6a6892393b0e6dcfcc541ee792577",
     "assembly-bad-json": "a1cbad501a75bdad2db10e1fb0be37bbe3241a80c914ca623915f27c3b6d86e1",
@@ -306,8 +315,31 @@ def test_every_command_is_pinned():
     assert set(GOLDEN) == set(COMMANDS)
 
 
+def _openblas_on_x86_64() -> bool:
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return "openblas" in str(blas.get("name")).lower() and platform.machine() in ("x86_64", "AMD64")
+
+
+# OpenBLAS picks a kernel for the CPU at run time; OPENBLAS_CORETYPE forces one
+@pytest.mark.skipif(not _openblas_on_x86_64(), reason="needs OpenBLAS on x86-64")
+@pytest.mark.parametrize("kernel", [None, "Sandybridge", "Nehalem"])
+def test_qt_output_does_not_depend_on_the_blas_kernel(kernel):
+    qt = [name for name, argv in COMMANDS.items() if argv[0] == "qt"]
+    env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_CORETYPE", "PHYSCOMP_CONSTANTS")}
+    if kernel is not None:
+        env["OPENBLAS_CORETYPE"] = kernel
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    table = subprocess.run(
+        [sys.executable, __file__, *qt], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert table == "".join(f'    "{name}": "{GOLDEN[name]}",\n' for name in qt)
+
+
 if __name__ == "__main__":
     os.environ.pop("PHYSCOMP_CONSTANTS", None)
     for name, argv in COMMANDS.items():
+        if sys.argv[1:] and name not in sys.argv[1:]:
+            continue
         with tempfile.TemporaryDirectory() as d:
             sys.stdout.write(f'    "{name}": "{digest(argv, Path(d))}",\n')

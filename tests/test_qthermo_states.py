@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _random_states import random_density
 from physcomp.errors import FileFormatError, InvalidState, NumericalOverflow
-from physcomp.units import ORJSON_MIN_CHARS, read_json
+from physcomp.units import LN2, ORJSON_MIN_CHARS, read_json
 from physcomp.qthermo import (
     DensityMatrix,
     HermitianOperator,
@@ -19,6 +20,7 @@ from physcomp.qthermo import (
     load_state_vector,
     read_matrix,
     read_vector,
+    von_neumann_entropy,
     write_matrix,
     write_vector,
 )
@@ -68,6 +70,15 @@ class TestDensityMatrix:
         assert rho.probabilities.min() == 0.0
         assert rho.probabilities.sum() == pytest.approx(1.0, abs=1e-15)
 
+    def test_matrix_is_the_input_over_its_trace(self):
+        rng = np.random.default_rng(11)
+        a = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
+        m = a @ a.conj().T
+        m = 0.5 * (m + m.conj().T)  # Hermitian to the bit
+        m *= (1.0 + 1e-10) / m.trace().real  # a trace within tolerance of, not at, 1
+        rho = DensityMatrix(m)
+        assert np.array_equal(rho.matrix, m / m.trace().real)
+
     def test_large_negative_eigenvalue_rejected(self):
         with pytest.raises(InvalidState):
             DensityMatrix(np.diag([1.1, -0.1]))
@@ -95,6 +106,18 @@ class TestDensityMatrix:
         psi = StateVector([1 / np.sqrt(2), 1j / np.sqrt(2)])
         rho = DensityMatrix.from_state(psi)
         assert np.trace(rho.matrix @ rho.matrix).real == pytest.approx(1.0, abs=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 12))
+def test_spectrum_matches_an_eigh_oracle(seed, d):
+    rho = random_density(np.random.default_rng(seed), d)
+    vals = np.linalg.eigh(rho.matrix)[0]
+    want = vals / vals.sum()
+    assert np.allclose(rho.probabilities, want, rtol=0.0, atol=1e-12)
+    nz = want[want > 0.0]
+    s = von_neumann_entropy(rho, "nats").magnitude * LN2
+    assert s == pytest.approx(float(-(nz * np.log(nz)).sum()), rel=0.0, abs=1e-12)
 
 
 class TestStateVector:

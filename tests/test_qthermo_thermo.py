@@ -168,6 +168,17 @@ class TestGibbsState:
 class TestThermalSpectrum:
     """Thermal states reuse the Hamiltonian's eigensystem."""
 
+    @staticmethod
+    def _count_diagonalizations(monkeypatch) -> tuple[HermitianOperator, list]:
+        rng = np.random.default_rng(5)
+        basis, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+        h = HermitianOperator((basis * [-1.0, 0.0, 0.5, 2.0]) @ basis.conj().T)
+        calls = []
+        for name in ("eigh", "eigvalsh"):
+            f = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name, lambda a, f=f, n=name: calls.append(n) or f(a))
+        return h, calls
+
     @pytest.mark.parametrize(
         "solve",
         [
@@ -177,14 +188,17 @@ class TestThermalSpectrum:
         ids=["gibbs", "solve-temp"],
     )
     def test_one_diagonalization(self, monkeypatch, solve):
-        rng = np.random.default_rng(5)
-        basis, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
-        h = HermitianOperator((basis * [-1.0, 0.0, 0.5, 2.0]) @ basis.conj().T)
-        calls = []
-        eigh = np.linalg.eigh
-        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
+        h, calls = self._count_diagonalizations(monkeypatch)
         solve(h)
-        assert calls == [(4, 4)]
+        # eigenvalues only: the thermal matrix is not built
+        assert calls == ["eigvalsh"]
+
+    def test_thermal_matrix_reuses_the_eigensystem(self, monkeypatch):
+        h, calls = self._count_diagonalizations(monkeypatch)
+        _, vecs = h.eigensystem()
+        rho = gibbs_state(h, kelvin(0.7)).rho
+        assert np.allclose(rho.matrix, (vecs * rho.probabilities) @ vecs.conj().T, atol=1e-15)
+        assert calls == ["eigh"]
 
     def test_rotated_two_level_deep_tail(self):
         # a 40 k_B T gap in a rotated basis: the excited population, about
