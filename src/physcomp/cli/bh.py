@@ -1,0 +1,121 @@
+"""``physcomp bh``: a black hole's report, its timeline or page curve, or a mass sweep."""
+
+from __future__ import annotations
+
+import math
+
+from .. import __version__, units
+from ..errors import InputError
+from ..units import MASS, Quantity
+from .main import _finite, _unused
+from .report import Report
+
+MASS_UNITS = ("kg", "solar", "planck")
+
+SWEEP_CSV_HEADER = (
+    "mass_kg,radius_m,temperature_K,entropy_bits,lifetime_s,"
+    "ops_per_second,total_ops,max_error_rate"
+)
+
+
+def add_parser(sub, common, help: str) -> None:
+    bh = sub.add_parser("bh", parents=[common], help=help)
+    bh.add_argument(
+        "mode",
+        nargs="?",
+        choices=("report", "timeline", "page-curve"),
+        default="report",
+    )
+    bh.add_argument("--mass", type=_finite, required=False, help="mass value")
+    bh.add_argument("--unit", choices=MASS_UNITS, default=None, help="default kg")
+    bh.add_argument("--samples", type=int, default=None, help="timeline samples (100)")
+    bh.add_argument("--out", metavar="FILE", default=None, help="write CSV here")
+    bh.add_argument(
+        "--sweep",
+        metavar="START:STOP:COUNT",
+        default=None,
+        help="log-spaced mass sweep (report mode), CSV output",
+    )
+
+
+def _mass_quantity(args) -> Quantity:
+    if args.mass is None:
+        raise InputError("--mass is required")
+    m = args.mass
+    if args.unit != "kg":
+        scale = getattr(units.CONSTANTS, f"{args.unit}_mass").magnitude
+        m = units.in_range(m * scale, f"mass*{args.unit}_mass", mass=m)
+    return Quantity(m, MASS, "kg")
+
+
+def _parse_sweep(spec: str) -> list[float]:
+    try:
+        start_s, stop_s, count_s = spec.split(":")
+        start, stop, count = float(start_s), float(stop_s), int(count_s)
+    except ValueError:
+        raise InputError("--sweep expects START:STOP:COUNT")
+    if not 0 < start < stop < math.inf or count < 2:
+        raise InputError("--sweep needs 0 < START < STOP < inf and COUNT >= 2")
+    la, lb = math.log10(start), math.log10(stop)
+    return [10 ** (la + (lb - la) * i / (count - 1)) for i in range(count)]
+
+
+def _write_lines(lines: list[str], out_path: str | None, out) -> None:
+    text = "\n".join(lines) + "\n"
+    if out_path:
+        units.write_text(out_path, text)
+    else:
+        out.write(text)
+
+
+def handle(args, out) -> Report | None:
+    from .. import blackhole
+
+    if args.sweep is not None:
+        if args.mode != "report":
+            raise InputError(f"--sweep has no effect in {args.mode} mode")
+        _unused(args, "with --sweep", "mass", "unit", "samples")
+        lines = [SWEEP_CSV_HEADER]
+        for m in _parse_sweep(args.sweep):
+            r = blackhole.characterize(Quantity(m, MASS, "kg"))
+            lines.append(
+                f"{m:.17g},{r.radius.magnitude:.17g},"
+                f"{r.temperature.magnitude:.17g},{r.entropy_bits:.17g},"
+                f"{r.lifetime.magnitude:.17g},{r.ops_per_second.magnitude:.17g},"
+                f"{r.total_ops:.17g},{r.max_error_rate:.17g}"
+            )
+        _write_lines(lines, args.out, out)
+        return None
+    if args.mode == "report":
+        _unused(args, "in report mode", "out", "samples")
+    args.unit = args.unit or "kg"
+    mass = _mass_quantity(args)
+    if args.mode in ("timeline", "page-curve"):
+        samples = blackhole.page_curve(mass, 100 if args.samples is None else args.samples)
+        _write_lines(list(blackhole.timeline_csv_lines(samples)), args.out, out)
+        return None
+    r = blackhole.characterize(mass)
+    rep = Report("bh", __version__)
+    rep.inputs = {"mass": args.mass, "unit": args.unit}
+    rep.add("mass", r.mass.magnitude, "kg", "input")
+    rep.add("radius", r.radius.magnitude, "m", "R=2*G*M/c^2")
+    rep.add("temperature", r.temperature.magnitude, "K", "T=m_P^2*c^2/(8*pi*M*k_B)")
+    rep.add("entropy_nats", r.entropy_nats, "nat", "S=4*pi*(M/m_P)^2")
+    rep.add("entropy_bits", r.entropy_bits, "bit", "S/ln2")
+    rep.add("lifetime", r.lifetime.magnitude, "s", "t_M=5120*pi*G^2*M^3/(hbar*c^4)")
+    rep.add("lifetime_years", r.lifetime_years, "yr", "t_M/year")
+    rep.add("ops_per_second", r.ops_per_second.magnitude, "1/s", "2*M*c^2/(pi*hbar)")
+    rep.add("total_ops", r.total_ops, "", "ops_per_second*t_M")
+    rep.add("bit_flip_time", r.bit_flip_time.magnitude, "s", "pi^2*R/c")
+    rep.add("free_energy", r.free_energy.magnitude, "J", "F=M*c^2/2")
+    rep.add("page_time_paper", r.page_time_paper.magnitude, "s", "t_M/2")
+    rep.add(
+        "page_time_entropy",
+        r.page_time_entropy.magnitude,
+        "s",
+        "(1-2^-1.5)*t_M",
+    )
+    rep.add(
+        "max_error_rate", r.max_error_rate, "", "h(eps)*total_ops=entropy_bits"
+    )
+    return rep

@@ -1,5 +1,6 @@
 """CLI surface: subcommands, formats, determinism, exit codes, files."""
 
+import gc
 import io
 import json
 import math
@@ -1009,6 +1010,12 @@ def test_startup_loads_only_its_own_modules(tmp_path, argv, own, reads_json):
     assert ("json" in loaded) == reads_json
     assert "orjson" not in loaded  # small files keep json.loads
     assert loaded & _SUBPACKAGES == {f"physcomp.{n}" for n in own}
+    # the CLI modules: the dispatcher, the renderer and the subcommand's own
+    cli = {n for n in loaded if n.startswith("physcomp.cli.")}
+    own_cli = set() if argv[0] == "constants" else {f"physcomp.cli.{argv[0]}"}
+    assert cli == {"physcomp.cli.main", "physcomp.cli.report"} | own_cli
+    # a pathway file is validated without compiling the search kernel
+    assert ("physcomp.assembly.search" in loaded) == ("--target" in argv)
 
 
 class TestSpectralWork:
@@ -1049,12 +1056,20 @@ class TestSpectralWork:
 class TestBlasThreads:
     """main() picks one BLAS thread unless the user chose a count; run() does not."""
 
+    @pytest.fixture(autouse=True)
+    def _unfreeze(self):
+        # main() freezes every live object for the exit of its process;
+        # this process goes on, so hand them back to the collector
+        yield
+        gc.unfreeze()
+
     def _main(self, monkeypatch, env: dict) -> dict:
         monkeypatch.setattr(os, "environ", env)
         monkeypatch.setattr(sys, "argv", ["physcomp", "constants"])
         with pytest.raises(SystemExit) as exc:
             main()
         assert exc.value.code == 0
+        assert gc.get_freeze_count() > 0
         return env
 
     def test_one_thread_when_unset(self, monkeypatch, capsys):
@@ -1071,3 +1086,49 @@ class TestBlasThreads:
         ham, ground = two_level
         assert invoke("qt", "work", "--ham", ham, "--state", ground, "--temp", "300")[0] == 0
         assert env == {}
+
+    def test_run_leaves_the_collector_alone(self, two_level):
+        frozen = gc.get_freeze_count()
+        ham, ground = two_level
+        assert invoke("qt", "work", "--ham", ham, "--state", ground, "--temp", "300")[0] == 0
+        assert gc.get_freeze_count() == frozen
+
+
+def _physcomp(argv, cwd) -> subprocess.CompletedProcess:
+    """One `python -m physcomp` process, as a user runs it: stdout buffered."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    for name in ("PHYSCOMP_CONSTANTS", "PYTHONUNBUFFERED"):
+        env.pop(name, None)
+    return subprocess.run(
+        [sys.executable, "-m", "physcomp", *argv], cwd=cwd, env=env, capture_output=True, text=True
+    )
+
+
+def test_process_entry_delivers_every_row(tmp_path):
+    # the process ends after gc.freeze(), not os._exit: buffered output is flushed
+    argv = ["bh", "page-curve", "--mass", "1e3", "--samples", "50000"]
+    piped = _physcomp(argv, tmp_path)
+    written = _physcomp([*argv, "--out", "curve.csv"], tmp_path)
+    assert (piped.returncode, piped.stderr) == (0, "")
+    assert (written.returncode, written.stdout, written.stderr) == (0, "", "")
+    lines = piped.stdout.splitlines()
+    assert len(lines) == 1 + 50000
+    assert lines[0].count(",") == lines[-1].count(",") == 3
+    assert (tmp_path / "curve.csv").read_text() == piped.stdout
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["constants"], 0),
+        (["bh", "--mass"], 2),
+        (["bh", "--mass", "0"], 2),
+        (["catalog", "compare", "--capacitance", "1", "--volts", "1e200"], 3),
+    ],
+    ids=["ok", "usage", "input", "numerical"],
+)
+def test_process_entry_exit_codes(tmp_path, argv, code):
+    proc = _physcomp(argv, tmp_path)
+    assert proc.returncode == code
+    assert (proc.stdout == "") == (code != 0)
+    assert (proc.stderr == "") == (code == 0)

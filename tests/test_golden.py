@@ -4,9 +4,11 @@ Each command runs in-process through ``cli.main.run`` inside a fresh
 directory holding the input files below, so every path in the output is
 relative and the bytes do not depend on where the test runs. The digest is
 the sha256 of the exit code, stdout, stderr and every file the command
-wrote. A change that moves output on purpose updates the digests here and
-says why in CHANGES.md; print the current table, or the rows of the
-commands named, with
+wrote. The help and usage commands (``HELP_COMMANDS``) run instead as
+``python -m physcomp`` processes, and their digest covers the exit code,
+stdout and stderr. A change that moves output on purpose updates the
+digests here and says why in CHANGES.md; print the current table, or the
+rows of the commands named, with
 
     PYTHONPATH=src python tests/test_golden.py [NAME ...]
 """
@@ -313,6 +315,70 @@ def test_golden_digest(name, tmp_path, monkeypatch):
 
 def test_every_command_is_pinned():
     assert set(GOLDEN) == set(COMMANDS)
+    assert set(HELP_GOLDEN) == set(HELP_COMMANDS)
+
+
+# the CLI's help and usage text, each command run as a user runs it: a
+# `python -m physcomp` process, at a fixed terminal width since argparse
+# wraps to COLUMNS; the layout is Python 3.11's argparse
+MEASURE_OPS = ("phi-time", "ml-time", "phi-space", "free-phi", "landauer", "binary-entropy", "ec-space")
+QT_OPS = ("entropy", "gibbs", "solve-temp", "work", "evolve", "spread")
+HELP_COMMANDS = {
+    "help": ["-h"],
+    "version": ["--version"],
+    "no-command": [],
+    **{f"help-{c}": [c, "-h"] for c in ("constants", "bh", "measure", "qt", "assembly", "catalog")},
+    **{f"help-measure-{op}": ["measure", op, "-h"] for op in MEASURE_OPS},
+    **{f"help-qt-{op}": ["qt", op, "-h"] for op in QT_OPS},
+    "usage-bad-command": ["warp-drive"],
+    "usage-flag-before-command": ["--format", "json", "constants"],
+    "usage-bad-qt-op": ["qt", "warp"],
+    "usage-missing-value": ["bh", "--mass"],
+}
+
+HELP_GOLDEN = {
+    "help": "6ee426795c8604558cf36c17feda3da2bb0393e18430c720832bdee39c259f43",
+    "version": "1794e2f558f2d0e238db3f72b34752768ca0b23e27873b49556615bc6566fe45",
+    "no-command": "4f3155027b08b2d57e2aaccbd820478d4b94cf7dc18fbc73b116630b50b65676",
+    "help-constants": "d7a01a3cdb39c2c3658c9dce61f2b5e5828167c777399344fbc121afd0912eb3",
+    "help-bh": "f1ed7236e880170b60e338c329d356fed2debf339555cf76febf764e58d86706",
+    "help-measure": "79e232f9c95f1904f5569f0b75844716259e673db11b2e549ccfc681c9b53ce2",
+    "help-qt": "12e46bf08bf1d26112440608097ec1336a352d17c2269a86841b4dd859d33b2a",
+    "help-assembly": "5b6d937d7f5f33b0a4fef8a1e700baffcb387223c158ebbb874f581fc506011a",
+    "help-catalog": "6dd07c804d8c1b1e240db79d23c2026af47c2588a33f9bb3de819170c7db2c38",
+    "help-measure-phi-time": "059750ee9bf0f18600fc6b9486b0b596381e1a164d206ce48a710ed6be90bbfe",
+    "help-measure-ml-time": "3c241c2bfa91f75ce5bd87c695f8afb37be9d2bb322a3cdf7384152d5d1973c8",
+    "help-measure-phi-space": "1f34318d28000b2fb7ed9c6a0fa2464ddcc654b03661d1dd569677c31ad08497",
+    "help-measure-free-phi": "ad9cd49f8f36eb25b9dc70344cceb667a01f413198cf91a91cad6423c7c4c32d",
+    "help-measure-landauer": "6540185e6d504aa641973031acd64a7f6538375f16615aeac6a102f310c8315e",
+    "help-measure-binary-entropy": "ed157cdb25bc6eb940e901cd7cbc5429191a3a35a01f4a62e5338e4705899104",
+    "help-measure-ec-space": "f36aa30aaa2bdaebd8135bad9620824e46f2e3335b8723ccf78046fdde349471",
+    "help-qt-entropy": "c7349dbe835a65279e209793f3e5624d72f52946ca9891b0cae8d9896b8721bf",
+    "help-qt-gibbs": "929bb18140c8b8b6e709b6ffd15d4f5a2e0f45fe752932760e4246ff37d09624",
+    "help-qt-solve-temp": "f26b9efcc67c516d4d67fb33bb082159d0f2c88be576b999c5a35ff85f35c84a",
+    "help-qt-work": "ce6c2b1f403c8fab8e44e3bcd92b651096f5713150c0102d63074e6c71298a52",
+    "help-qt-evolve": "531312b06b8682e8d3563ccd1903ea1111d4a3941ec270fed57cc320a5f6fbdf",
+    "help-qt-spread": "dc9054a85d46e388e2cd7027d97c9207672e16865613093403b64b9bf0589fee",
+    "usage-bad-command": "d0cc6255a51b5169b604574eace84819174364d14effe8ac3c6488254de28b24",
+    "usage-flag-before-command": "1f4b28c7674edca757c564608c92fb5af3fa673dbbefd1688dfd8aa969b533da",
+    "usage-bad-qt-op": "e854bc8324f952ecfe86504566bc31ca558c5d1b5681de583663068a019b67b2",
+    "usage-missing-value": "2475d2690321b36e800b80ba2c07c222b41f21178a281773b05e675ef1c50c0f",
+}
+
+
+def help_digest(argv) -> str:
+    """sha256 of the exit code, stdout and stderr of one `python -m physcomp` process."""
+    env = {k: v for k, v in os.environ.items() if k not in ("PHYSCOMP_CONSTANTS", "PYTHONUNBUFFERED")}
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env.update(COLUMNS="80", PYTHONPATH=os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "physcomp", *argv], env=env, capture_output=True, text=True)
+    blob = json.dumps({"code": proc.returncode, "stdout": proc.stdout, "stderr": proc.stderr}, sort_keys=True)
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("name", list(HELP_COMMANDS))
+def test_help_and_usage(name):
+    assert help_digest(HELP_COMMANDS[name]) == HELP_GOLDEN.get(name), " ".join(HELP_COMMANDS[name])
 
 
 def _openblas_on_x86_64() -> bool:
@@ -343,3 +409,6 @@ if __name__ == "__main__":
             continue
         with tempfile.TemporaryDirectory() as d:
             sys.stdout.write(f'    "{name}": "{digest(argv, Path(d))}",\n')
+    for name, argv in HELP_COMMANDS.items():
+        if not sys.argv[1:] or name in sys.argv[1:]:
+            sys.stdout.write(f'    "{name}": "{help_digest(argv)}",\n')
