@@ -141,12 +141,16 @@ def main() -> None:
     time than it burns CPU spinning. Set here, before numpy loads, and not
     in ``run``, which leaves its host process's environment alone.
 
+    The cyclic collector is off for the process: one run builds few
+    reference cycles and ends soon, while a collection pass walks every
+    container it has made (262,144 pair lists in a d = 512 matrix write).
     Once ``run`` returns, ``gc.freeze()`` moves every live object out of the
     collector's reach, so the interpreter's final collection has nothing to
     walk; ``atexit`` handlers and stream flushes still run.
     """
     if not any(v in os.environ for v in BLAS_THREAD_VARIABLES):
         os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    gc.disable()
     code = run(sys.argv[1:])
     gc.freeze()
     sys.exit(code)

@@ -1058,9 +1058,11 @@ class TestBlasThreads:
 
     @pytest.fixture(autouse=True)
     def _unfreeze(self):
-        # main() freezes every live object for the exit of its process;
-        # this process goes on, so hand them back to the collector
+        # main() turns the collector off and freezes every live object for
+        # the exit of its process; this process goes on, so turn it back on
+        # and hand the objects back to it
         yield
+        gc.enable()
         gc.unfreeze()
 
     def _main(self, monkeypatch, env: dict) -> dict:
@@ -1069,6 +1071,7 @@ class TestBlasThreads:
         with pytest.raises(SystemExit) as exc:
             main()
         assert exc.value.code == 0
+        assert not gc.isenabled()
         assert gc.get_freeze_count() > 0
         return env
 
@@ -1088,10 +1091,10 @@ class TestBlasThreads:
         assert env == {}
 
     def test_run_leaves_the_collector_alone(self, two_level):
-        frozen = gc.get_freeze_count()
+        enabled, frozen = gc.isenabled(), gc.get_freeze_count()
         ham, ground = two_level
         assert invoke("qt", "work", "--ham", ham, "--state", ground, "--temp", "300")[0] == 0
-        assert gc.get_freeze_count() == frozen
+        assert (gc.isenabled(), gc.get_freeze_count()) == (enabled, frozen)
 
 
 def _physcomp(argv, cwd) -> subprocess.CompletedProcess:

@@ -48,6 +48,13 @@ INPUTS = {
     "bool.json": '{"G": true}\n',
     "bad.json": '{\n  "G": 1,\n}\n',
 }
+# a d = 160 Hamiltonian long enough (308,885 bytes) to be read through the
+# decoded-file cache; diagonal, so its spectrum is exact on any BLAS kernel
+INPUTS["large.json"] = json.dumps({
+    "dim": 160,
+    "entries": [[[k * 1e-22 if j == k else 0.0, 0.0] for j in range(160)] for k in range(160)],
+    "units": "J",
+}) + "\n"
 
 ALL = ("--format", "human"), ("--format", "json"), ("--format", "csv")
 OVER = ("--constants", "over.json")
@@ -120,6 +127,7 @@ COMMANDS = dict(
         ("qt-missing-file", ["qt", "entropy", "--state", "missing.json"]),
         ("qt-ham-as-state", ["qt", "entropy", "--state", "h.json"]),
         ("qt-flags-before-op", ["qt", *OVER, "entropy", "--state", "rho.json"]),
+        ("qt-gibbs-large-file", ["qt", "gibbs", "--ham", "large.json", "--temp", "300", "--format", "json"]),
         ("assembly-save", ["assembly", "--target", "abababab", "--basis", "ab", "--save-pathway", "witness.json"]),
         ("assembly-pathway", ["assembly", "--pathway", "path.json", "--format", "json"]),
         ("assembly-pathway-overflow", ["assembly", "--pathway", "sum-overflow.json"]),
@@ -241,6 +249,7 @@ GOLDEN = {
     "qt-missing-file": "ee221f46f1a0544163d888e5f59892b40c7aa03a8492f39427e4deafd7f77d23",
     "qt-ham-as-state": "08f187a01fde1a4c85d119023c45a06ed72ed4ef74f559e080dee71f845faf1d",
     "qt-flags-before-op": "11a3c5f526efa8f4511ffcb470dfc8b32592560585be46a9fdf3c2fbf1131594",
+    "qt-gibbs-large-file": "775944d70c5e4020009a642ed327e52a7915e304294073831b8b1023796c88ca",
     "assembly-save": "490cd7eed20e807745748050af802494764fd2883e7aa4fe2b74e71cb7f81aa4",
     "assembly-pathway": "7acf126b23d52a1d68123529780deee7e2e16b9e2d526b1843d4c1ea39b25f71",
     "assembly-pathway-overflow": "05ece62422a32332b63805128ec84b309d1a2812dedd21a9afdb341ebf577843",
@@ -311,6 +320,22 @@ def digest(argv, where: Path) -> str:
 def test_golden_digest(name, tmp_path, monkeypatch):
     monkeypatch.delenv("PHYSCOMP_CONSTANTS", raising=False)
     assert digest(COMMANDS[name], tmp_path) == GOLDEN.get(name), " ".join(COMMANDS[name])
+
+
+def test_qt_output_does_not_depend_on_the_cache(tmp_path, monkeypatch):
+    # each qt command against an empty decoded-file cache, then a warm one
+    monkeypatch.delenv("PHYSCOMP_CONSTANTS", raising=False)
+    stored = 0
+    for name, argv in COMMANDS.items():
+        if argv[0] != "qt":
+            continue
+        cache = tmp_path / name / "cache"
+        monkeypatch.setenv("XDG_CACHE_HOME", str(cache))
+        for run_dir in ("cold", "warm"):
+            (tmp_path / name / run_dir).mkdir(parents=True)
+            assert digest(argv, tmp_path / name / run_dir) == GOLDEN[name], f"{run_dir}: {' '.join(argv)}"
+        stored += len(list(cache.glob("physcomp/*")))
+    assert stored == 1  # large.json's entry
 
 
 def test_every_command_is_pinned():

@@ -1,14 +1,19 @@
 """State/operator validation, PSD repair, and the matrix file format."""
 
+import io
 import json
+import os
 import re
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _random_states import random_density
+from _random_states import random_density, random_hermitian
+from physcomp import units as units_module
+from physcomp.cli.main import run
 from physcomp.errors import FileFormatError, InvalidState, NumericalOverflow
 from physcomp.units import LN2, ORJSON_MIN_CHARS, read_json
 from physcomp.qthermo import (
@@ -24,6 +29,7 @@ from physcomp.qthermo import (
     write_matrix,
     write_vector,
 )
+from physcomp.qthermo import states
 
 
 class TestHermitianOperator:
@@ -378,3 +384,267 @@ def test_corrupted_entry_reported_at_its_index(tmp_path_factory, mat, data):
     path.write_text(json.dumps({"dim": d, "entries": entries}))
     with pytest.raises(FileFormatError, match=re.escape(f"{path}: entries[{i}][{j}]: ")):
         read_matrix(str(path))
+
+
+class TestDecodedFileCache:
+    """A matrix or vector file of ORJSON_MIN_CHARS bytes or more is decoded
+    once; later reads of the same bytes load the cached array."""
+
+    @pytest.fixture
+    def cache(self, tmp_path, monkeypatch):
+        folder = tmp_path / "cache"
+        monkeypatch.setenv("XDG_CACHE_HOME", str(folder))
+        return folder / "physcomp"
+
+    @pytest.fixture
+    def decodes(self, monkeypatch):
+        """The number of files the reader has decoded so far."""
+        calls = []
+
+        def counted(path, text=None):
+            calls.append(path)
+            return read_json(path, text)
+
+        monkeypatch.setattr(states, "read_json", counted)
+        return calls
+
+    @pytest.fixture
+    def ham(self, tmp_path):
+        path = tmp_path / "h.json"
+        h = random_hermitian(np.random.default_rng(96), 96, scale=1e-21)
+        write_matrix(str(path), h.matrix, units="J")
+        assert path.stat().st_size >= ORJSON_MIN_CHARS
+        return path
+
+    @staticmethod
+    def _bits(arr):
+        return arr.shape, arr.view(np.uint64).tobytes()
+
+    def test_second_read_is_bit_identical_and_decodes_nothing(self, cache, ham, monkeypatch):
+        first, units = read_matrix(str(ham))
+        assert cache.stat().st_mode & 0o777 == 0o700
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("decoded a cached file")
+
+        for module, name in ((states, "read_json"), (orjson, "loads"), (json, "loads")):
+            monkeypatch.setattr(module, name, refuse)
+        again, units_again = read_matrix(str(ham))
+        assert self._bits(again) == self._bits(first)
+        assert units_again == units == "J"
+
+    def test_one_changed_byte_misses(self, cache, ham, decodes):
+        first, _ = read_matrix(str(ham))
+        text = ham.read_text()
+        i = text.index("e-")  # the exponent of the first entry's value
+        text = text[:i] + "e+" + text[i + 2:]
+        ham.write_text(text)
+        changed, _ = read_matrix(str(ham))
+        assert len(decodes) == 2 and len(list(cache.iterdir())) == 2
+        want = np.array(json.loads(text)["entries"]).view(complex)[..., 0]
+        assert self._bits(changed) == self._bits(want)
+        assert changed[0, 0] != first[0, 0]
+        assert self._bits(changed.ravel()[1:]) == self._bits(first.ravel()[1:])
+
+    def test_changed_reader_source_misses(self, cache, ham, decodes, monkeypatch):
+        read_matrix(str(ham))
+        monkeypatch.setattr(states, "_reader_digest", lambda: b"\0" * 32)
+        read_matrix(str(ham))
+        read_matrix(str(ham))
+        assert len(decodes) == 2 and len(list(cache.iterdir())) == 2
+
+    def test_vector_and_matrix_reads_do_not_share_entries(self, cache, tmp_path, decodes):
+        path = tmp_path / "psi.json"
+        write_vector(str(path), np.ones(2) / np.sqrt(2))
+        path.write_text(path.read_text() + PAD)
+        for _ in range(2):
+            assert read_vector(str(path)).shape == (2,)
+            with pytest.raises(FileFormatError, match="number pair"):
+                read_matrix(str(path))
+        assert len(decodes) == 3 and len(list(cache.iterdir())) == 1
+
+    @pytest.mark.parametrize("damage", ["truncated", "one-value-changed", "units-dropped",
+                                        "other-key", "complex64", "float64", "not-square", "flat",
+                                        "empty", "fortran", "nan", "units-eV", "pickle"])
+    def test_damaged_entry_is_ignored_and_rewritten(self, cache, ham, decodes, damage):
+        first, _ = read_matrix(str(ham))
+        (entry,) = cache.iterdir()
+        good = entry.read_bytes()
+        if damage == "truncated":
+            entry.write_bytes(good[: len(good) // 2])
+        elif damage == "one-value-changed":
+            # still a well-formed entry of finite values: only the digest tells
+            entry.write_bytes(good[:-1] + bytes([good[-1] ^ 1]))
+            with entry.open("rb") as fh:
+                fh.readline()
+                assert np.isfinite(np.load(fh)).all()
+        elif damage == "units-dropped":
+            # the J tag removed: a Hamiltonian entry would pass for a state's
+            entry.write_bytes(good.replace(b" J\n", b" \n", 1))
+        elif damage == "other-key":
+            # a whole entry, but stored under another file's key
+            units_module.cache_store("0" * 64, first * 2, b"J")
+            os.replace(cache / ("0" * 64), entry)
+        elif damage == "pickle":
+            with entry.open("wb") as fh:
+                fh.write(good[: good.index(b"\n") + 1])
+                np.save(fh, np.array([None] * 4, dtype=object), allow_pickle=True)
+        else:
+            # whole entries with a valid digest that no parse could have made
+            bad = {
+                "complex64": first.astype(np.complex64),
+                "float64": first.real.copy(),
+                "not-square": first[:-1],
+                "flat": first.ravel(),
+                "empty": first[:0, :0],
+                "fortran": np.asfortranarray(first),
+                "nan": np.where(np.eye(96, dtype=bool), np.nan, first),
+                "units-eV": first,
+            }[damage]
+            units_module.cache_store(entry.name, bad, b"eV" if damage == "units-eV" else b"J")
+            assert entry.read_bytes() != good
+        again, units = read_matrix(str(ham))
+        assert self._bits(again) == self._bits(first) and units == "J"
+        assert len(decodes) == 2
+        assert entry.read_bytes() == good
+
+    @pytest.mark.parametrize("owner", ["group-writable", "other-readable", "another-user"])
+    def test_cache_directory_others_can_reach_is_not_used(self, cache, ham, decodes, monkeypatch,
+                                                          owner):
+        first, _ = read_matrix(str(ham))
+        (entry,) = cache.iterdir()
+        good = entry.read_bytes()
+        if owner == "another-user":
+            uid = os.getuid() + 1
+            monkeypatch.setattr(os, "getuid", lambda: uid)
+        else:
+            cache.chmod(0o770 if owner == "group-writable" else 0o704)
+        for _ in range(2):
+            assert self._bits(read_matrix(str(ham))[0]) == self._bits(first)
+        assert len(decodes) == 3
+        assert list(cache.iterdir()) == [entry] and entry.read_bytes() == good
+
+    def test_store_into_a_shared_directory_is_skipped(self, cache, ham, decodes):
+        cache.mkdir(parents=True)
+        cache.chmod(0o755)
+        for _ in range(2):
+            read_matrix(str(ham))
+        assert len(decodes) == 2 and list(cache.iterdir()) == []
+
+    def test_invalid_file_is_never_stored(self, cache, ham):
+        ham.write_text(ham.read_text().replace('"entries": [[[', '"entries": [[["x", '))
+        messages = []
+        for _ in range(2):
+            with pytest.raises(FileFormatError) as exc:
+                read_matrix(str(ham))
+            messages.append(str(exc.value))
+        assert messages[0] == messages[1] == f"{ham}: entries[0][0]: expected an [re, im] number pair"
+        assert not cache.exists()
+
+    def test_matrix_in_other_units_is_never_stored(self, cache, ham):
+        ham.write_text(ham.read_text().replace('"units": "J"', '"units": "eV"'))
+        for _ in range(2):
+            with pytest.raises(FileFormatError, match='only "J" is supported'):
+                read_matrix(str(ham))
+        assert not cache.exists()
+
+    def test_layouts_read_to_identical_bits_cold_and_warm(self, cache, tmp_path, decodes):
+        rho = random_density(np.random.default_rng(97), 96).matrix
+        obj = {"dim": 96, "entries": np.stack([rho.real, rho.imag], -1).tolist()}
+        indented = json.dumps(obj, indent=2)
+        layouts = {
+            "compact.json": json.dumps(obj, separators=(",", ":")).encode(),
+            "indented.json": indented.encode(),
+            "crlf.json": indented.replace("\n", "\r\n").encode(),
+        }
+        reads = []
+        for name, data in layouts.items():
+            assert len(data) >= ORJSON_MIN_CHARS
+            (tmp_path / name).write_bytes(data)
+            for _ in range(2):
+                got, units = read_matrix(str(tmp_path / name))
+                assert units is None
+                reads.append(self._bits(got))
+        assert reads == [self._bits(rho)] * 6
+        assert len(decodes) == 3 and len(list(cache.iterdir())) == 3
+
+    def test_store_evicts_least_recently_used(self, cache, tmp_path, monkeypatch):
+        paths = []
+        for i in range(3):
+            path = tmp_path / f"h{i}.json"
+            write_matrix(str(path), np.eye(96) * (i + 1), units="J")
+            path.write_text(path.read_text() + PAD)
+            paths.append(path)
+        read_matrix(str(paths[0]))
+        (entry,) = cache.iterdir()
+        # room for two entries: the third store drops the oldest
+        monkeypatch.setattr(units_module, "CACHE_MAX_BYTES", 2 * entry.stat().st_size)
+        read_matrix(str(paths[1]))
+        (second,) = set(cache.iterdir()) - {entry}
+        os.utime(entry, (1, 1))
+        os.utime(second, (2, 2))
+        read_matrix(str(paths[0]))  # a hit: paths[0] is now the most recent
+        read_matrix(str(paths[2]))
+        kept = set(cache.iterdir())
+        assert entry in kept and second not in kept and len(kept) == 2
+
+    def test_small_files_skip_the_cache(self, cache, tmp_path):
+        path = tmp_path / "h.json"
+        write_matrix(str(path), np.eye(2), units="J")
+        read_matrix(str(path))
+        assert not cache.exists()
+
+    def test_no_home_directory_skips_the_cache(self, tmp_path, ham, monkeypatch, decodes):
+        # expanduser leaves "~" as it is when it finds no home directory
+        monkeypatch.delenv("XDG_CACHE_HOME")
+        monkeypatch.setattr(os.path, "expanduser", lambda path: path)
+        monkeypatch.chdir(tmp_path)
+        for _ in range(2):
+            assert read_matrix(str(ham))[0].shape == (96, 96)
+        assert len(decodes) == 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["h.json"]
+
+    def test_cache_home_naming_a_regular_file(self, tmp_path, ham, monkeypatch):
+        argv = ["qt", "gibbs", "--ham", str(ham), "--temp", "300", "--format", "json"]
+        results = []
+        for home in ("cache", "cache", "file"):
+            (tmp_path / "file").write_text("not a directory")
+            monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / home))
+            out, err = io.StringIO(), io.StringIO()
+            results.append((run(argv, out, err), out.getvalue(), err.getvalue()))
+        assert results[0] == results[1] == results[2]
+        assert results[0][0] == 0 and results[0][2] == ""
+        assert (tmp_path / "file").read_text() == "not a directory"
+
+
+@pytest.mark.parametrize("case", ["not-utf8", "not-utf8-large", "missing", "directory"])
+def test_cannot_read_message_is_the_text_readers(tmp_path, case):
+    # a file is read once as bytes, then decoded as open(path,
+    # encoding="utf-8") decodes it: the error names the same position
+    path = tmp_path / "bad.json"
+    if case.startswith("not-utf8"):
+        pad = b" " * (ORJSON_MIN_CHARS if case.endswith("large") else 3)
+        path.write_bytes(b'{"dim": 1,' + pad + b'"units": "\xe9"}')
+    elif case == "directory":
+        path.mkdir()
+    with pytest.raises((OSError, UnicodeDecodeError)) as want:
+        with open(path, encoding="utf-8") as fh:
+            fh.read()
+    with pytest.raises(FileFormatError) as got:
+        read_matrix(str(path))
+    assert str(got.value) == f"{path}: cannot read: {want.value}"
+
+
+@pytest.mark.parametrize("size", [0, ORJSON_MIN_CHARS])
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+def test_invalid_json_line_is_the_text_readers(tmp_path, size, newline):
+    # universal newlines: a lone CR ends a line as open() reads the file
+    path = tmp_path / "bad.json"
+    path.write_bytes(newline.join(['{"dim": 1,', '"entries": [[[0, 0]]],', " " * size + "oops}"]).encode())
+    with open(path, encoding="utf-8") as fh:
+        with pytest.raises(json.JSONDecodeError) as want:
+            json.loads(fh.read())
+    with pytest.raises(FileFormatError) as got:
+        read_matrix(str(path))
+    assert want.value.lineno == 3
+    assert str(got.value) == f"{path}: invalid JSON at line 3: {want.value.msg}"

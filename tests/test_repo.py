@@ -46,9 +46,10 @@ def test_range_errors_are_built_only_by_the_range_rule():
 
 
 def test_files_are_opened_only_by_units():
-    # units.read_json and units.write_text are the one reader and the one
-    # writer, so every file error is the same one-line FileFormatError
-    assert _calls({"open"}, {"units.py"}) == []
+    # units.read_bytes and units.write_text are the one reader and the one
+    # writer, so every file error is the same one-line FileFormatError, and
+    # units.cache_load and cache_store the one place arrays meet files
+    assert _calls({"open", "load", "save"}, {"units.py"}) == []
 
 
 def test_errors_are_two_families_and_five_named_kinds():
