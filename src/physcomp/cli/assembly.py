@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from .. import __version__
 from ..errors import InputError
 from .main import _unused
 from .report import Report
@@ -19,7 +18,7 @@ def add_parser(sub, common, help: str) -> None:
 def handle(args, out) -> Report:
     from .. import assembly
 
-    rep = Report("assembly", __version__)
+    rep = Report("assembly")
     if args.pathway is not None:
         _unused(args, "with --pathway", "target", "basis", "save-pathway")
         p = assembly.load_pathway(args.pathway)

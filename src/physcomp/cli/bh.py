@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 
-from .. import __version__, units
+from .. import units
 from ..errors import InputError
 from ..units import MASS, Quantity
 from .main import _finite, _unused
@@ -95,7 +95,7 @@ def handle(args, out) -> Report | None:
         _write_lines(list(blackhole.timeline_csv_lines(samples)), args.out, out)
         return None
     r = blackhole.characterize(mass)
-    rep = Report("bh", __version__)
+    rep = Report("bh")
     rep.inputs = {"mass": args.mass, "unit": args.unit}
     rep.add("mass", r.mass.magnitude, "kg", "input")
     rep.add("radius", r.radius.magnitude, "m", "R=2*G*M/c^2")

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from .. import __version__
 from ..errors import InputError
 from ..units import FARAD, POWER, TEMPERATURE, VOLT, Quantity
 from .main import _finite, _unused
@@ -24,7 +23,7 @@ def add_parser(sub, common, help: str) -> None:
 def handle(args, out) -> Report:
     from .. import catalog
 
-    rep = Report(f"catalog {args.mode}", __version__)
+    rep = Report(f"catalog {args.mode}")
     if args.mode == "list":
         _unused(args, "in list mode", "temp", "power", "capacitance", "volts")
     elif (args.capacitance is None) != (args.volts is None):

@@ -93,7 +93,7 @@ def _base_parser(argv):
 
 
 def _constants_report() -> Report:
-    rep = Report("constants", __version__)
+    rep = Report("constants")
     for name, _, unit, _, origin in units.CONSTANT_TABLE:
         value = getattr(units.CONSTANTS, name).magnitude
         if value != getattr(units.PINNED, name).magnitude:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .. import __version__, units
+from .. import units
 from ..units import ENERGY, INFORMATION, TEMPERATURE, TIME, Quantity
 from .main import _finite
 from .report import Report
@@ -49,7 +49,7 @@ def handle(args, out) -> Report:
     from .. import measures
 
     op = args.measure_op
-    rep = Report(f"measure {op}", __version__)
+    rep = Report(f"measure {op}")
     if op == "phi-time":
         e = _energy_quantity(args.energy, args.energy_unit)
         t = Quantity(args.time, TIME, "s")

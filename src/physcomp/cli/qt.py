@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .. import __version__, units
+from .. import units
 from ..errors import InputError, NumericalError
 from ..units import ENERGY, TEMPERATURE, TIME, Quantity
 from .main import _finite
@@ -72,7 +72,7 @@ def handle(args, out) -> Report:
     from .. import qthermo as qt
 
     op = args.qt_op
-    rep = Report(f"qt {op}", __version__)
+    rep = Report(f"qt {op}")
     # a result out of range raises in units.in_range; numpy stays silent
     with np.errstate(over="ignore", invalid="ignore"):
         if op == "entropy":

@@ -7,20 +7,21 @@ re-rendering a parsed report reproduces the bytes.
 
 from __future__ import annotations
 
+from .. import __version__
+
 FORMATS = ("human", "json", "csv")
 
 
 class Report:
     """One command's inputs, result rows and warnings, before rendering."""
 
-    __slots__ = ("subcommand", "version", "inputs", "results", "warnings")
+    __slots__ = ("subcommand", "inputs", "results", "warnings")
 
-    def __init__(self, subcommand: str, version: str, inputs=None, results=None, warnings=None):
+    def __init__(self, subcommand: str):
         self.subcommand = subcommand
-        self.version = version
-        self.inputs = {} if inputs is None else inputs
-        self.results = [] if results is None else results  # (name, value, unit, formula)
-        self.warnings = [] if warnings is None else warnings
+        self.inputs = {}
+        self.results = []  # (name, value, unit, formula)
+        self.warnings = []
 
     def add(self, name: str, value, unit: str, formula: str) -> None:
         self.results.append((name, value, unit, formula))
@@ -31,7 +32,7 @@ class Report:
     def to_dict(self) -> dict:
         return {
             "tool": "physcomp",
-            "version": self.version,
+            "version": __version__,
             "subcommand": self.subcommand,
             "inputs": dict(self.inputs),
             "results": [

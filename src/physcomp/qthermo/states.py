@@ -166,23 +166,17 @@ class DensityMatrix:
         return cls(np.eye(dim) / dim)
 
     @classmethod
-    def from_spectrum(cls, probabilities, eigenvectors) -> "DensityMatrix":
-        """The state sum_k p_k |v_k><v_k| from a known spectral decomposition.
+    def from_spectrum(cls, probabilities, operator: HermitianOperator) -> "DensityMatrix":
+        """The state sum_k p_k |v_k><v_k| over the eigenvectors v_k of
+        ``operator``, which are computed only if the matrix is read.
 
-        ``eigenvectors`` holds orthonormal columns v_k, or is the
-        :class:`HermitianOperator` whose eigenvectors they are; those are
-        computed only if the matrix is read. No diagonalization of the
-        state: the probabilities are kept exactly as given, after checking
-        that they are nonnegative, sum to 1 within ``TRACE_TOL`` and match
-        the columns in number.
+        No diagonalization of the state: the probabilities are kept exactly
+        as given, after checking that they are nonnegative, sum to 1 within
+        ``TRACE_TOL`` and match the operator's dimension.
         """
         p = np.asarray(probabilities, dtype=float)
-        if isinstance(eigenvectors, HermitianOperator):
-            basis, shape = eigenvectors, eigenvectors.matrix.shape
-        else:
-            basis = np.asarray(eigenvectors, dtype=complex)
-            shape = basis.shape
-        if p.ndim != 1 or p.size < 1 or shape != (p.size, p.size):
+        shape = operator.matrix.shape
+        if p.ndim != 1 or shape != (p.size, p.size):
             raise InvalidState(
                 f"spectrum of {p.shape} probabilities does not match "
                 f"eigenvectors of shape {shape}"
@@ -193,7 +187,7 @@ class DensityMatrix:
         if abs(total - 1.0) > TRACE_TOL:
             raise InvalidState(f"density matrix trace {total!r} differs from 1")
         rho = cls.__new__(cls)
-        rho.probabilities, rho._basis, rho._matrix = p, basis, None
+        rho.probabilities, rho._basis, rho._matrix = p, operator, None
         return rho
 
     @classmethod
@@ -396,7 +390,11 @@ def read_matrix(path: str) -> tuple[np.ndarray, str | None]:
 
 
 def read_vector(path: str) -> np.ndarray:
-    return _read_entries(path, 1)[0]
+    """Parse a vector file; returns the complex length-d array."""
+    out, unit = _read_entries(path, 1)
+    if unit is not None:
+        raise FileFormatError(f"{path}: units: states are dimensionless")
+    return out
 
 
 def _load(cls, path: str, entries: np.ndarray):

@@ -11,7 +11,6 @@ the nat is the same dimension scaled by 1/ln 2.
 
 from __future__ import annotations
 
-import gc
 import io
 import math
 import os
@@ -173,8 +172,6 @@ class Quantity:
         return Quantity(self.magnitude / other, self.dim, self.unit)
 
     def __rtruediv__(self, other):
-        if isinstance(other, Quantity):  # pragma: no cover - symmetric path
-            return other / self
         return Quantity(other / self.magnitude, DIMENSIONLESS / self.dim)
 
     def __add__(self, other: "Quantity") -> "Quantity":
@@ -312,13 +309,13 @@ class Constants(namedtuple("Constants", [*_NAMES, "source"])):
 
     __slots__ = ()
 
-    def self_check(self, rel_tol: float = 1e-10) -> None:
-        """Verify the Planck-scale identities; raises on violation."""
+    def self_check(self) -> None:
+        """Verify the Planck-scale identities to 1e-10; raises on violation."""
         mp2 = self.hbar.magnitude * self.c.magnitude / self.G.magnitude
         lp2 = self.hbar.magnitude * self.G.magnitude / self.c.magnitude**3
-        if abs(self.planck_mass.magnitude**2 / mp2 - 1.0) > rel_tol:
+        if abs(self.planck_mass.magnitude**2 / mp2 - 1.0) > 1e-10:
             raise DimensionMismatch("constants inconsistent: m_P^2 != hbar c / G")
-        if abs(self.planck_length.magnitude**2 / lp2 - 1.0) > rel_tol:
+        if abs(self.planck_length.magnitude**2 / lp2 - 1.0) > 1e-10:
             raise DimensionMismatch("constants inconsistent: l_P^2 != hbar G / c^3")
 
 
@@ -375,25 +372,17 @@ def read_json(path: str, text: str | None = None):
 
     if text is None:
         text = read_text(path)
-    # the decoder allocates one small list per matrix entry, none of them in
-    # a reference cycle, and the cyclic collector would rescan them all
-    # again and again while they accumulate
-    gc_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        if len(text) >= ORJSON_MIN_CHARS:
-            import orjson
+    if len(text) >= ORJSON_MIN_CHARS:
+        import orjson
 
-            try:
-                return orjson.loads(text)
-            except orjson.JSONDecodeError:
-                pass  # NaN, Infinity, 1e400, lone surrogates: json.loads takes them or says why
+        try:
+            return orjson.loads(text)
+        except orjson.JSONDecodeError:
+            pass  # NaN, Infinity, 1e400, lone surrogates: json.loads takes them or says why
+    try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise FileFormatError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}")
-    finally:
-        if gc_enabled:
-            gc.enable()
 
 
 def write_text(path: str, text: str) -> None:

@@ -1014,8 +1014,8 @@ def test_startup_loads_only_its_own_modules(tmp_path, argv, own, reads_json):
     cli = {n for n in loaded if n.startswith("physcomp.cli.")}
     own_cli = set() if argv[0] == "constants" else {f"physcomp.cli.{argv[0]}"}
     assert cli == {"physcomp.cli.main", "physcomp.cli.report"} | own_cli
-    # a pathway file is validated without compiling the search kernel
-    assert ("physcomp.assembly.search" in loaded) == ("--target" in argv)
+    # the assembly package loads its search kernel with it
+    assert ("physcomp.assembly.search" in loaded) == ("assembly" in own)
 
 
 class TestSpectralWork:

@@ -44,6 +44,7 @@ INPUTS = {
     "ground.json": '{"dim": 2, "entries": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]}\n',
     "third.json": '{"dim": 3, "entries": [[[0.5, 0.0], [0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.25, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0], [0.25, 0.0]]]}\n',
     "psi3.json": '{"dim": 3, "entries": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]}\n',
+    "psi-ev.json": '{"dim": 2, "entries": [[1.0, 0.0], [0.0, 0.0]], "units": "eV"}\n',
     "over.json": '{"hbar": 2.109143634e-34, "G": 1.33486e-10, "k_B": 2.761298e-23, "electron_volt": 3.204353268e-19}\n',
     "bool.json": '{"G": true}\n',
     "bad.json": '{\n  "G": 1,\n}\n',
@@ -148,6 +149,7 @@ COMMANDS = dict(
         ("qt-work-size-mismatch", ["qt", "work", "--ham", "h.json", "--state", "third.json", "--temp", "300"]),
         ("qt-spread-size-mismatch", ["qt", "spread", "--ham", "h.json", "--state", "third.json"]),
         ("qt-evolve-size-mismatch", ["qt", "evolve", "--ham", "flip.json", "--time", "1e-15", "--state-vector", "psi3.json"]),
+        ("qt-evolve-vector-units", ["qt", "evolve", "--ham", "flip.json", "--time", "1e-15", "--state-vector", "psi-ev.json"]),
         ("bh-out-unwritable", ["bh", "timeline", "--mass", "1e3", "--samples", "3", "--out", "missing/curve.csv"]),
         ("bh-sweep-out-unwritable", ["bh", "--sweep", "1e3:1e30:3", "--out", "missing/sweep.csv"]),
         ("qt-gibbs-save-unwritable", ["qt", "gibbs", "--ham", "h.json", "--temp", "300", "--save-state", "missing/thermal.json"]),
@@ -270,6 +272,7 @@ GOLDEN = {
     "qt-work-size-mismatch": "776fac7f5c0e61bde5236305616cfde960ae4c1f5a3ca84f339c3235a2e2b3a5",
     "qt-spread-size-mismatch": "776fac7f5c0e61bde5236305616cfde960ae4c1f5a3ca84f339c3235a2e2b3a5",
     "qt-evolve-size-mismatch": "776fac7f5c0e61bde5236305616cfde960ae4c1f5a3ca84f339c3235a2e2b3a5",
+    "qt-evolve-vector-units": "93deda5ab72a7c6615189d482844d4d27ee0c9a73827f39fc2ff646c44b1b179",
     "bh-out-unwritable": "e524db0c36f1066d2f5e1b7ed291058fc6e6bd7b5927bd791b5a3cb1a80b7caa",
     "bh-sweep-out-unwritable": "96f625844b8f11f738c33c18bc650793036d37a7879657b4ca73e688ac34e9e4",
     "qt-gibbs-save-unwritable": "c82c2906b912e9789bc5073ea99ed1b7b74e8ab9cc1a59d83de3acc4eed97a92",

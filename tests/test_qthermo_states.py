@@ -94,19 +94,18 @@ class TestDensityMatrix:
         assert np.allclose(rho.matrix, np.eye(4) / 4)
 
     def test_from_spectrum_keeps_probabilities(self):
-        vecs = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
-        rho = DensityMatrix.from_spectrum([0.75, 0.25], vecs)
-        assert list(rho.probabilities) == [0.75, 0.25]
+        # sigma_x: eigenvalues -1, +1 with eigenvectors (1, -1)/sqrt2, (1, 1)/sqrt2
+        sigma_x = HermitianOperator([[0.0, 1.0], [1.0, 0.0]])
+        rho = DensityMatrix.from_spectrum([0.25, 0.75], sigma_x)
+        assert list(rho.probabilities) == [0.25, 0.75]
         assert np.allclose(rho.matrix, [[0.5, 0.25], [0.25, 0.5]], atol=1e-15)
 
     @pytest.mark.parametrize(
-        "probs, vecs",
-        [([1.1, -0.1], np.eye(2)), ([0.6, 0.6], np.eye(2)), ([1.0], np.eye(2))],
-        ids=["negative", "trace", "shape"],
+        "probs", [[1.1, -0.1], [0.6, 0.6], [1.0]], ids=["negative", "trace", "shape"]
     )
-    def test_from_spectrum_checks_invariants(self, probs, vecs):
+    def test_from_spectrum_checks_invariants(self, probs):
         with pytest.raises(InvalidState):
-            DensityMatrix.from_spectrum(probs, vecs)
+            DensityMatrix.from_spectrum(probs, HermitianOperator(np.eye(2)))
 
     def test_from_state_projector(self):
         psi = StateVector([1 / np.sqrt(2), 1j / np.sqrt(2)])
@@ -180,6 +179,18 @@ class TestMatrixFiles:
         write_matrix(path, np.eye(2) / 2, units="J")
         with pytest.raises(FileFormatError, match="units"):
             load_density(path)
+
+    @pytest.mark.parametrize("unit", ["J", "eV", ""])
+    @pytest.mark.parametrize("size", ["small", "large"])
+    def test_vector_file_rejects_units(self, tmp_path, unit, size):
+        # a large file is read twice: decoded, then from the cache
+        path = tmp_path / "psi.vec"
+        pad = " " * ORJSON_MIN_CHARS if size == "large" else ""
+        path.write_text('{"dim": 2, "entries": [[1, 0], [0, 0]], "units": "%s"}%s' % (unit, pad))
+        for _ in range(2):
+            with pytest.raises(FileFormatError) as exc:
+                read_vector(str(path))
+            assert str(exc.value) == f"{path}: units: states are dimensionless"
 
     def test_positioned_error_bad_pair(self, tmp_path):
         path = tmp_path / "h.mat"

@@ -1,14 +1,19 @@
 """Repository hygiene: what git tracks, where the range rule lives, which
-module opens files, which errors exist."""
+module opens files or switches the collector, which errors and names exist,
+and whether the README's code runs."""
 
 import ast
+import os
+import re
 import shutil
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "physcomp"
 
 
 @pytest.mark.skipif(
@@ -25,10 +30,11 @@ def test_no_tracked_file_is_ignored():
 
 
 def _calls(names, allowed):
-    """Where a module under src/physcomp outside ``allowed`` calls one of ``names``."""
+    """Where a module under src/physcomp outside ``allowed`` (paths relative
+    to src/physcomp) calls one of ``names``."""
     offenders = []
-    for path in sorted((ROOT / "src" / "physcomp").rglob("*.py")):
-        if path.name in allowed and path.parent.name == "physcomp":
+    for path in sorted(SRC.rglob("*.py")):
+        if path.relative_to(SRC).as_posix() in allowed:
             continue
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Call):
@@ -52,11 +58,47 @@ def test_files_are_opened_only_by_units():
     assert _calls({"open", "load", "save"}, {"units.py"}) == []
 
 
+def test_only_the_process_entry_switches_the_collector():
+    # cli.main.main() owns its process and turns the cyclic collector off;
+    # library code leaves an in-process caller's setting alone
+    assert _calls({"disable", "enable", "freeze"}, {"cli/main.py"}) == []
+
+
+def _child(code: str, cwd=ROOT) -> subprocess.CompletedProcess:
+    """``code`` run by a fresh interpreter that imports physcomp from src/."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    env.pop("PHYSCOMP_CONSTANTS", None)
+    return subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env,
+                          capture_output=True, text=True)
+
+
+@pytest.mark.parametrize("module", ["physcomp", "physcomp.assembly", "physcomp.qthermo", "physcomp.cli"])
+def test_every_exported_name_resolves(module):
+    # in a fresh interpreter, so that names a module loads on first access
+    # are looked up as a user's first access looks them up
+    proc = _child(
+        f"import importlib; m = importlib.import_module({module!r}); "
+        "print(*[n for n in m.__all__ if not hasattr(m, n)])"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
+
+
+README_PYTHON = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(encoding="utf-8"),
+                           re.MULTILINE | re.DOTALL)
+
+
+@pytest.mark.parametrize("block", README_PYTHON, ids=[f"block-{i}" for i in range(len(README_PYTHON))])
+def test_readme_python_block_runs(block, tmp_path):
+    proc = _child(block, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_errors_are_two_families_and_five_named_kinds():
     # a refusal is an InputError (exit 2) or a NumericalError (exit 3); its
     # message says which check fired. A new class needs a caller that tells
     # it apart from its family.
-    tree = ast.parse((ROOT / "src" / "physcomp" / "errors.py").read_text(encoding="utf-8"))
+    tree = ast.parse((SRC / "errors.py").read_text(encoding="utf-8"))
     classes = {node.name for node in tree.body if isinstance(node, ast.ClassDef)}
     assert classes == {
         "PhyscompError",
