@@ -36,6 +36,7 @@ def add_parser(sub, common, help: str) -> None:
         default=None,
         help="log-spaced mass sweep (report mode), CSV output",
     )
+    bh.set_defaults(format=None)  # human in report mode; the other outputs are CSV
 
 
 def _mass_quantity(args) -> Quantity:
@@ -68,6 +69,12 @@ def _write_lines(lines: list[str], out_path: str | None, out) -> None:
         out.write(text)
 
 
+def _csv_only(args, where: str) -> None:
+    """Refuse a --format that was given where the output is always CSV."""
+    if args.format not in (None, "csv"):
+        raise InputError(f"--format {args.format} has no effect {where}; the output is CSV")
+
+
 def handle(args, out) -> Report | None:
     from .. import blackhole
 
@@ -75,6 +82,7 @@ def handle(args, out) -> Report | None:
         if args.mode != "report":
             raise InputError(f"--sweep has no effect in {args.mode} mode")
         _unused(args, "with --sweep", "mass", "unit", "samples")
+        _csv_only(args, "with --sweep")
         lines = [SWEEP_CSV_HEADER]
         for m in _parse_sweep(args.sweep):
             r = blackhole.characterize(Quantity(m, MASS, "kg"))
@@ -88,6 +96,9 @@ def handle(args, out) -> Report | None:
         return None
     if args.mode == "report":
         _unused(args, "in report mode", "out", "samples")
+        args.format = args.format or "human"
+    else:
+        _csv_only(args, f"in {args.mode} mode")
     args.unit = args.unit or "kg"
     mass = _mass_quantity(args)
     if args.mode in ("timeline", "page-curve"):

@@ -9,7 +9,6 @@ worse is rejected.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 from collections import namedtuple
@@ -17,14 +16,11 @@ from itertools import chain
 
 import numpy as np
 
-from .. import units
 from ..errors import FileFormatError, InvalidState
 from ..units import (
     ENERGY,
     ORJSON_MIN_CHARS,
     TEMPERATURE,
-    cache_load,
-    cache_store,
     finite_double,
     in_range,
     read_bytes,
@@ -299,50 +295,9 @@ def _check_entries(level, depth: int, dim: int, where: str, path: str) -> None:
         raise FileFormatError(f"{path}: {where}: entries must be finite doubles")
 
 
-@functools.cache
-def _reader_digest() -> bytes | None:
-    """SHA-256 of the code that turns a file's bytes into an array (this
-    module and units), or None if its source cannot be read."""
-    import hashlib
-
-    try:
-        return hashlib.sha256(read_bytes(__file__) + read_bytes(units.__file__)).digest()
-    except FileFormatError:
-        return None
-
-
-def _cache_key(data: bytes) -> str | None:
-    """The cache key of a file of ``data``, or None for a file too short to
-    be worth caching."""
-    reader = _reader_digest() if len(data) >= ORJSON_MIN_CHARS else None
-    if reader is None:
-        return None
-    import hashlib
-
-    h = hashlib.sha256(reader)
-    h.update(data)
-    return h.hexdigest()
-
-
-def _cached(key: str, ndim: int) -> tuple[np.ndarray, str | None] | None:
-    """What a parse returned for the file under ``key``, if the cache holds
-    an entry that a parse could have returned: one read as a matrix (ndim
-    2) never serves a read as a vector, nor the other way round."""
-    entry = cache_load(key)
-    if entry is None:
-        return None
-    arr, tag = entry
-    d = arr.shape[0] if arr.ndim else 0
-    if (
-        arr.dtype == complex
-        and d >= 1
-        and arr.shape == (d,) * ndim
-        and arr.flags.c_contiguous
-        and tag in (b"", b"J")
-        and np.isfinite(arr.view(float)).all()
-    ):
-        return arr, tag.decode() or None
-    return None
+# the "units" a matrix (ndim 2) or vector (ndim 1) file may carry, and the
+# refusal of any other; a refused file is never cached
+_UNITS = {2: ((None, "J"), 'only "J" is supported'), 1: ((None,), "states are dimensionless")}
 
 
 def _read_entries(path: str, ndim: int) -> tuple[np.ndarray, str | None]:
@@ -351,13 +306,18 @@ def _read_entries(path: str, ndim: int) -> tuple[np.ndarray, str | None]:
 
     A file of ORJSON_MIN_CHARS bytes or more is decoded once: the parsed
     array is cached under the SHA-256 of the reader's code and the file's
-    bytes, and a later read of the same bytes loads it.
+    bytes, and a later read of the same bytes loads it (``filecache``).
     """
+    accepted, refusal = _UNITS[ndim]
     data = read_bytes(path)
-    key = _cache_key(data)
-    hit = None if key is None else _cached(key, ndim)
-    if hit is not None:
-        return hit
+    key = None
+    if len(data) >= ORJSON_MIN_CHARS:
+        from . import filecache
+
+        key = filecache.key(data)
+        hit = filecache.get(key, ndim, accepted)
+        if hit is not None:
+            return hit
     # the bytes go before the parse and the text after it: at d = 512 each
     # copy of the file is 11 MB
     text = read_text(path, data)
@@ -376,25 +336,21 @@ def _read_entries(path: str, ndim: int) -> tuple[np.ndarray, str | None]:
         shape = f"{dim} rows of {dim} pairs" if ndim == 2 else f"{dim} pairs"
         raise FileFormatError(f"{path}: entries: expected {shape}")
     unit = raw.get("units")
-    if key is not None and unit in (None, "J"):
-        cache_store(key, out, (unit or "").encode())
+    if unit not in accepted:
+        raise FileFormatError(f"{path}: units: {refusal}")
+    if key is not None:
+        filecache.put(key, out, unit)
     return out, unit
 
 
 def read_matrix(path: str) -> tuple[np.ndarray, str | None]:
     """Parse a matrix file; returns (complex d x d array, units or None)."""
-    out, unit = _read_entries(path, 2)
-    if unit is not None and unit != "J":
-        raise FileFormatError(f"{path}: units: only \"J\" is supported")
-    return out, unit
+    return _read_entries(path, 2)
 
 
 def read_vector(path: str) -> np.ndarray:
     """Parse a vector file; returns the complex length-d array."""
-    out, unit = _read_entries(path, 1)
-    if unit is not None:
-        raise FileFormatError(f"{path}: units: states are dimensionless")
-    return out
+    return _read_entries(path, 1)[0]
 
 
 def _load(cls, path: str, entries: np.ndarray):

@@ -16,7 +16,7 @@ import math
 import os
 import sys
 from collections import namedtuple
-from contextlib import contextmanager, suppress
+from contextlib import contextmanager
 
 from .errors import DimensionMismatch, FileFormatError, NumericalOverflow, NumericalUnderflow
 
@@ -337,7 +337,7 @@ def finite_double(x) -> bool:
 # texts this long (full-precision matrix files from about d = 80) decode
 # with orjson, 3-4x faster than json.loads; shorter ones are not worth its
 # 6-13 ms import. qt input files of this many bytes are decoded only once
-# (the cache below).
+# (qthermo.filecache).
 ORJSON_MIN_CHARS = 2**18
 
 
@@ -393,122 +393,6 @@ def write_text(path: str, text: str) -> None:
             fh.write(text)
     except OSError as exc:
         raise FileFormatError(f"{path}: cannot write: {exc}")
-
-
-# -- cache of decoded files --------------------------------------------------
-#
-# An entry is one file named by its key: a tag line, then the array in .npy
-# format. The tag line holds the hex digest of the entry (_entry_digest),
-# then the tag. Every OSError on the way is a miss or a skipped store, so a
-# run gives the same result whether the cache is there, warm, cold or broken.
-
-# bytes the cache directory may hold; a store evicts the least recently
-# used entries beyond it (a d = 512 matrix takes 4 MiB)
-CACHE_MAX_BYTES = 2**28
-
-
-def _cache_dir() -> str | None:
-    """``$XDG_CACHE_HOME/physcomp``, or ``~/.cache/physcomp`` where that is
-    unset or not an absolute path; None where there is no home directory
-    either, rather than a path relative to the working directory."""
-    root = os.environ.get("XDG_CACHE_HOME", "")
-    if not os.path.isabs(root):
-        root = os.path.join(os.path.expanduser("~"), ".cache")
-    return os.path.join(root, "physcomp") if os.path.isabs(root) else None
-
-
-def _open_cache_dir(create: bool) -> int | None:
-    """A descriptor of the cache directory, or None where there is none that
-    only this user can write to: it must belong to ``os.getuid()`` and grant
-    no group or other permission. Entries are then reached through the
-    descriptor, so a path swapped after the check is not followed."""
-    folder = _cache_dir()
-    if folder is None or os.open not in os.supports_dir_fd:
-        return None
-    try:
-        if create:
-            os.makedirs(folder, mode=0o700, exist_ok=True)
-        fd = os.open(folder, os.O_RDONLY | os.O_DIRECTORY)
-    except OSError:
-        return None
-    st = os.fstat(fd)
-    if st.st_uid == os.getuid() and not st.st_mode & 0o077:
-        return fd
-    os.close(fd)
-    return None
-
-
-def _opener(fd: int):
-    """An ``open`` opener for names in the directory ``fd``; a file it
-    creates can be read and written by its owner only."""
-    return lambda name, flags: os.open(name, flags, 0o600, dir_fd=fd)
-
-
-def _entry_digest(key: str, arr, tag: bytes) -> bytes:
-    """The hex SHA-256 of an entry's key, tag, dtype, shape and values, as
-    its tag line holds it: a changed value, or an entry under another key's
-    name, misses."""
-    import hashlib
-
-    import numpy as np
-
-    h = hashlib.sha256(f"{key} {arr.dtype.str} {arr.shape} ".encode() + tag + b"\n")
-    h.update(np.ascontiguousarray(arr))
-    return h.hexdigest().encode()
-
-
-def cache_load(key: str):
-    """The (array, tag) stored under ``key``, or None where no entry reads
-    back whole with its digest. A hit marks the entry as recently used."""
-    import numpy as np
-
-    fd = _open_cache_dir(create=False)
-    if fd is None:
-        return None
-    try:
-        with open(key, "rb", opener=_opener(fd)) as fh:
-            digest, _, tag = fh.readline().rstrip(b"\n").partition(b" ")
-            arr = np.load(fh, allow_pickle=False)
-        if digest != _entry_digest(key, arr, tag):
-            return None
-        with suppress(OSError):
-            os.utime(key, dir_fd=fd)
-        return arr, tag
-    except (OSError, ValueError, EOFError):
-        return None
-    finally:
-        os.close(fd)
-
-
-def cache_store(key: str, arr, tag: bytes) -> None:
-    """Store ``arr`` and ``tag`` (one line) under ``key``, then evict."""
-    import numpy as np
-
-    fd = _open_cache_dir(create=True)
-    if fd is None:
-        return
-    temp = f".{key}.{os.getpid()}"
-    try:
-        with open(temp, "wb", opener=_opener(fd)) as fh:
-            fh.write(_entry_digest(key, arr, tag) + b" " + tag + b"\n")
-            np.save(fh, arr, allow_pickle=False)
-        os.replace(temp, key, src_dir_fd=fd, dst_dir_fd=fd)
-        entries = []
-        with os.scandir(fd) as listing:
-            for entry in listing:
-                if entry.is_file(follow_symlinks=False):
-                    st = entry.stat(follow_symlinks=False)
-                    entries.append((st.st_mtime, st.st_size, entry.name))
-        total = 0
-        for _, size, name in sorted(entries, reverse=True):
-            total += size
-            if total > CACHE_MAX_BYTES:
-                os.remove(name, dir_fd=fd)
-    except OSError:
-        with suppress(OSError):
-            os.remove(temp, dir_fd=fd)
-    finally:
-        os.close(fd)
 
 
 def _load_overrides(path: str) -> dict[str, float]:

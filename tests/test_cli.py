@@ -397,12 +397,23 @@ class TestIgnoredFlags:
             (["catalog", "list", "--power", "100"], "--power has no effect in list mode"),
             (["catalog", "list", "--capacitance", "1e-15"], "--capacitance has no effect in list mode"),
             (["catalog", "list", "--volts", "0.8"], "--volts has no effect in list mode"),
+            (["bh", "--sweep", "1:2:2", "--format", "json"],
+             "--format json has no effect with --sweep; the output is CSV"),
+            (["bh", "timeline", "--mass", "1", "--format", "json"],
+             "--format json has no effect in timeline mode; the output is CSV"),
+            (["bh", "page-curve", "--mass", "1", "--format", "human"],
+             "--format human has no effect in page-curve mode; the output is CSV"),
         ],
     )
     def test_refused(self, argv, message):
         code, out, err = invoke(*argv)
         assert out == ""
         _assert_one_line_error(code, err, message)
+
+    @pytest.mark.parametrize("argv", [["bh", "timeline", "--mass", "1e3", "--samples", "3"],
+                                      ["bh", "--sweep", "1:2:2"]])
+    def test_csv_format_is_accepted_where_the_output_is_csv(self, argv):
+        assert invoke(*argv, "--format", "csv") == invoke(*argv)
 
     def test_report_writes_no_file(self, tmp_path):
         out_file = tmp_path / "x.csv"
@@ -1009,6 +1020,8 @@ def test_startup_loads_only_its_own_modules(tmp_path, argv, own, reads_json):
         assert "inspect" not in loaded
     assert ("json" in loaded) == reads_json
     assert "orjson" not in loaded  # small files keep json.loads
+    # nor do they key or look up the decoded-file cache
+    assert not loaded & {"physcomp.qthermo.filecache", "hashlib"}
     assert loaded & _SUBPACKAGES == {f"physcomp.{n}" for n in own}
     # the CLI modules: the dispatcher, the renderer and the subcommand's own
     cli = {n for n in loaded if n.startswith("physcomp.cli.")}

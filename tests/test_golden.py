@@ -83,6 +83,7 @@ COMMANDS = dict(
         ("bh-page-curve-out", ["bh", "page-curve", "--mass", "2", "--unit", "solar", "--samples", "4", "--out", "curve.csv"]),
         ("bh-sweep", ["bh", "--sweep", "1e3:1e30:5"]),
         ("bh-sweep-out", ["bh", "--sweep", "1e-5:1e5:3", "--out", "sweep.csv"]),
+        ("bh-timeline-format-json", ["bh", "timeline", "--mass", "1e3", "--samples", "5", "--format", "json"]),
         ("bh-no-mass", ["bh"]),
         ("bh-zero-mass", ["bh", "--mass", "0"]),
         ("bh-bad-sweep", ["bh", "--sweep", "1:2"]),
@@ -206,6 +207,7 @@ GOLDEN = {
     "bh-page-curve-out": "6881dcb06855a0834bc49bed42efbb16f2a53c4539f2574815b787e29b98268c",
     "bh-sweep": "3ca0230cae568b33c82ebb11d9a33a0709c28001c522155111627a0c2ef602c1",
     "bh-sweep-out": "89c90567f18b3843bd9f17a6ee80639e2af75b3cd0b9ac12e13fa51a0860d499",
+    "bh-timeline-format-json": "e890ac05da3c68aef015fa3b3c385d30ccc03e93472ee578321a6c31494a94fa",
     "bh-no-mass": "a2826c50cd3d773cb60f8a86dccbebcf86ec638383f78e24ddc94a738da3e87b",
     "bh-zero-mass": "3ebae684cd5f6fb0ff6428b292c0262c6cf5cef996fd5be02188c1c2e83df87d",
     "bh-bad-sweep": "8f767b2ab9321324b91a6d34f5e4c905080ccb36da313c7e3c632f89aadced68",

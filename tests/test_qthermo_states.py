@@ -1,5 +1,6 @@
 """State/operator validation, PSD repair, and the matrix file format."""
 
+import functools
 import io
 import json
 import os
@@ -29,7 +30,7 @@ from physcomp.qthermo import (
     write_matrix,
     write_vector,
 )
-from physcomp.qthermo import states
+from physcomp.qthermo import filecache, states
 
 
 class TestHermitianOperator:
@@ -182,8 +183,10 @@ class TestMatrixFiles:
 
     @pytest.mark.parametrize("unit", ["J", "eV", ""])
     @pytest.mark.parametrize("size", ["small", "large"])
-    def test_vector_file_rejects_units(self, tmp_path, unit, size):
-        # a large file is read twice: decoded, then from the cache
+    def test_vector_file_rejects_units(self, tmp_path, monkeypatch, unit, size):
+        # a large file is decoded on both reads: a refused file is never stored
+        cache = tmp_path / "cache"
+        monkeypatch.setenv("XDG_CACHE_HOME", str(cache))
         path = tmp_path / "psi.vec"
         pad = " " * ORJSON_MIN_CHARS if size == "large" else ""
         path.write_text('{"dim": 2, "entries": [[1, 0], [0, 0]], "units": "%s"}%s' % (unit, pad))
@@ -191,6 +194,7 @@ class TestMatrixFiles:
             with pytest.raises(FileFormatError) as exc:
                 read_vector(str(path))
             assert str(exc.value) == f"{path}: units: states are dimensionless"
+        assert list(cache.glob("physcomp/*")) == []
 
     def test_positioned_error_bad_pair(self, tmp_path):
         path = tmp_path / "h.mat"
@@ -459,10 +463,32 @@ class TestDecodedFileCache:
 
     def test_changed_reader_source_misses(self, cache, ham, decodes, monkeypatch):
         read_matrix(str(ham))
-        monkeypatch.setattr(states, "_reader_digest", lambda: b"\0" * 32)
+        monkeypatch.setattr(filecache, "_reader_digest", lambda: b"\0" * 32)
         read_matrix(str(ham))
         read_matrix(str(ham))
         assert len(decodes) == 2 and len(list(cache.iterdir())) == 2
+
+    @pytest.mark.parametrize("module", [states, units_module, filecache],
+                             ids=["states", "units", "filecache"])
+    def test_each_reader_source_is_in_the_key(self, tmp_path, monkeypatch, module):
+        # one more byte in any of the three sources gives every file a new key
+        data = b" " * ORJSON_MIN_CHARS
+        before = filecache.key(data)
+        changed = tmp_path / "changed.py"
+        changed.write_bytes(units_module.read_bytes(module.__file__) + b"\n")
+        monkeypatch.setattr(module, "__file__", str(changed))
+        monkeypatch.setattr(filecache, "_reader_digest",
+                            functools.cache(filecache._reader_digest.__wrapped__))
+        assert filecache.key(data) != before
+
+    def test_state_refused_for_its_units_still_serves_the_hamiltonian(self, cache, ham, decodes):
+        # the same bytes are a valid --ham file, so the "J" matrix is stored
+        with pytest.raises(FileFormatError) as exc:
+            load_density(str(ham))
+        assert str(exc.value) == f"{ham}: units: states are dimensionless"
+        assert len(decodes) == 1 and len(list(cache.iterdir())) == 1
+        assert load_hamiltonian(str(ham)).dim == 96
+        assert len(decodes) == 1
 
     def test_vector_and_matrix_reads_do_not_share_entries(self, cache, tmp_path, decodes):
         path = tmp_path / "psi.json"
@@ -494,7 +520,7 @@ class TestDecodedFileCache:
             entry.write_bytes(good.replace(b" J\n", b" \n", 1))
         elif damage == "other-key":
             # a whole entry, but stored under another file's key
-            units_module.cache_store("0" * 64, first * 2, b"J")
+            filecache.put("0" * 64, first * 2, "J")
             os.replace(cache / ("0" * 64), entry)
         elif damage == "pickle":
             with entry.open("wb") as fh:
@@ -512,7 +538,7 @@ class TestDecodedFileCache:
                 "nan": np.where(np.eye(96, dtype=bool), np.nan, first),
                 "units-eV": first,
             }[damage]
-            units_module.cache_store(entry.name, bad, b"eV" if damage == "units-eV" else b"J")
+            filecache.put(entry.name, bad, "eV" if damage == "units-eV" else "J")
             assert entry.read_bytes() != good
         again, units = read_matrix(str(ham))
         assert self._bits(again) == self._bits(first) and units == "J"
@@ -589,7 +615,7 @@ class TestDecodedFileCache:
         read_matrix(str(paths[0]))
         (entry,) = cache.iterdir()
         # room for two entries: the third store drops the oldest
-        monkeypatch.setattr(units_module, "CACHE_MAX_BYTES", 2 * entry.stat().st_size)
+        monkeypatch.setattr(filecache, "CACHE_MAX_BYTES", 2 * entry.stat().st_size)
         read_matrix(str(paths[1]))
         (second,) = set(cache.iterdir()) - {entry}
         os.utime(entry, (1, 1))

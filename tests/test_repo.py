@@ -1,6 +1,7 @@
 """Repository hygiene: what git tracks, where the range rule lives, which
-module opens files or switches the collector, which errors and names exist,
-and whether the README's code runs."""
+module opens files, imports the decoded-file cache or switches the
+collector, which errors and names exist, and whether the README's code
+runs."""
 
 import ast
 import os
@@ -54,8 +55,25 @@ def test_range_errors_are_built_only_by_the_range_rule():
 def test_files_are_opened_only_by_units():
     # units.read_bytes and units.write_text are the one reader and the one
     # writer, so every file error is the same one-line FileFormatError, and
-    # units.cache_load and cache_store the one place arrays meet files
-    assert _calls({"open", "load", "save"}, {"units.py"}) == []
+    # qthermo.filecache (get and put) the one place arrays meet files
+    assert _calls({"open", "load", "save"}, {"units.py", "qthermo/filecache.py"}) == []
+
+
+def test_only_the_file_reader_imports_the_cache():
+    # states._read_entries imports qthermo.filecache for a large file only,
+    # so a process that reads none never compiles the cache code
+    importers = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [f"{node.module or ''}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            if any("filecache" in name.split(".") for name in names):
+                importers.append(path.relative_to(SRC).as_posix())
+    assert importers == ["qthermo/states.py"]
 
 
 def test_only_the_process_entry_switches_the_collector():
