@@ -78,7 +78,7 @@ def handle(args, out) -> Report:
         if op == "entropy":
             rho = qt.load_density(args.state)
             rep.inputs = {"state": args.state, "entropy_unit": args.entropy_unit}
-            s = qt.von_neumann_entropy(rho, args.entropy_unit)
+            s = units.entropy_convert(qt.von_neumann_entropy(rho), args.entropy_unit)
             rep.add("entropy", s.expressed, s.unit, "-tr(rho*ln(rho))")
         elif op == "gibbs":
             ham = qt.load_hamiltonian(args.ham)
@@ -90,15 +90,8 @@ def handle(args, out) -> Report:
             rep.add("temperature", g.temperature.magnitude, "K", "input")
             _add_partition_function(rep, g)
             rep.add("f_eq", g.f_eq.magnitude, "J", "-k_B*T*ln(Z)")
-            rep.add(
-                "entropy",
-                qt.von_neumann_entropy(g.rho).magnitude,
-                "bit",
-                "-tr(rho*ln(rho))",
-            )
-            # the state is diagonal in H's eigenbasis: tr(rho*H) = sum_k p_k E_k
-            e = float((g.rho.probabilities * ham.eigenvalues()).sum())
-            rep.add("mean_energy", e, "J", "tr(rho*H)")
+            rep.add("entropy", qt.von_neumann_entropy(g.rho).magnitude, "bit", "-tr(rho*ln(rho))")
+            rep.add("mean_energy", qt.mean_energy(g.rho, ham).magnitude, "J", "tr(rho*H)")
             if args.save_state:
                 qt.write_matrix(args.save_state, g.rho.matrix)
                 rep.warn(f"thermal state written to {args.save_state}")

@@ -19,7 +19,6 @@ from ..units import (
     INFORMATION,
     LN2,
     TEMPERATURE,
-    DimensionMismatch,
     Dimension,
     Quantity,
     in_range,
@@ -42,16 +41,17 @@ def _entropy(rho: DensityMatrix) -> float:
     return min(max(0.0, float(-(nz * np.log(nz)).sum())), math.log(rho.dim))
 
 
-def von_neumann_entropy(rho: DensityMatrix, unit: str = "bits") -> Quantity:
-    """S(rho), stored in bits and displayed in ``unit`` ("bits" or "nats")."""
-    label = {"bits": "bit", "nats": "nat"}.get(unit)
-    if label is None:
-        raise DimensionMismatch(f"unknown entropy unit {unit!r}")
-    return Quantity(_entropy(rho) / LN2, INFORMATION, label)
+def von_neumann_entropy(rho: DensityMatrix) -> Quantity:
+    """S(rho) in bits; ``units.entropy_convert`` relabels it in nats."""
+    return Quantity(_entropy(rho) / LN2, INFORMATION, "bit")
 
 
 def mean_energy(rho: DensityMatrix, H: HermitianOperator) -> Quantity:
+    """tr(rho H) in joules; sum_k p_k E_k for a state built on H's own
+    eigenbasis (every Gibbs state), whose matrix is then never built."""
     H.check_acts_on(rho)
+    if rho._basis is H:
+        return Quantity(float((rho.probabilities * H.eigenvalues()).sum()), ENERGY, "J")
     return Quantity(real_inner(rho.matrix, H.matrix), ENERGY, "J")
 
 

@@ -258,21 +258,22 @@ def entropy_convert(s: Quantity, target_unit: str) -> Quantity:
     """Convert an entropy between bits, nats, and thermodynamic J/K.
 
     Accepts a quantity carrying either the information dimension or J/K.
-    bits = nats / ln 2; J/K = nats * k_B, with k_B from the active set.
+    Bits and nats share the stored magnitude (in bits), so between them only
+    the label changes; J/K = nats * k_B, with k_B from the active set.
     """
     k_b = CONSTANTS.k_B.magnitude
     if s.dim == INFORMATION:
-        nats = s.magnitude * LN2  # canonical information unit is the bit
+        bits, nats = s.magnitude, s.magnitude * LN2
     elif s.dim == ENTROPY_THERMO:
         nats = s.magnitude / k_b
+        bits = nats / LN2
     else:
         raise DimensionMismatch(
             f"entropy_convert needs information or J/K, got [{s.unit or '1'}]"
         )
-    if target_unit == "bits":
-        return Quantity(nats / LN2, INFORMATION, "bit")
-    if target_unit == "nats":
-        return Quantity(nats / LN2, INFORMATION, "nat")
+    label = {"bits": "bit", "nats": "nat"}.get(target_unit)
+    if label is not None:
+        return Quantity(bits, INFORMATION, label)
     if target_unit == "joules_per_kelvin":
         return Quantity(nats * k_b, ENTROPY_THERMO, "J/K")
     raise DimensionMismatch(f"unknown entropy unit {target_unit!r}")
@@ -308,15 +309,6 @@ class Constants(namedtuple("Constants", [*_NAMES, "source"])):
     """
 
     __slots__ = ()
-
-    def self_check(self) -> None:
-        """Verify the Planck-scale identities to 1e-10; raises on violation."""
-        mp2 = self.hbar.magnitude * self.c.magnitude / self.G.magnitude
-        lp2 = self.hbar.magnitude * self.G.magnitude / self.c.magnitude**3
-        if abs(self.planck_mass.magnitude**2 / mp2 - 1.0) > 1e-10:
-            raise DimensionMismatch("constants inconsistent: m_P^2 != hbar c / G")
-        if abs(self.planck_length.magnitude**2 / lp2 - 1.0) > 1e-10:
-            raise DimensionMismatch("constants inconsistent: l_P^2 != hbar G / c^3")
 
 
 def finite_double(x) -> bool:
@@ -414,8 +406,9 @@ def constants(override_path: str | None = None) -> Constants:
 
     The override file is a flat JSON object, key = constant name, value =
     positive number in SI units. Missing keys fall back to the pinned
-    defaults; Planck mass/length are rederived from (possibly overridden)
-    hbar, c, G unless explicitly overridden themselves. With no path, the
+    defaults; Planck mass/length are derived from (possibly overridden)
+    hbar, c, G, and one the file gives must match that to 1e-10; a refusal
+    is a :class:`FileFormatError` that names the file. With no path, the
     file named by ``PHYSCOMP_CONSTANTS`` is read if that is set; an empty
     path gives the pinned set without looking at the environment.
 
@@ -430,18 +423,24 @@ def constants(override_path: str | None = None) -> Constants:
     if override_path:
         values.update(_load_overrides(override_path))
         source = f"{origin}:{override_path}"
+    # each Planck unit squared, derived once, must be a positive finite double;
+    # c**3 or value**2 above the double range raises OverflowError, and a c**3
+    # that rounds to 0 ZeroDivisionError
+    hbar, c, g = values["hbar"], values["c"], values["G"]
     try:
-        hbar, c, g = values["hbar"], values["c"], values["G"]
-        values.setdefault("planck_mass", math.sqrt(hbar * c / g))
-        values.setdefault("planck_length", math.sqrt(hbar * g / c**3))
-        consts = Constants(
-            *(Quantity(values[name], dim, unit) for name, dim, unit, _, _ in CONSTANT_TABLE),
-            source,
-        )
-        consts.self_check()
-    except ArithmeticError:  # a Planck unit leaves the double range
+        for name, square, identity in (("planck_mass", hbar * c / g, "m_P^2 != hbar c / G"),
+                                       ("planck_length", hbar * g / c**3, "l_P^2 != hbar G / c^3")):
+            if not 0.0 < square < math.inf:
+                raise OverflowError
+            value = values.setdefault(name, math.sqrt(square))
+            if abs(value**2 / square - 1.0) > 1e-10:
+                raise FileFormatError(f"{override_path}: constants inconsistent: {identity}")
+    except ArithmeticError:
         raise FileFormatError(f"{override_path}: constants out of double range")
-    return consts
+    return Constants(
+        *(Quantity(values[name], dim, unit) for name, dim, unit, _, _ in CONSTANT_TABLE),
+        source,
+    )
 
 
 PINNED = constants("")

@@ -854,9 +854,16 @@ def _assert_exit_0_or_one_line_error(argv, path, content, codes=(2,)):
 @given(obj=_CONSTANTS_FILES)
 @example(obj={"G": 1e-320})
 @example(obj={"c": 1e300})
+@example(obj={"c": 1e-320})
+@example(obj={"hbar": 1e300, "G": 1e-300})
+@example(obj={"planck_length": 1.0})
 def test_fuzzed_constants_file(tmp_path_factory, obj):
     path = tmp_path_factory.mktemp("c") / "c.json"
-    _assert_exit_0_or_one_line_error(["constants", "--constants", str(path)], path, json.dumps(obj))
+    code, err = _assert_exit_0_or_one_line_error(
+        ["constants", "--constants", str(path)], path, json.dumps(obj)
+    )
+    # every refusal of an override file names the file
+    assert code == 0 or err.startswith(f"error: {path}: "), err
 
 
 @settings(max_examples=40, deadline=None)

@@ -224,12 +224,21 @@ SUBCOMMANDS = (
 )
 
 
+# what bad.json holds; "missing" writes no file
+BAD_OVERRIDES = {
+    "missing": None,
+    "boolean": '{"G": true}',
+    "overflow": '{"hbar": 1e300, "G": 1e-300}',  # hbar c / G is beyond the double range
+    "inconsistent": '{"planck_length": 1.0}',
+}
+
+
 @pytest.mark.parametrize("argv", SUBCOMMANDS, ids=lambda a: a[0])
 @pytest.mark.parametrize("route", ["flag", "env"])
-@pytest.mark.parametrize("bad", ["missing", "boolean"])
+@pytest.mark.parametrize("bad", list(BAD_OVERRIDES))
 def test_bad_override_is_one_line_exit_2(argv, route, bad, workdir, monkeypatch):
-    if bad == "boolean":
-        (workdir / "bad.json").write_text('{"G": true}')
+    if BAD_OVERRIDES[bad] is not None:
+        (workdir / "bad.json").write_text(BAD_OVERRIDES[bad])
     if route == "flag":
         argv = argv + ["--constants", "bad.json"]
     else:

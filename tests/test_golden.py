@@ -48,6 +48,8 @@ INPUTS = {
     "over.json": '{"hbar": 2.109143634e-34, "G": 1.33486e-10, "k_B": 2.761298e-23, "electron_volt": 3.204353268e-19}\n',
     "bool.json": '{"G": true}\n',
     "bad.json": '{\n  "G": 1,\n}\n',
+    "huge.json": '{"hbar": 1e300, "G": 1e-300}\n',
+    "lp.json": '{"planck_length": 1.0}\n',
 }
 # a d = 160 Hamiltonian long enough (308,885 bytes) to be read through the
 # decoded-file cache; diagonal, so its spectrum is exact on any BLAS kernel
@@ -171,6 +173,8 @@ COMMANDS = dict(
         ("over-missing", ["catalog", "list", "--constants", "nope.json"]),
         ("over-bool", ["bh", "--mass", "1", "--constants", "bool.json"]),
         ("over-bad-json", ["constants", "--constants", "bad.json"]),
+        ("over-out-of-range", ["constants", "--constants", "huge.json"]),
+        ("over-inconsistent", ["bh", "--mass", "1", "--constants", "lp.json"]),
     ]
 )
 
@@ -295,6 +299,8 @@ GOLDEN = {
     "over-missing": "8a400232d312d1aa71734dba99925991f116dc6121837ac12f08f5b5fd8703ee",
     "over-bool": "bce329ec2fa67bab1aaddeeb0ad03bcd0fb8f34c4ead741bca7e85408051caeb",
     "over-bad-json": "a1cbad501a75bdad2db10e1fb0be37bbe3241a80c914ca623915f27c3b6d86e1",
+    "over-out-of-range": "d9813983ed6a2da813bacd08f16d8ef9bc15d4d18c2929ab6276278d6382fd71",
+    "over-inconsistent": "877b4801a81333ff96b0c9e30da6b039c0070f320bd78a24ea9251b1ef0f00ff",
 }
 
 

@@ -16,7 +16,7 @@ from _random_states import random_density, random_hermitian
 from physcomp import units as units_module
 from physcomp.cli.main import run
 from physcomp.errors import FileFormatError, InvalidState, NumericalOverflow
-from physcomp.units import LN2, ORJSON_MIN_CHARS, read_json
+from physcomp.units import LN2, ORJSON_MIN_CHARS, entropy_convert, read_json
 from physcomp.qthermo import (
     DensityMatrix,
     HermitianOperator,
@@ -122,7 +122,7 @@ def test_spectrum_matches_an_eigh_oracle(seed, d):
     want = vals / vals.sum()
     assert np.allclose(rho.probabilities, want, rtol=0.0, atol=1e-12)
     nz = want[want > 0.0]
-    s = von_neumann_entropy(rho, "nats").magnitude * LN2
+    s = entropy_convert(von_neumann_entropy(rho), "nats").magnitude * LN2
     assert s == pytest.approx(float(-(nz * np.log(nz)).sum()), rel=0.0, abs=1e-12)
 
 

@@ -22,7 +22,8 @@ from physcomp.qthermo import (
     solve_inverse_temperature,
     von_neumann_entropy,
 )
-from physcomp.units import BIT, CONSTANTS, ENERGY, TEMPERATURE, Quantity
+from physcomp.qthermo.states import real_inner
+from physcomp.units import BIT, CONSTANTS, ENERGY, TEMPERATURE, Quantity, entropy_convert
 
 K_B = CONSTANTS.k_B.magnitude
 
@@ -40,7 +41,7 @@ def kelvin(kt_joules: float) -> Quantity:
 
 class TestVonNeumannEntropy:
     def test_maximally_mixed_qubit_is_one_bit(self):
-        s = von_neumann_entropy(DensityMatrix.maximally_mixed(2), "bits")
+        s = entropy_convert(von_neumann_entropy(DensityMatrix.maximally_mixed(2)), "bits")
         assert s.magnitude == pytest.approx(1.0, abs=1e-12)
 
     def test_pure_state_is_zero(self):
@@ -48,18 +49,18 @@ class TestVonNeumannEntropy:
         assert von_neumann_entropy(rho).magnitude == pytest.approx(0.0, abs=1e-9)
 
     def test_diagonal_example(self):
-        s = von_neumann_entropy(DensityMatrix(np.diag([0.25, 0.75])), "bits")
+        s = entropy_convert(von_neumann_entropy(DensityMatrix(np.diag([0.25, 0.75]))), "bits")
         assert s.magnitude == pytest.approx(ENTROPY_25_75_BITS, rel=1e-12)
 
     def test_nats_display(self):
-        s = von_neumann_entropy(DensityMatrix.maximally_mixed(2), "nats")
+        s = entropy_convert(von_neumann_entropy(DensityMatrix.maximally_mixed(2)), "nats")
         assert s.expressed == pytest.approx(math.log(2.0), rel=1e-12)
 
     def test_bounds_on_random_states(self):
         rng = np.random.default_rng(7)
         for _ in range(100):
             d = int(rng.integers(2, 9))
-            s = von_neumann_entropy(random_density(rng, d), "bits").magnitude
+            s = entropy_convert(von_neumann_entropy(random_density(rng, d)), "bits").magnitude
             assert -1e-12 <= s <= math.log2(d) + 1e-12
 
 
@@ -102,7 +103,7 @@ class TestGibbsState:
             kt = float(rng.uniform(0.2, 3.0))
             g = gibbs_state(h, kelvin(kt))
             e = mean_energy(g.rho, h).magnitude
-            s_nats = von_neumann_entropy(g.rho, "nats").expressed
+            s_nats = entropy_convert(von_neumann_entropy(g.rho), "nats").expressed
             t = g.temperature.magnitude
             assert g.f_eq.magnitude == pytest.approx(
                 e - t * K_B * s_nats, rel=1e-9, abs=1e-12
@@ -199,6 +200,17 @@ class TestThermalSpectrum:
         rho = gibbs_state(h, kelvin(0.7)).rho
         assert np.allclose(rho.matrix, (vecs * rho.probabilities) @ vecs.conj().T, atol=1e-15)
         assert calls == ["eigh"]
+
+    def test_energy_needs_no_eigenvectors(self, monkeypatch):
+        h, calls = self._count_diagonalizations(monkeypatch)
+        T = kelvin(0.7)
+        g = gibbs_state(h, T)
+        e = mean_energy(g.rho, h).magnitude
+        nonequilibrium_free_energy(g.rho, h, T)
+        extractable_work(g.rho, h, T)
+        # sum_k p_k E_k over the spectrum: the thermal matrix is not built
+        assert calls == ["eigvalsh"]
+        assert e == pytest.approx(real_inner(g.rho.matrix, h.matrix), rel=1e-12, abs=0.0)
 
     def test_rotated_two_level_deep_tail(self):
         # a 40 k_B T gap in a rotated basis: the excited population, about

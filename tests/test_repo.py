@@ -1,7 +1,7 @@
 """Repository hygiene: what git tracks, where the range rule lives, which
 module opens files, imports the decoded-file cache or switches the
-collector, which errors and names exist, and whether the README's code
-runs."""
+collector, which errors, names and dependencies exist, and whether the
+README's code runs."""
 
 import ast
 import os
@@ -110,6 +110,23 @@ README_PYTHON = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_t
 def test_readme_python_block_runs(block, tmp_path):
     proc = _child(block, cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_third_party_imports_are_the_declared_dependencies():
+    # what the package imports is declared, and what is declared is imported;
+    # tests may still importorskip others, such as scipy
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    declared = {re.match(r"[\w.-]+", dep).group().lower().replace("-", "_")
+                for dep in project["dependencies"]}
+    imported = set()
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    assert imported - set(sys.stdlib_module_names) - {"physcomp"} == declared
 
 
 def test_errors_are_two_families_and_five_named_kinds():

@@ -4,6 +4,7 @@ import copy
 import json
 import math
 import pickle
+import random
 
 import pytest
 
@@ -153,7 +154,15 @@ class TestEntropyConvert:
         for value in (1e-6, 1.0, 3.7, 1e40):
             start = Quantity(value, INFORMATION, "bit")
             back = entropy_convert(entropy_convert(start, "nats"), "bits")
-            assert back.magnitude == pytest.approx(value, rel=1e-12)
+            assert back.magnitude == value
+
+    @pytest.mark.parametrize("unit", ["bits", "nats"])
+    def test_bits_and_nats_relabel_exactly(self, unit):
+        # the magnitude is stored in bits: no ln 2 round trip moves a digit
+        rng = random.Random(1)
+        for _ in range(10_000):
+            x = rng.uniform(0.0, 100.0)
+            assert entropy_convert(Quantity(x, INFORMATION, "bit"), unit).magnitude == x
 
     def test_thermodynamic_round_trip(self):
         start = Quantity(2.5, INFORMATION, "bit")
@@ -186,7 +195,6 @@ class TestConstants:
         assert c.planck_mass.magnitude**2 * c.G.magnitude / (
             c.hbar.magnitude * c.c.magnitude
         ) == pytest.approx(1.0, abs=1e-10)
-        c.self_check()
 
     def test_dimensions_carried(self):
         c = constants()
@@ -220,7 +228,7 @@ class TestConstants:
     def test_override_inconsistent_planck_mass_fails_self_check(self, tmp_path):
         path = tmp_path / "consts.json"
         path.write_text(json.dumps({"planck_mass": 1.0}))
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(FileFormatError, match=r"constants inconsistent: m_P\^2"):
             constants(str(path))
 
     def test_override_non_number_rejected(self, tmp_path):
