@@ -1,7 +1,7 @@
 """The decoded-file cache: a large matrix or vector file is decoded once.
 
 ``states._read_entries`` imports this module only for a file of
-``units.ORJSON_MIN_CHARS`` bytes or more. An entry is one file named by its
+``units.LARGE_FILE_BYTES`` bytes or more. An entry is one file named by its
 key (:func:`key`): a tag line, then the parsed array in .npy format. The
 tag line holds the hex digest of the entry (:func:`_entry_digest`), then
 the file's units. Every OSError on the way is a miss or a skipped store,

@@ -19,13 +19,12 @@ import numpy as np
 from ..errors import FileFormatError, InvalidState
 from ..units import (
     ENERGY,
-    ORJSON_MIN_CHARS,
+    LARGE_FILE_BYTES,
     TEMPERATURE,
     finite_double,
     in_range,
     read_bytes,
     read_json,
-    read_text,
     require,
     write_text,
 )
@@ -304,26 +303,22 @@ def _read_entries(path: str, ndim: int) -> tuple[np.ndarray, str | None]:
     """Parse a matrix (ndim 2) or vector (ndim 1) file; returns (complex
     array, the file's "units" or None).
 
-    A file of ORJSON_MIN_CHARS bytes or more is decoded once: the parsed
+    A file of LARGE_FILE_BYTES bytes or more is decoded once: the parsed
     array is cached under the SHA-256 of the reader's code and the file's
     bytes, and a later read of the same bytes loads it (``filecache``).
     """
     accepted, refusal = _UNITS[ndim]
     data = read_bytes(path)
     key = None
-    if len(data) >= ORJSON_MIN_CHARS:
+    if len(data) >= LARGE_FILE_BYTES:
         from . import filecache
 
         key = filecache.key(data)
         hit = filecache.get(key, ndim, accepted)
         if hit is not None:
             return hit
-    # the bytes go before the parse and the text after it: at d = 512 each
-    # copy of the file is 11 MB
-    text = read_text(path, data)
-    del data
-    raw = read_json(path, text)
-    del text
+    raw = read_json(path, data)
+    del data  # 11 MB at d = 512
     if not isinstance(raw, dict):
         raise FileFormatError(f"{path}: top level must be an object")
     dim = raw.get("dim")

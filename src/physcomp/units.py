@@ -326,11 +326,11 @@ def finite_double(x) -> bool:
         return False
 
 
-# texts this long (full-precision matrix files from about d = 80) decode
-# with orjson, 3-4x faster than json.loads; shorter ones are not worth its
-# 6-13 ms import. qt input files of this many bytes are decoded only once
+# files this long (full-precision matrix files from about d = 80) decode
+# with orjson, about 2x faster than json.loads; shorter ones are not worth
+# its 6-13 ms import. qt input files this long are decoded only once
 # (qthermo.filecache).
-ORJSON_MIN_CHARS = 2**18
+LARGE_FILE_BYTES = 2**18
 
 
 def read_bytes(path: str) -> bytes:
@@ -343,34 +343,26 @@ def read_bytes(path: str) -> bytes:
         raise FileFormatError(f"{path}: cannot read: {exc}")
 
 
-def read_text(path: str, data: bytes | None = None) -> str:
-    """The text of the UTF-8 file ``path``, decoded from ``data`` where the
-    caller has read its bytes; :class:`FileFormatError` if the file cannot be
-    read or decoded. Newlines read as ``open(path, encoding="utf-8")`` reads
-    them."""
-    if data is None:
-        data = read_bytes(path)
-    try:
-        return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
-    except UnicodeDecodeError as exc:
-        raise FileFormatError(f"{path}: cannot read: {exc}")
-
-
-def read_json(path: str, text: str | None = None):
-    """The JSON value in the UTF-8 file ``path``, whose text is ``text`` where
-    the caller has read it; :class:`FileFormatError` if the file cannot be
-    read or decoded."""
+def read_json(path: str, data: bytes | None = None):
+    """The JSON value in the UTF-8 file ``path``, whose bytes are ``data``
+    where the caller has read them; :class:`FileFormatError` if the file
+    cannot be read or decoded. Value and message are those of ``json.loads``
+    on the text ``open(path, encoding="utf-8")`` reads."""
     import json  # only file-reading runs load the decoder
 
-    if text is None:
-        text = read_text(path)
-    if len(text) >= ORJSON_MIN_CHARS:
+    if data is None:
+        data = read_bytes(path)
+    if len(data) >= LARGE_FILE_BYTES:
         import orjson
 
         try:
-            return orjson.loads(text)
+            return orjson.loads(data)
         except orjson.JSONDecodeError:
-            pass  # NaN, Infinity, 1e400, lone surrogates: json.loads takes them or says why
+            pass  # bad UTF-8, NaN, 1e400, lone surrogates: the text path takes them or says why
+    try:
+        text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
+    except UnicodeDecodeError as exc:
+        raise FileFormatError(f"{path}: cannot read: {exc}")
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -423,14 +415,14 @@ def constants(override_path: str | None = None) -> Constants:
     if override_path:
         values.update(_load_overrides(override_path))
         source = f"{origin}:{override_path}"
-    # each Planck unit squared, derived once, must be a positive finite double;
-    # c**3 or value**2 above the double range raises OverflowError, and a c**3
-    # that rounds to 0 ZeroDivisionError
+    # each Planck unit squared, derived once, must be a normal finite double (a
+    # subnormal one carries fewer bits); c**3 or value**2 above the double range
+    # raises OverflowError, and a c**3 that rounds to 0 ZeroDivisionError
     hbar, c, g = values["hbar"], values["c"], values["G"]
     try:
         for name, square, identity in (("planck_mass", hbar * c / g, "m_P^2 != hbar c / G"),
                                        ("planck_length", hbar * g / c**3, "l_P^2 != hbar G / c^3")):
-            if not 0.0 < square < math.inf:
+            if not sys.float_info.min <= square < math.inf:
                 raise OverflowError
             value = values.setdefault(name, math.sqrt(square))
             if abs(value**2 / square - 1.0) > 1e-10:

@@ -319,6 +319,10 @@ class TestMaxErrorRate:
     def test_sub_planckian_bound_is_vacuous(self):
         assert bh.max_error_rate(kg(M_P * 0.5)) == 0.5
 
+    def test_no_ops_is_refused(self):
+        with pytest.raises(InputError, match="op count and capacity must be positive"):
+            bh.solve_error_rate(0, 1)
+
     def test_asymptotic_scaling_is_inverse_square_up_to_log(self):
         # eps_max * (M/m_P)^2 should vary only logarithmically in M:
         # multiplying it by the log of the ops/capacity ratio flattens it

@@ -267,6 +267,52 @@ class TestExitCodes:
         _assert_one_line_error(code, err, f"{path}: cannot write:")
 
 
+# files the refusals and warnings below read, by name
+_REFUSAL_FILES = {
+    "list.json": "[]",
+    "empty-target.json": '{"basis": "ab", "steps": [], "target": "c"}',
+    "number-energies.json": '{"basis": "ab", "steps": [["a", "b"]], "free_energy_joules": 3}',
+    "number-target.json": '{"basis": "ab", "steps": [["a", "b"]], "target": 5}',
+    "no-energies.json": '{"basis": "ab", "steps": [["a", "b"]]}',
+}
+
+
+@pytest.mark.parametrize("argv, code, line", [
+    (["bh", "timeline", "--mass", "1e6", "--samples", "1"], 2, "error: need at least 2 samples"),
+    (["measure", "landauer", "--temp", "300", "--bits=-1"], 2, "error: bit count must be >= 0"),
+    (["measure", "ec-space", "--ops=-1", "--eps", "0.1"], 2, "error: op count must be >= 0"),
+    (["catalog", "compare", "--power=-1"], 2, "error: power must be >= 0"),
+    (["qt", "entropy", "--state", "list.json"], 2, "error: list.json: top level must be an object"),
+    (["assembly", "--basis", "", "--target", "a"], 2,
+     "error: basis must contain at least one symbol"),
+    (["assembly", "--pathway", "empty-target.json"], 2,
+     "error: empty-target.json: empty pathway target 'c' must be a basis symbol"),
+    (["assembly", "--pathway", "number-energies.json"], 2,
+     "error: number-energies.json: free_energy_joules: expected an array of finite numbers"),
+    (["assembly", "--pathway", "number-target.json"], 2,
+     "error: number-target.json: target: expected a non-empty string"),
+    (["assembly", "--pathway", "no-energies.json"], 0,
+     "warning: pathway carries no free energies; only validated"),
+    (["qt", "evolve", "--ham", "h17.json", "--time", "1e-15", "--state-vector", "psi17.json"], 0,
+     "warning: state has more than 16 amplitudes; use --save-vector"),
+], ids=["one-sample", "negative-bits", "negative-ops", "negative-power", "top-level-list",
+        "empty-basis", "empty-pathway-target", "number-energies", "number-target",
+        "no-energies", "d17-vector"])
+def test_refusal_or_warning_line(tmp_path, monkeypatch, argv, code, line):
+    # a refusal is the one line on stderr; a warning is the last line of the report
+    for name, text in _REFUSAL_FILES.items():
+        (tmp_path / name).write_text(text)
+    write_matrix(str(tmp_path / "h17.json"), np.diag(np.arange(17.0)) * 1e-21, units="J")
+    write_vector(str(tmp_path / "psi17.json"), np.eye(17)[0])
+    monkeypatch.chdir(tmp_path)
+    got, out, err = invoke(*argv)
+    assert got == code
+    if code:
+        assert (out, err) == ("", line + "\n")
+    else:
+        assert err == "" and out.splitlines()[-1] == line
+
+
 # a JSON integer beyond the double range: math.isfinite raises OverflowError on it
 HUGE_INT = "1" + "0" * 400
 
@@ -857,6 +903,7 @@ def _assert_exit_0_or_one_line_error(argv, path, content, codes=(2,)):
 @example(obj={"c": 1e-320})
 @example(obj={"hbar": 1e300, "G": 1e-300})
 @example(obj={"planck_length": 1.0})
+@example(obj={"hbar": 1e-285})
 def test_fuzzed_constants_file(tmp_path_factory, obj):
     path = tmp_path_factory.mktemp("c") / "c.json"
     code, err = _assert_exit_0_or_one_line_error(

@@ -230,6 +230,7 @@ BAD_OVERRIDES = {
     "boolean": '{"G": true}',
     "overflow": '{"hbar": 1e300, "G": 1e-300}',  # hbar c / G is beyond the double range
     "inconsistent": '{"planck_length": 1.0}',
+    "subnormal": '{"hbar": 1e-285}',  # hbar G / c^3 is a subnormal double
 }
 
 

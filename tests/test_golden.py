@@ -50,6 +50,7 @@ INPUTS = {
     "bad.json": '{\n  "G": 1,\n}\n',
     "huge.json": '{"hbar": 1e300, "G": 1e-300}\n',
     "lp.json": '{"planck_length": 1.0}\n',
+    "subnormal.json": '{"hbar": 1e-285}\n',
 }
 # a d = 160 Hamiltonian long enough (308,885 bytes) to be read through the
 # decoded-file cache; diagonal, so its spectrum is exact on any BLAS kernel
@@ -175,6 +176,7 @@ COMMANDS = dict(
         ("over-bad-json", ["constants", "--constants", "bad.json"]),
         ("over-out-of-range", ["constants", "--constants", "huge.json"]),
         ("over-inconsistent", ["bh", "--mass", "1", "--constants", "lp.json"]),
+        ("over-subnormal", ["constants", "--constants", "subnormal.json"]),
     ]
 )
 
@@ -301,6 +303,7 @@ GOLDEN = {
     "over-bad-json": "a1cbad501a75bdad2db10e1fb0be37bbe3241a80c914ca623915f27c3b6d86e1",
     "over-out-of-range": "d9813983ed6a2da813bacd08f16d8ef9bc15d4d18c2929ab6276278d6382fd71",
     "over-inconsistent": "877b4801a81333ff96b0c9e30da6b039c0070f320bd78a24ea9251b1ef0f00ff",
+    "over-subnormal": "7f127c133dabfb5c23d89bf4386910f6e23c415ebb5cc58d3742146879640ab5",
 }
 
 

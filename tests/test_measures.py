@@ -214,6 +214,10 @@ class TestErrorCorrectionSpace:
         with pytest.raises(InputError, match=r"error rate must be in \[0, 1/2\]"):
             error_correction_space(10.0, 0.6)
 
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(InputError, match="unknown mode 'bogus'"):
+            error_correction_space(10.0, 0.1, mode="bogus")
+
 
 class TestFreePhi:
     def test_identity_on_consumed_energy(self):

@@ -5,6 +5,7 @@ import io
 import json
 import os
 import re
+import types
 
 import numpy as np
 import orjson
@@ -16,7 +17,7 @@ from _random_states import random_density, random_hermitian
 from physcomp import units as units_module
 from physcomp.cli.main import run
 from physcomp.errors import FileFormatError, InvalidState, NumericalOverflow
-from physcomp.units import LN2, ORJSON_MIN_CHARS, entropy_convert, read_json
+from physcomp.units import LARGE_FILE_BYTES, LN2, entropy_convert, read_json
 from physcomp.qthermo import (
     DensityMatrix,
     HermitianOperator,
@@ -131,6 +132,16 @@ class TestStateVector:
         with pytest.raises(InvalidState):
             StateVector([1.0, 1.0])
 
+    @pytest.mark.parametrize("amplitudes, message", [
+        ([[1.0, 0.0]], r"must be 1-d, got shape \(1, 2\)"),
+        ([], r"must be 1-d, got shape \(0,\)"),
+        ([np.nan, 1.0], "non-finite amplitudes"),
+        ([complex(0, np.inf)], "non-finite amplitudes"),
+    ], ids=["2-d", "empty", "nan", "inf"])
+    def test_shape_and_finiteness_enforced(self, amplitudes, message):
+        with pytest.raises(InvalidState, match=message):
+            StateVector(amplitudes)
+
     def test_basis_state(self):
         psi = StateVector.basis_state(3, 1)
         assert psi.amplitudes[1] == 1.0
@@ -188,7 +199,7 @@ class TestMatrixFiles:
         cache = tmp_path / "cache"
         monkeypatch.setenv("XDG_CACHE_HOME", str(cache))
         path = tmp_path / "psi.vec"
-        pad = " " * ORJSON_MIN_CHARS if size == "large" else ""
+        pad = " " * LARGE_FILE_BYTES if size == "large" else ""
         path.write_text('{"dim": 2, "entries": [[1, 0], [0, 0]], "units": "%s"}%s' % (unit, pad))
         for _ in range(2):
             with pytest.raises(FileFormatError) as exc:
@@ -270,8 +281,8 @@ MALFORMED_IDS = [
 ]
 
 
-# JSON allows trailing whitespace: a padded text takes the orjson decoder
-PAD = " " * ORJSON_MIN_CHARS
+# JSON allows trailing whitespace: a padded file takes the orjson decoder
+PAD = " " * LARGE_FILE_BYTES
 
 
 class TestParserEquivalence:
@@ -402,7 +413,7 @@ def test_corrupted_entry_reported_at_its_index(tmp_path_factory, mat, data):
 
 
 class TestDecodedFileCache:
-    """A matrix or vector file of ORJSON_MIN_CHARS bytes or more is decoded
+    """A matrix or vector file of LARGE_FILE_BYTES bytes or more is decoded
     once; later reads of the same bytes load the cached array."""
 
     @pytest.fixture
@@ -416,9 +427,9 @@ class TestDecodedFileCache:
         """The number of files the reader has decoded so far."""
         calls = []
 
-        def counted(path, text=None):
+        def counted(path, data=None):
             calls.append(path)
-            return read_json(path, text)
+            return read_json(path, data)
 
         monkeypatch.setattr(states, "read_json", counted)
         return calls
@@ -428,7 +439,7 @@ class TestDecodedFileCache:
         path = tmp_path / "h.json"
         h = random_hermitian(np.random.default_rng(96), 96, scale=1e-21)
         write_matrix(str(path), h.matrix, units="J")
-        assert path.stat().st_size >= ORJSON_MIN_CHARS
+        assert path.stat().st_size >= LARGE_FILE_BYTES
         return path
 
     @staticmethod
@@ -472,7 +483,7 @@ class TestDecodedFileCache:
                              ids=["states", "units", "filecache"])
     def test_each_reader_source_is_in_the_key(self, tmp_path, monkeypatch, module):
         # one more byte in any of the three sources gives every file a new key
-        data = b" " * ORJSON_MIN_CHARS
+        data = b" " * LARGE_FILE_BYTES
         before = filecache.key(data)
         changed = tmp_path / "changed.py"
         changed.write_bytes(units_module.read_bytes(module.__file__) + b"\n")
@@ -596,7 +607,7 @@ class TestDecodedFileCache:
         }
         reads = []
         for name, data in layouts.items():
-            assert len(data) >= ORJSON_MIN_CHARS
+            assert len(data) >= LARGE_FILE_BYTES
             (tmp_path / name).write_bytes(data)
             for _ in range(2):
                 got, units = read_matrix(str(tmp_path / name))
@@ -660,7 +671,7 @@ def test_cannot_read_message_is_the_text_readers(tmp_path, case):
     # encoding="utf-8") decodes it: the error names the same position
     path = tmp_path / "bad.json"
     if case.startswith("not-utf8"):
-        pad = b" " * (ORJSON_MIN_CHARS if case.endswith("large") else 3)
+        pad = b" " * (LARGE_FILE_BYTES if case.endswith("large") else 3)
         path.write_bytes(b'{"dim": 1,' + pad + b'"units": "\xe9"}')
     elif case == "directory":
         path.mkdir()
@@ -672,7 +683,7 @@ def test_cannot_read_message_is_the_text_readers(tmp_path, case):
     assert str(got.value) == f"{path}: cannot read: {want.value}"
 
 
-@pytest.mark.parametrize("size", [0, ORJSON_MIN_CHARS])
+@pytest.mark.parametrize("size", [0, LARGE_FILE_BYTES])
 @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
 def test_invalid_json_line_is_the_text_readers(tmp_path, size, newline):
     # universal newlines: a lone CR ends a line as open() reads the file
@@ -685,3 +696,23 @@ def test_invalid_json_line_is_the_text_readers(tmp_path, size, newline):
         read_matrix(str(path))
     assert want.value.lineno == 3
     assert str(got.value) == f"{path}: invalid JSON at line 3: {want.value.msg}"
+
+
+def test_valid_large_file_is_never_decoded_as_text(tmp_path, monkeypatch):
+    # orjson reads the bytes themselves; only a file it refuses becomes text
+    path = tmp_path / "h.json"
+    write_matrix(str(path), random_hermitian(np.random.default_rng(98), 96, scale=1e-21).matrix,
+                 units="J")
+    assert path.stat().st_size >= LARGE_FILE_BYTES
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "first"))
+    want, _ = read_matrix(str(path))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("decoded a large file as text")
+
+    monkeypatch.setattr(units_module, "io", types.SimpleNamespace(BytesIO=io.BytesIO,
+                                                                  TextIOWrapper=refuse))
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "empty"))
+    got, units = read_matrix(str(path))
+    assert units == "J"
+    assert got.view(np.uint64).tobytes() == want.view(np.uint64).tobytes()

@@ -408,6 +408,12 @@ class TestFreeEnergyAndWork:
         with pytest.raises(Exception):
             extractable_work(rho, h, Quantity(-1.0, TEMPERATURE))
 
+    def test_free_energy_at_zero_temperature_rejected(self):
+        h = HermitianOperator(np.diag([0.0, 1.0]))
+        rho = DensityMatrix.maximally_mixed(2)
+        with pytest.raises(InputError, match="free energy needs T != 0"):
+            nonequilibrium_free_energy(rho, h, Quantity(0.0, TEMPERATURE))
+
 
 class TestExtractablePureBits:
     def test_worked_example(self):
@@ -425,3 +431,7 @@ class TestExtractablePureBits:
             extractable_pure_bits(10, 2 * BIT, 1 * BIT)
         with pytest.raises(InputError, match="entropy per dof must satisfy"):
             extractable_pure_bits(10, -1 * BIT, 1 * BIT)
+
+    def test_negative_dof_count_rejected(self):
+        with pytest.raises(InputError, match="degree-of-freedom count must be >= 0"):
+            extractable_pure_bits(-1, 0 * BIT, 1 * BIT)

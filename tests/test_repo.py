@@ -1,6 +1,6 @@
 """Repository hygiene: what git tracks, where the range rule lives, which
-module opens files, imports the decoded-file cache or switches the
-collector, which errors, names and dependencies exist, and whether the
+module opens files, imports the decoded-file cache or orjson or switches
+the collector, which errors, names and dependencies exist, and whether the
 README's code runs."""
 
 import ast
@@ -59,9 +59,9 @@ def test_files_are_opened_only_by_units():
     assert _calls({"open", "load", "save"}, {"units.py", "qthermo/filecache.py"}) == []
 
 
-def test_only_the_file_reader_imports_the_cache():
-    # states._read_entries imports qthermo.filecache for a large file only,
-    # so a process that reads none never compiles the cache code
+def _importers(module):
+    """The modules under src/physcomp (paths relative to it) that import
+    ``module``, once per import statement."""
     importers = []
     for path in sorted(SRC.rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -71,9 +71,21 @@ def test_only_the_file_reader_imports_the_cache():
                 names = [f"{node.module or ''}.{alias.name}" for alias in node.names]
             else:
                 continue
-            if any("filecache" in name.split(".") for name in names):
+            if any(module in name.split(".") for name in names):
                 importers.append(path.relative_to(SRC).as_posix())
-    assert importers == ["qthermo/states.py"]
+    return importers
+
+
+def test_only_the_file_reader_imports_the_cache():
+    # states._read_entries imports qthermo.filecache for a large file only,
+    # so a process that reads none never compiles the cache code
+    assert _importers("filecache") == ["qthermo/states.py"]
+
+
+def test_only_the_json_reader_imports_orjson():
+    # units.read_json is the one decoder of input files, so which decoder
+    # reads a file, and the threshold that picks it, live in one place
+    assert _importers("orjson") == ["units.py"]
 
 
 def test_only_the_process_entry_switches_the_collector():

@@ -81,14 +81,33 @@ class TestQuantity:
     def test_add_same_dimension(self):
         assert (1 * JOULE + 2 * JOULE).magnitude == 3.0
 
+    def test_value_in_a_named_unit_and_a_composed_one(self):
+        assert (6 * JOULE).value_in("J") == 6.0
+        jerk = Quantity(2.0, LENGTH / TIME**3)
+        assert jerk.unit == "m·s^-3" and jerk.expressed == 2.0
+
     def test_non_finite_rejected(self):
         with pytest.raises(DimensionMismatch):
             Quantity(math.nan, ENERGY)
         with pytest.raises(DimensionMismatch):
             Quantity(math.inf, ENERGY)
 
+    @pytest.mark.parametrize("op, magnitude, dim", [
+        (lambda q: q / 2, 3.0, ENERGY),
+        (lambda q: 2 / q, 1 / 3, Dimension() / ENERGY),
+        (lambda q: q - 2 * JOULE, 4.0, ENERGY),
+        (lambda q: -q, -6.0, ENERGY),
+        (lambda q: abs(-q), 6.0, ENERGY),
+        (lambda q: q**2, 36.0, ENERGY**2),
+    ], ids=["div-number", "number-div", "sub", "neg", "abs", "pow"])
+    def test_arithmetic(self, op, magnitude, dim):
+        got = op(6 * JOULE)
+        assert (got.magnitude, got.dim) == (magnitude, dim)
+
     def test_comparisons_require_same_dimension(self):
         assert 1 * JOULE < 2 * JOULE
+        assert 1 * JOULE <= 1 * JOULE and 2 * JOULE > 1 * JOULE and 1 * JOULE >= 1 * JOULE
+        assert (Quantity(1.0) == 1.0) is False  # a number is no Quantity
         with pytest.raises(DimensionMismatch):
             1 * JOULE < 1 * SECOND  # noqa: B015
 
@@ -174,6 +193,10 @@ class TestEntropyConvert:
     def test_wrong_dimension_rejected(self):
         with pytest.raises(DimensionMismatch):
             entropy_convert(1 * JOULE, "bits")
+
+    def test_unknown_unit_rejected(self):
+        with pytest.raises(DimensionMismatch, match="unknown entropy unit 'bogus'"):
+            entropy_convert(1 * BIT, "bogus")
 
 
 class TestConstants:
