@@ -73,6 +73,7 @@ COMMANDS = dict(
     + _formats("bh", ["bh", "--mass", "1"])
     + _formats("measure-phi-time-ev", ["measure", "phi-time", "--energy", "2", "--energy-unit", "eV", "--time", "1e-12"])
     + _formats("qt-entropy", ["qt", "entropy", "--state", "rho.json"])
+    + _formats("qt-entropy-nats", ["qt", "entropy", "--state", "rho.json", "--entropy-unit", "nats"])
     + _formats("qt-gibbs", ["qt", "gibbs", "--ham", "h.json", "--temp", "150"])
     + _formats("assembly", ["assembly", "--target", "abracadabra", "--basis", "abcdr"])
     + _formats("catalog-list", ["catalog", "list"])
@@ -193,6 +194,9 @@ GOLDEN = {
     "qt-entropy-human": "6b8d177e0c19b7e9f4b460f0840059739e9f0f19269a28799860bfc5a8d38eee",
     "qt-entropy-json": "a1af4823ae616bb312bf5db406db2fd61c7a95a66a392a3a7857131e6a3ff30c",
     "qt-entropy-csv": "bd47d74636b79e2dcfa1d7f39aa76e105a24a2fa19ae6a48e8cd34cb73247c1b",
+    "qt-entropy-nats-human": "1025f87dfe243778f3d9268a197092bcda8ee014492ffcdb9f49dfe43106ca31",
+    "qt-entropy-nats-json": "68a39798e9ce444fa69021f511ac6ab1e860fb733d291ed9ad66bf555d948b40",
+    "qt-entropy-nats-csv": "2fcbfcd1d084bc84c7498ef2bd5da82d7010ea95fdcd52bebc57d1860be04a2b",
     "qt-gibbs-human": "2084a79c53ac2269682fcfea209d2d32fdd91ba6a18186281fbc579d07a2ef10",
     "qt-gibbs-json": "ce10fde36d02dd4a95b898ae807d48711eb3edda271b5581dbe8cec54c7d1e04",
     "qt-gibbs-csv": "2b2e95f1ccb645b021c9dc4c5b4b9f27dc937c6e5136795794a21fd90f22a74b",
