@@ -84,7 +84,7 @@ def pathway_free_phi(p: AssemblyPathway) -> Quantity:
     """Total free energy of the pathway: the sum over its annotated steps."""
     p.validate()
     if not p.steps:
-        return Quantity(0.0, ENERGY, "J")
+        return Quantity(0.0, ENERGY)
     if p.step_free_energy is None:
         raise InputError("pathway carries no per-step free energies")
     total = sum(q.magnitude for q in p.step_free_energy)
@@ -92,7 +92,7 @@ def pathway_free_phi(p: AssemblyPathway) -> Quantity:
     # lands below the normal range is exact
     if not math.isfinite(total):
         in_range(total, "sum of step free energies", steps=len(p.steps))
-    return Quantity(total, ENERGY, "J")
+    return Quantity(total, ENERGY)
 
 
 # -- file format ------------------------------------------------------------
@@ -145,7 +145,7 @@ def pathway_from_dict(obj: dict, where: str = "pathway") -> AssemblyPathway:
                 raise FileFormatError(
                     f"{where}: free_energy_joules[{k}]: expected a finite number"
                 )
-        energies = tuple(Quantity(float(x), ENERGY, "J") for x in raw)
+        energies = tuple(Quantity(float(x), ENERGY) for x in raw)
     target = obj.get("target")
     if target is None:
         if not steps:

@@ -69,11 +69,11 @@ class TimelineSample(
 
     @property
     def t(self) -> Quantity:
-        return Quantity(self.t_seconds, TIME, "s")
+        return Quantity(self.t_seconds, TIME)
 
     @property
     def mass(self) -> Quantity:
-        return Quantity(self.mass_kg, MASS, "kg")
+        return Quantity(self.mass_kg, MASS)
 
 
 def _mass_kg(M: Quantity) -> float:
@@ -109,7 +109,7 @@ def _mass_left(m0: float, t: float, t_m: float) -> float:
 def schwarzschild_radius(M: Quantity) -> Quantity:
     k = units.CONSTANTS
     g, c = k.G.magnitude, k.c.magnitude
-    return Quantity(2.0 * g * _mass_kg(M) / c**2, LENGTH, "m")
+    return Quantity(2.0 * g * _mass_kg(M) / c**2, LENGTH)
 
 
 def entropy_nats(M: Quantity) -> float:
@@ -122,18 +122,18 @@ def hawking_temperature(M: Quantity) -> Quantity:
     m = _mass_kg(M)
     k = units.CONSTANTS
     m_p, c, k_b = k.planck_mass.magnitude, k.c.magnitude, k.k_B.magnitude
-    return Quantity(m_p**2 * c**2 / (8.0 * math.pi * m) / k_b, TEMPERATURE, "K")
+    return Quantity(m_p**2 * c**2 / (8.0 * math.pi * m) / k_b, TEMPERATURE)
 
 
 def lifetime(M: Quantity) -> Quantity:
-    return Quantity(_lifetime_s(_mass_kg(M)), TIME, "s")
+    return Quantity(_lifetime_s(_mass_kg(M)), TIME)
 
 
 def ops_per_second(M: Quantity) -> Quantity:
     m = _mass_kg(M)
     k = units.CONSTANTS
     c, hbar = k.c.magnitude, k.hbar.magnitude
-    return Quantity(2.0 * m * c**2 / (math.pi * hbar), FREQUENCY, "1/s")
+    return Quantity(2.0 * m * c**2 / (math.pi * hbar), FREQUENCY)
 
 
 def total_ops(M: Quantity) -> float:
@@ -145,11 +145,11 @@ def total_ops(M: Quantity) -> float:
 
 def bit_flip_time(M: Quantity) -> Quantity:
     r = schwarzschild_radius(M).magnitude
-    return Quantity(math.pi**2 * r / units.CONSTANTS.c.magnitude, TIME, "s")
+    return Quantity(math.pi**2 * r / units.CONSTANTS.c.magnitude, TIME)
 
 
 def free_energy(M: Quantity) -> Quantity:
-    return Quantity(_mass_kg(M) * units.CONSTANTS.c.magnitude**2 / 2.0, ENERGY, "J")
+    return Quantity(_mass_kg(M) * units.CONSTANTS.c.magnitude**2 / 2.0, ENERGY)
 
 
 def _forced_halvings(target: float) -> int:
@@ -225,8 +225,8 @@ def characterize(M: Quantity) -> BlackHoleReport:
         total_ops=total_ops(M),
         bit_flip_time=bit_flip_time(M),
         free_energy=free_energy(M),
-        page_time_paper=Quantity(t_m.magnitude / 2.0, TIME, "s"),
-        page_time_entropy=Quantity(PAGE_FRACTION * t_m.magnitude, TIME, "s"),
+        page_time_paper=Quantity(t_m.magnitude / 2.0, TIME),
+        page_time_entropy=Quantity(PAGE_FRACTION * t_m.magnitude, TIME),
         max_error_rate=max_error_rate(M),
     )
 
@@ -238,7 +238,7 @@ def mass_at_time(M0: Quantity, t: Quantity) -> Quantity:
     t_m = _lifetime_s(m0)
     if not (0.0 <= dt <= t_m):
         raise InputError(f"time {dt!r} s outside the lifetime [0, {t_m!r}] s")
-    return Quantity(_mass_left(m0, dt, t_m), MASS, "kg")
+    return Quantity(_mass_left(m0, dt, t_m), MASS)
 
 
 def page_curve(M0: Quantity, n_samples: int) -> list[TimelineSample]:

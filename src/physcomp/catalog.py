@@ -60,47 +60,47 @@ def builtin_systems() -> tuple[ReferenceSystem, ...]:
     return (
         ReferenceSystem(
             name="5nm-transistor",
-            energy_per_op=Quantity(1e-16, ENERGY, "J"),
-            operating_temperature=Quantity(ROOM_TEMPERATURE_K, TEMPERATURE, "K"),
+            energy_per_op=Quantity(1e-16, ENERGY),
+            operating_temperature=Quantity(ROOM_TEMPERATURE_K, TEMPERATURE),
             notes="~0.1 fF switched capacitance; irreversible logic",
             provenance="dissipation per irreversible logical operation",
         ),
         ReferenceSystem(
             name="covalent-bio-op",
-            energy_per_op=Quantity(COVALENT_BOND_J, ENERGY, "J"),
+            energy_per_op=Quantity(COVALENT_BOND_J, ENERGY),
             notes="forming/breaking one covalent bond, ~1 eV",
             provenance="covalent bond free energy scale",
         ),
         ReferenceSystem(
             name="hydrogen-bond",
-            energy_per_op=Quantity(COVALENT_BOND_J / 10.0, ENERGY, "J"),
+            energy_per_op=Quantity(COVALENT_BOND_J / 10.0, ENERGY),
             notes="one decade below covalent",
             provenance="hydrogen bonds, an order of magnitude lower",
         ),
         ReferenceSystem(
             name="van-der-waals",
-            energy_per_op=Quantity(COVALENT_BOND_J / 100.0, ENERGY, "J"),
+            energy_per_op=Quantity(COVALENT_BOND_J / 100.0, ENERGY),
             notes="two decades below covalent; source says only 'lower still'",
             provenance="van der Waals bonds, lower still",
         ),
         ReferenceSystem(
             name="human-metabolism",
-            energy_per_op=Quantity(COVALENT_BOND_J, ENERGY, "J"),
-            power=Quantity(100.0, POWER, "W"),
+            energy_per_op=Quantity(COVALENT_BOND_J, ENERGY),
+            power=Quantity(100.0, POWER),
             notes="~100 W on reproduction and metabolism at bio-op energies",
             provenance="individual human power budget",
         ),
         ReferenceSystem(
             name="world-compute",
-            energy_per_op=Quantity(1e-16, ENERGY, "J"),
-            op_rate=Quantity(1e21, FREQUENCY, "1/s"),
+            energy_per_op=Quantity(1e-16, ENERGY),
+            op_rate=Quantity(1e21, FREQUENCY),
             notes="one zetaflop; flops counted as logical ops per the source's usage",
             provenance="all electronic computers combined",
         ),
         ReferenceSystem(
             name="landauer-300K",
-            energy_per_op=Quantity(landauer_300, ENERGY, "J"),
-            operating_temperature=Quantity(ROOM_TEMPERATURE_K, TEMPERATURE, "K"),
+            energy_per_op=Quantity(landauer_300, ENERGY),
+            operating_temperature=Quantity(ROOM_TEMPERATURE_K, TEMPERATURE),
             notes="k_B T ln 2 at room temperature; the irreversibility floor",
             provenance="Landauer limit",
         ),
@@ -134,7 +134,7 @@ def op_rate(power: Quantity, energy_per_op: Quantity) -> Quantity:
     if e <= 0.0:
         raise InputError("energy per op must be positive")
     rate = in_range(p / e, "power/energy_per_op", power=p, energy_per_op=e)
-    return Quantity(rate, FREQUENCY, "1/s")
+    return Quantity(rate, FREQUENCY)
 
 
 def switch_energy(C: Quantity, V: Quantity) -> Quantity:
@@ -147,4 +147,4 @@ def switch_energy(C: Quantity, V: Quantity) -> Quantity:
         energy = 0.5 * c * v**2
     except OverflowError:  # float ** raises where * would give inf
         energy = math.inf
-    return Quantity(in_range(energy, "C*V^2/2", C=c, V=v), ENERGY, "J")
+    return Quantity(in_range(energy, "C*V^2/2", C=c, V=v), ENERGY)

@@ -46,7 +46,7 @@ def _mass_quantity(args) -> Quantity:
     if args.unit != "kg":
         scale = getattr(units.CONSTANTS, f"{args.unit}_mass").magnitude
         m = units.in_range(m * scale, f"mass*{args.unit}_mass", mass=m)
-    return Quantity(m, MASS, "kg")
+    return Quantity(m, MASS)
 
 
 def _parse_sweep(spec: str) -> list[float]:
@@ -85,7 +85,7 @@ def handle(args, out) -> Report | None:
         _csv_only(args, "with --sweep")
         lines = [SWEEP_CSV_HEADER]
         for m in _parse_sweep(args.sweep):
-            r = blackhole.characterize(Quantity(m, MASS, "kg"))
+            r = blackhole.characterize(Quantity(m, MASS))
             lines.append(
                 f"{m:.17g},{r.radius.magnitude:.17g},"
                 f"{r.temperature.magnitude:.17g},{r.entropy_bits:.17g},"

@@ -40,7 +40,7 @@ def handle(args, out) -> Report:
                 rep.add(f"{s.name}.op_rate", s.op_rate.magnitude, "1/s", s.provenance)
         return rep
     temp = catalog.ROOM_TEMPERATURE_K if args.temp is None else args.temp
-    T = Quantity(temp, TEMPERATURE, "K")
+    T = Quantity(temp, TEMPERATURE)
     rep.inputs = {"temp": temp}
     for s in systems:
         rep.add(
@@ -62,7 +62,7 @@ def handle(args, out) -> Report:
             rep.add(
                 f"{s.name}.op_rate_at_power",
                 catalog.op_rate(
-                    Quantity(args.power, POWER, "W"), s.energy_per_op
+                    Quantity(args.power, POWER), s.energy_per_op
                 ).magnitude,
                 "1/s",
                 "power/energy_per_op",

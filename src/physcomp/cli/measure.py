@@ -42,7 +42,7 @@ def _energy_quantity(value: float, unit: str) -> Quantity:
     if unit == "eV":
         scale = units.CONSTANTS.electron_volt.magnitude
         value = units.in_range(value * scale, "energy*electron_volt", energy=value)
-    return Quantity(value, ENERGY, "J")
+    return Quantity(value, ENERGY)
 
 
 def handle(args, out) -> Report:
@@ -52,7 +52,7 @@ def handle(args, out) -> Report:
     rep = Report(f"measure {op}")
     if op == "phi-time":
         e = _energy_quantity(args.energy, args.energy_unit)
-        t = Quantity(args.time, TIME, "s")
+        t = Quantity(args.time, TIME)
         rep.inputs = {
             "energy": args.energy,
             "energy_unit": args.energy_unit,
@@ -68,16 +68,16 @@ def handle(args, out) -> Report:
     elif op == "phi-space":
         rep.inputs = {"smax": args.smax, "s": args.s}
         q = measures.phi_space(
-            Quantity(args.smax, INFORMATION, "bit"), Quantity(args.s, INFORMATION, "bit")
+            Quantity(args.smax, INFORMATION), Quantity(args.s, INFORMATION)
         )
         rep.add("phi_space", q.magnitude, "bit", "S_max-S")
     elif op == "free-phi":
-        df = Quantity(args.delta_f, ENERGY, "J")
+        df = Quantity(args.delta_f, ENERGY)
         rep.inputs = {"delta_f": args.delta_f}
         rep.add("free_phi", measures.free_phi(df).magnitude, "J", "consumed free energy")
         if args.time is not None:
             rep.inputs["time"] = args.time
-            t = Quantity(args.time, TIME, "s")
+            t = Quantity(args.time, TIME)
             rep.add(
                 "op_equivalent",
                 measures.free_phi_op_equivalent(df, t),
@@ -86,7 +86,7 @@ def handle(args, out) -> Report:
             )
     elif op == "landauer":
         rep.inputs = {"temp": args.temp, "bits": args.bits}
-        q = measures.landauer_cost(Quantity(args.temp, TEMPERATURE, "K"), args.bits)
+        q = measures.landauer_cost(Quantity(args.temp, TEMPERATURE), args.bits)
         rep.add("landauer_cost", q.magnitude, "J", "n*k_B*T*ln2")
     elif op == "binary-entropy":
         rep.inputs = {"eps": args.eps}

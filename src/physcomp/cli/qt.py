@@ -51,10 +51,10 @@ def _temperature(args) -> Quantity:
     if (args.temp is None) == (args.ktemp_joules is None):
         raise InputError("give exactly one of --temp or --ktemp-joules")
     if args.temp is not None:
-        return Quantity(args.temp, TEMPERATURE, "K")
+        return Quantity(args.temp, TEMPERATURE)
     k_b = units.CONSTANTS.k_B.magnitude
     t = units.in_range(args.ktemp_joules / k_b, "--ktemp-joules/k_B", kT=args.ktemp_joules)
-    return Quantity(t, TEMPERATURE, "K")
+    return Quantity(t, TEMPERATURE)
 
 
 def _add_partition_function(rep: Report, g) -> None:
@@ -78,8 +78,8 @@ def handle(args, out) -> Report:
         if op == "entropy":
             rho = qt.load_density(args.state)
             rep.inputs = {"state": args.state, "entropy_unit": args.entropy_unit}
-            s = units.entropy_convert(qt.von_neumann_entropy(rho), args.entropy_unit)
-            rep.add("entropy", s.expressed, s.unit, "-tr(rho*ln(rho))")
+            u = {"bits": "bit", "nats": "nat"}[args.entropy_unit]
+            rep.add("entropy", qt.von_neumann_entropy(rho).value_in(u), u, "-tr(rho*ln(rho))")
         elif op == "gibbs":
             ham = qt.load_hamiltonian(args.ham)
             T = _temperature(args)
@@ -97,7 +97,7 @@ def handle(args, out) -> Report:
                 rep.warn(f"thermal state written to {args.save_state}")
         elif op == "solve-temp":
             ham = qt.load_hamiltonian(args.ham)
-            g = qt.solve_inverse_temperature(ham, Quantity(args.energy, ENERGY, "J"))
+            g = qt.solve_inverse_temperature(ham, Quantity(args.energy, ENERGY))
             rep.inputs = {"ham": args.ham, "energy": args.energy}
             rep.add("temperature", g.temperature.magnitude, "K", "tr(rho_th*H)=E")
             rep.add("beta", g.beta.magnitude, "1/J", "1/(k_B*T)")
@@ -119,7 +119,7 @@ def handle(args, out) -> Report:
         elif op == "evolve":
             ham = qt.load_hamiltonian(args.ham)
             psi = qt.load_state_vector(args.state_vector)
-            t = Quantity(args.time, TIME, "s")
+            t = Quantity(args.time, TIME)
             rep.inputs = {
                 "ham": args.ham,
                 "state_vector": args.state_vector,

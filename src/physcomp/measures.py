@@ -41,7 +41,7 @@ def ml_min_time(E: Quantity) -> Quantity:
     if e <= 0.0:
         raise InputError("minimum flip time needs E > 0")
     t = math.pi * units.CONSTANTS.hbar.magnitude / (2.0 * e)
-    return Quantity(in_range(t, "flip time pi*hbar/(2*E)", E=e), TIME, "s")
+    return Quantity(in_range(t, "flip time pi*hbar/(2*E)", E=e), TIME)
 
 
 def phi_space(s_max: Quantity, s: Quantity) -> Quantity:
@@ -50,7 +50,7 @@ def phi_space(s_max: Quantity, s: Quantity) -> Quantity:
     lo = require(s, INFORMATION, "entropy")
     if not (0.0 <= lo <= hi):
         raise InputError(f"need 0 <= S <= S_max, got S={lo!r}, S_max={hi!r}")
-    return Quantity(hi - lo, INFORMATION, "bit")
+    return Quantity(hi - lo, INFORMATION)
 
 
 def landauer_cost(T: Quantity, n_bits: float) -> Quantity:
@@ -61,7 +61,7 @@ def landauer_cost(T: Quantity, n_bits: float) -> Quantity:
     if n_bits < 0:
         raise InputError("bit count must be >= 0")
     cost = n_bits * units.CONSTANTS.k_B.magnitude * t * LN2
-    return Quantity(in_range(cost, "n*k_B*T*ln2", n=n_bits, T=t), ENERGY, "J")
+    return Quantity(in_range(cost, "n*k_B*T*ln2", n=n_bits, T=t), ENERGY)
 
 
 def binary_entropy(eps: float) -> Quantity:
@@ -72,7 +72,7 @@ def binary_entropy(eps: float) -> Quantity:
     for p in (eps, 1.0 - eps):
         if p > 0.0:
             h -= p * math.log2(p)
-    return Quantity(h, INFORMATION, "bit")
+    return Quantity(h, INFORMATION)
 
 
 def error_correction_space(t_ops: float, eps: float, mode: str = "exact") -> Quantity:
@@ -93,7 +93,7 @@ def error_correction_space(t_ops: float, eps: float, mode: str = "exact") -> Qua
     else:
         raise InputError(f"unknown mode {mode!r}")
     bits = in_range(t_ops * per_op, "t*h(eps)", t=t_ops, eps=eps, mode=mode)
-    return Quantity(bits, INFORMATION, "bit")
+    return Quantity(bits, INFORMATION)
 
 
 def free_phi(delta_F: Quantity) -> Quantity:
@@ -101,7 +101,7 @@ def free_phi(delta_F: Quantity) -> Quantity:
     df = require(delta_F, ENERGY, "free energy")
     if df < 0.0:
         raise InputError("consumed free energy must be >= 0")
-    return Quantity(df, ENERGY, "J")
+    return Quantity(df, ENERGY)
 
 
 def free_phi_op_equivalent(delta_F: Quantity, t: Quantity) -> float:

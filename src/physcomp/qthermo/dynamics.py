@@ -52,6 +52,4 @@ def energy_spread(rho: DensityMatrix, H: HermitianOperator) -> Quantity:
     c = g - real_inner(rho.matrix, g) * np.eye(H.dim)
     var = max(real_inner(c, rho.matrix @ c), 0.0)
     spread = math.sqrt(var) * scale
-    return Quantity(
-        in_range(spread, "sqrt(<H^2>-<H>^2)", variance=var * scale * scale), ENERGY, "J"
-    )
+    return Quantity(in_range(spread, "sqrt(<H^2>-<H>^2)", variance=var * scale * scale), ENERGY)

@@ -42,8 +42,8 @@ def _entropy(rho: DensityMatrix) -> float:
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> Quantity:
-    """S(rho) in bits; ``units.entropy_convert`` relabels it in nats."""
-    return Quantity(_entropy(rho) / LN2, INFORMATION, "bit")
+    """S(rho) in bits; ``value_in(units.NAT)`` reads it in nats."""
+    return Quantity(_entropy(rho) / LN2, INFORMATION)
 
 
 def mean_energy(rho: DensityMatrix, H: HermitianOperator) -> Quantity:
@@ -51,8 +51,8 @@ def mean_energy(rho: DensityMatrix, H: HermitianOperator) -> Quantity:
     eigenbasis (every Gibbs state), whose matrix is then never built."""
     H.check_acts_on(rho)
     if rho._basis is H:
-        return Quantity(float((rho.probabilities * H.eigenvalues()).sum()), ENERGY, "J")
-    return Quantity(real_inner(rho.matrix, H.matrix), ENERGY, "J")
+        return Quantity(float((rho.probabilities * H.eigenvalues()).sum()), ENERGY)
+    return Quantity(real_inner(rho.matrix, H.matrix), ENERGY)
 
 
 def _boltzmann_weights(vals: np.ndarray, beta: float):
@@ -78,9 +78,9 @@ def _gibbs_from_beta(H: HermitianOperator, beta: float) -> GibbsState:
     f_eq = -log_z / beta + 0.0
     return GibbsState(
         rho=rho,
-        temperature=Quantity(temperature, TEMPERATURE, "K"),
+        temperature=Quantity(temperature, TEMPERATURE),
         beta=Quantity(beta, _INV_ENERGY),
-        f_eq=Quantity(f_eq, ENERGY, "J"),
+        f_eq=Quantity(f_eq, ENERGY),
         log_partition_function=log_z,
     )
 
@@ -155,7 +155,7 @@ def nonequilibrium_free_energy(
         raise InputError("free energy needs T != 0")
     e = mean_energy(rho, H).magnitude
     k_b = units.CONSTANTS.k_B.magnitude
-    return Quantity(e - t * k_b * _entropy(rho), ENERGY, "J")
+    return Quantity(e - t * k_b * _entropy(rho), ENERGY)
 
 
 def extractable_work(
@@ -180,7 +180,7 @@ def extractable_work(
     # of the range rule only overflow applies: W = 0 at rho = rho_th
     if not math.isfinite(w):
         in_range(w, "k_B*T*D(rho||rho_th)", T=t, E=e, E_0=float(e_0))
-    return Quantity(w, ENERGY, "J")
+    return Quantity(w, ENERGY)
 
 
 def extractable_pure_bits(
@@ -198,4 +198,4 @@ def extractable_pure_bits(
         raise InputError(
             f"entropy per dof must satisfy 0 <= S <= S_max, got {s!r}, {s_max!r}"
         )
-    return Quantity(n * (s_max - s), INFORMATION, "bit")
+    return Quantity(n * (s_max - s), INFORMATION)

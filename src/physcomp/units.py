@@ -130,20 +130,19 @@ def in_range(x: float, what: str, **inputs) -> float:
 class Quantity:
     """A finite magnitude in canonical units plus its dimension; immutable.
 
-    ``unit`` is a display label only; the magnitude is always stored in
-    canonical units (SI base units, bit for information). Use
-    :meth:`value_in` to read the number in some other unit.
+    The magnitude is in canonical units (SI base units, bit for
+    information), whose symbol :attr:`unit` follows from the dimension. Use
+    :meth:`value_in` to read the number in some other unit, such as the nat.
     """
 
-    __slots__ = ("magnitude", "dim", "unit")
+    __slots__ = ("magnitude", "dim")
 
-    def __init__(self, magnitude: float, dim: Dimension = DIMENSIONLESS, unit: str = ""):
+    def __init__(self, magnitude: float, dim: Dimension = DIMENSIONLESS):
         if not math.isfinite(magnitude):
             raise DimensionMismatch(f"quantity magnitude must be finite, got {magnitude!r}")
         # __setattr__ refuses, so the slots are filled through their descriptors
         _SET_MAGNITUDE(self, magnitude)
         _SET_DIM(self, dim)
-        _SET_UNIT(self, unit or _compose_symbol(dim))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -152,41 +151,41 @@ class Quantity:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
-        return Quantity, (self.magnitude, self.dim, self.unit)
+        return Quantity, (self.magnitude, self.dim)
 
     def __repr__(self):
-        return f"Quantity(magnitude={self.magnitude!r}, dim={self.dim!r}, unit={self.unit!r})"
+        return f"Quantity(magnitude={self.magnitude!r}, dim={self.dim!r})"
 
     # -- arithmetic -------------------------------------------------------
 
     def __mul__(self, other):
         if isinstance(other, Quantity):
             return Quantity(self.magnitude * other.magnitude, self.dim * other.dim)
-        return Quantity(self.magnitude * other, self.dim, self.unit)
+        return Quantity(self.magnitude * other, self.dim)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, Quantity):
             return Quantity(self.magnitude / other.magnitude, self.dim / other.dim)
-        return Quantity(self.magnitude / other, self.dim, self.unit)
+        return Quantity(self.magnitude / other, self.dim)
 
     def __rtruediv__(self, other):
         return Quantity(other / self.magnitude, DIMENSIONLESS / self.dim)
 
     def __add__(self, other: "Quantity") -> "Quantity":
         self._require_same_dim(other, "add")
-        return Quantity(self.magnitude + other.magnitude, self.dim, self.unit)
+        return Quantity(self.magnitude + other.magnitude, self.dim)
 
     def __sub__(self, other: "Quantity") -> "Quantity":
         self._require_same_dim(other, "subtract")
-        return Quantity(self.magnitude - other.magnitude, self.dim, self.unit)
+        return Quantity(self.magnitude - other.magnitude, self.dim)
 
     def __neg__(self) -> "Quantity":
-        return Quantity(-self.magnitude, self.dim, self.unit)
+        return Quantity(-self.magnitude, self.dim)
 
     def __abs__(self) -> "Quantity":
-        return Quantity(abs(self.magnitude), self.dim, self.unit)
+        return Quantity(abs(self.magnitude), self.dim)
 
     def __pow__(self, n: int) -> "Quantity":
         return Quantity(self.magnitude**n, self.dim**n)
@@ -198,7 +197,7 @@ class Quantity:
                 f"[{getattr(other, 'unit', type(other).__name__) or '1'}]"
             )
 
-    # -- comparisons (same dimension only; display unit ignored) -----------
+    # -- comparisons (same dimension only) ----------------------------------
 
     def __eq__(self, other):
         if not isinstance(other, Quantity):
@@ -234,32 +233,30 @@ class Quantity:
         return self.magnitude / unit.magnitude
 
     @property
-    def expressed(self) -> float:
-        """Magnitude in this quantity's display unit."""
-        if self.unit in UNITS:
-            return self.value_in(UNITS[self.unit])
-        return self.magnitude
+    def unit(self) -> str:
+        """Symbol of the canonical unit of this quantity's dimension."""
+        return _compose_symbol(self.dim)
 
     def __str__(self):
-        return f"{self.expressed:g} {self.unit}".rstrip()
+        return f"{self.magnitude:g} {self.unit}".rstrip()
 
 
-_SET_MAGNITUDE, _SET_DIM, _SET_UNIT = (getattr(Quantity, f).__set__ for f in Quantity.__slots__)
+_SET_MAGNITUDE, _SET_DIM = (getattr(Quantity, f).__set__ for f in Quantity.__slots__)
 
 # -- unit constants (canonical magnitudes) --------------------------------
 
 # one unit of magnitude 1 per named dimension, and the nat
 UNITS: dict[str, Quantity] = {sym: Quantity(1.0, dim) for dim, sym in _DIM_SYMBOLS.items() if sym}
-NAT = UNITS["nat"] = Quantity(1.0 / LN2, INFORMATION, "nat")
+NAT = UNITS["nat"] = Quantity(1.0 / LN2, INFORMATION)
 KILOGRAM, SECOND, BIT, JOULE, VOLT, FARAD = (UNITS[s] for s in ("kg", "s", "bit", "J", "V", "F"))
 
 
 def entropy_convert(s: Quantity, target_unit: str) -> Quantity:
-    """Convert an entropy between bits, nats, and thermodynamic J/K.
+    """Convert an entropy to ``"bits"`` or to thermodynamic ``"joules_per_kelvin"``.
 
-    Accepts a quantity carrying either the information dimension or J/K.
-    Bits and nats share the stored magnitude (in bits), so between them only
-    the label changes; J/K = nats * k_B, with k_B from the active set.
+    Accepts a quantity carrying either the information dimension or J/K;
+    J/K = nats * k_B, with k_B from the active set. Nats are no target: an
+    entropy in bits is read in nats with ``value_in(NAT)``.
     """
     k_b = CONSTANTS.k_B.magnitude
     if s.dim == INFORMATION:
@@ -271,18 +268,17 @@ def entropy_convert(s: Quantity, target_unit: str) -> Quantity:
         raise DimensionMismatch(
             f"entropy_convert needs information or J/K, got [{s.unit or '1'}]"
         )
-    label = {"bits": "bit", "nats": "nat"}.get(target_unit)
-    if label is not None:
-        return Quantity(bits, INFORMATION, label)
+    if target_unit == "bits":
+        return Quantity(bits, INFORMATION)
     if target_unit == "joules_per_kelvin":
-        return Quantity(nats * k_b, ENTROPY_THERMO, "J/K")
+        return Quantity(nats * k_b, ENTROPY_THERMO)
     raise DimensionMismatch(f"unknown entropy unit {target_unit!r}")
 
 
 # -- physical constants ----------------------------------------------------
 
-# One row per constant: name, dimension, display unit, pinned SI value and
-# the origin `physcomp constants` prints. CODATA 2018; c, k_B and the
+# One row per constant: name, dimension, and the unit, pinned SI value and
+# origin `physcomp constants` prints. CODATA 2018; c, k_B and the
 # electron volt are exact by definition. A Planck unit has no pinned value:
 # it is derived from hbar, c and G unless an override file gives it.
 CONSTANT_TABLE = (
@@ -430,7 +426,7 @@ def constants(override_path: str | None = None) -> Constants:
     except ArithmeticError:
         raise FileFormatError(f"{override_path}: constants out of double range")
     return Constants(
-        *(Quantity(values[name], dim, unit) for name, dim, unit, _, _ in CONSTANT_TABLE),
+        *(Quantity(values[name], dim) for name, dim, _, _, _ in CONSTANT_TABLE),
         source,
     )
 

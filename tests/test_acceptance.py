@@ -44,7 +44,7 @@ K_B = CONSTANTS.k_B.magnitude
 C = CONSTANTS.c.magnitude
 M_P = CONSTANTS.planck_mass.magnitude
 
-MASS_SET = [Quantity(1.0, MASS, "kg"), Quantity(1e6, MASS, "kg"), CONSTANTS.solar_mass]
+MASS_SET = [Quantity(1.0, MASS), Quantity(1e6, MASS), CONSTANTS.solar_mass]
 
 
 def report_line(number: str, ok: bool, detail: str) -> None:
@@ -53,7 +53,7 @@ def report_line(number: str, ok: bool, detail: str) -> None:
 
 
 def kelvin(kt_joules: float) -> Quantity:
-    return Quantity(kt_joules / K_B, TEMPERATURE, "K")
+    return Quantity(kt_joules / K_B, TEMPERATURE)
 
 
 def test_criterion_01_solar_lifetime_cli():
@@ -114,11 +114,11 @@ def test_criterion_04_scaling_laws():
 def test_criterion_05_bit_flip_dynamics():
     t0 = time.perf_counter()
     e = 1.0
-    h = bitflip_hamiltonian(Quantity(e, ENERGY, "J"))
+    h = bitflip_hamiltonian(Quantity(e, ENERGY))
     t_star = math.pi * HBAR / (2.0 * e)
     psi0 = StateVector.basis_state(2, 0)
 
-    p_star = abs(evolve(h, Quantity(t_star, TIME, "s"), psi0).amplitudes[1]) ** 2
+    p_star = abs(evolve(h, Quantity(t_star, TIME), psi0).amplitudes[1]) ** 2
     # p(t*) = 1 within 1e-10 forces, by continuity, p > 1 - 1e-6 on the
     # final approach |t - t*|/t* <= asin(1e-3)*2/pi ~ 2e-3/pi. The scan
     # therefore asserts the physical content: no crossing of 1 - 1e-6
@@ -130,7 +130,7 @@ def test_criterion_05_bit_flip_dynamics():
     prev = -1.0
     for k in range(n_scan):
         t = t_star * k / n_scan  # strictly earlier times than t*
-        p = abs(evolve(h, Quantity(t, TIME, "s"), psi0).amplitudes[1]) ** 2
+        p = abs(evolve(h, Quantity(t, TIME), psi0).amplitudes[1]) ** 2
         if p > 1.0 - 1e-6 and first_crossing is None:
             first_crossing = k / n_scan
         monotone = monotone and p >= prev
@@ -294,7 +294,7 @@ def test_criterion_10_assembly_oracle_equivalence():
 
 
 def test_criterion_11_page_curve():
-    m0 = Quantity(1e6, MASS, "kg")
+    m0 = Quantity(1e6, MASS)
     n = 10_000
     samples = bh.page_curve(m0, n)
     endpoints_zero = (

@@ -36,7 +36,7 @@ from physcomp.errors import FileFormatError, InputError, NumericalOverflow
 from physcomp.units import ENERGY, LENGTH, Quantity
 
 def joules(x):
-    return Quantity(x, ENERGY, "J")
+    return Quantity(x, ENERGY)
 
 
 class TestAssemblyIndexExamples:

@@ -24,15 +24,15 @@ from physcomp.units import (
     Quantity,
 )
 
-J = Quantity(1e-20, ENERGY, "J")
-S = Quantity(1e-12, TIME, "s")
-K = Quantity(300.0, TEMPERATURE, "K")
-KG = Quantity(1e3, MASS, "kg")
-BITS = Quantity(10.0, INFORMATION, "bit")
-FEW_BITS = Quantity(3.0, INFORMATION, "bit")
-W = Quantity(100.0, POWER, "W")
-F = Quantity(1e-15, CAPACITANCE, "F")
-V = Quantity(0.8, VOLTAGE, "V")
+J = Quantity(1e-20, ENERGY)
+S = Quantity(1e-12, TIME)
+K = Quantity(300.0, TEMPERATURE)
+KG = Quantity(1e3, MASS)
+BITS = Quantity(10.0, INFORMATION)
+FEW_BITS = Quantity(3.0, INFORMATION)
+W = Quantity(100.0, POWER)
+F = Quantity(1e-15, CAPACITANCE)
+V = Quantity(0.8, VOLTAGE)
 
 H = qthermo.HermitianOperator(np.diag([0.0, 1e-21]))
 RHO = qthermo.DensityMatrix(np.diag([0.5, 0.5]))
@@ -78,7 +78,7 @@ CASES = [
     (
         "qthermo.solve_inverse_temperature",
         qthermo.solve_inverse_temperature,
-        (H, Quantity(2e-22, ENERGY, "J")),
+        (H, Quantity(2e-22, ENERGY)),
     ),
     (
         "qthermo.nonequilibrium_free_energy",
@@ -102,7 +102,7 @@ CASES = [
     ),
 ]
 
-WRONG = {"float": lambda q: q.magnitude, "length": lambda q: Quantity(1.0, LENGTH, "m")}
+WRONG = {"float": lambda q: q.magnitude, "length": lambda q: Quantity(1.0, LENGTH)}
 
 
 def _params():

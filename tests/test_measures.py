@@ -37,15 +37,15 @@ EC_ASYM_1E6_1E_MINUS3 = 9965.784284662088
 
 
 def joules(x):
-    return Quantity(x, ENERGY, "J")
+    return Quantity(x, ENERGY)
 
 
 def seconds(x):
-    return Quantity(x, TIME, "s")
+    return Quantity(x, TIME)
 
 
 def kelvin_t(x):
-    return Quantity(x, TEMPERATURE, "K")
+    return Quantity(x, TEMPERATURE)
 
 
 class TestPhiTime:
@@ -97,7 +97,7 @@ def test_phi_time_within_one_ulp_wherever_the_result_is_normal(e, t):
 
 class TestMlMinTime:
     def test_one_electron_volt(self):
-        t = ml_min_time(Quantity(EV, ENERGY, "J"))
+        t = ml_min_time(Quantity(EV, ENERGY))
         assert t.magnitude == pytest.approx(ML_TIME_1EV, rel=1e-12)
 
     def test_identity_with_phi_time(self):

@@ -21,24 +21,24 @@ HBAR = CONSTANTS.hbar.magnitude
 
 
 def flip_probability(H, t_seconds: float) -> float:
-    psi = evolve(H, Quantity(t_seconds, TIME, "s"), StateVector.basis_state(2, 0))
+    psi = evolve(H, Quantity(t_seconds, TIME), StateVector.basis_state(2, 0))
     return float(abs(psi.amplitudes[1]) ** 2)
 
 
 class TestBitflipHamiltonian:
     def test_entries(self):
-        h = bitflip_hamiltonian(Quantity(1.0, ENERGY, "J"))
+        h = bitflip_hamiltonian(Quantity(1.0, ENERGY))
         assert np.array_equal(h.matrix, np.array([[0.0, -1.0], [-1.0, 0.0]]))
 
     def test_eigenvalues_are_plus_minus_e(self):
         e = 2.5
-        h = bitflip_hamiltonian(Quantity(e, ENERGY, "J"))
+        h = bitflip_hamiltonian(Quantity(e, ENERGY))
         assert h.eigenvalues() == pytest.approx([-e, e])
 
     def test_mean_energy_above_ground_is_e(self):
         # <0|H|0> = 0, ground energy -E, so the drive sits E above ground
         e = 1.0
-        h = bitflip_hamiltonian(Quantity(e, ENERGY, "J"))
+        h = bitflip_hamiltonian(Quantity(e, ENERGY))
         rho0 = DensityMatrix.from_state(StateVector.basis_state(2, 0))
         mean = float(np.trace(rho0.matrix @ h.matrix).real)
         assert mean == pytest.approx(0.0, abs=1e-15)
@@ -46,36 +46,36 @@ class TestBitflipHamiltonian:
 
     def test_non_positive_energy_rejected(self):
         with pytest.raises(InputError, match="bit-flip energy must be positive"):
-            bitflip_hamiltonian(Quantity(0.0, ENERGY, "J"))
+            bitflip_hamiltonian(Quantity(0.0, ENERGY))
         with pytest.raises(InputError, match="bit-flip energy must be positive"):
-            bitflip_hamiltonian(Quantity(-1.0, ENERGY, "J"))
+            bitflip_hamiltonian(Quantity(-1.0, ENERGY))
 
 
 class TestEvolve:
     def test_half_period_flips_the_bit(self):
         e = 1.0
-        h = bitflip_hamiltonian(Quantity(e, ENERGY, "J"))
+        h = bitflip_hamiltonian(Quantity(e, ENERGY))
         assert flip_probability(h, math.pi * HBAR / (2 * e)) == pytest.approx(
             1.0, abs=1e-10
         )
 
     def test_zero_time_is_identity(self):
-        h = bitflip_hamiltonian(Quantity(1.0, ENERGY, "J"))
-        psi = evolve(h, Quantity(0.0, TIME, "s"), StateVector.basis_state(2, 0))
+        h = bitflip_hamiltonian(Quantity(1.0, ENERGY))
+        psi = evolve(h, Quantity(0.0, TIME), StateVector.basis_state(2, 0))
         assert psi.amplitudes[0] == pytest.approx(1.0)
         assert psi.amplitudes[1] == pytest.approx(0.0)
 
     def test_quarter_period_is_half_probability(self):
         e = 1.0
-        h = bitflip_hamiltonian(Quantity(e, ENERGY, "J"))
+        h = bitflip_hamiltonian(Quantity(e, ENERGY))
         assert flip_probability(h, math.pi * HBAR / (4 * e)) == pytest.approx(
             0.5, rel=1e-10
         )
 
     def test_negative_time_rejected(self):
-        h = bitflip_hamiltonian(Quantity(1.0, ENERGY, "J"))
+        h = bitflip_hamiltonian(Quantity(1.0, ENERGY))
         with pytest.raises(InputError, match="evolution time must be >= 0"):
-            evolve(h, Quantity(-1.0, TIME, "s"), StateVector.basis_state(2, 0))
+            evolve(h, Quantity(-1.0, TIME), StateVector.basis_state(2, 0))
 
     def test_unitarity_preserves_norm_and_overlaps(self):
         rng = np.random.default_rng(29)
@@ -86,7 +86,7 @@ class TestEvolve:
             b = rng.normal(size=d) + 1j * rng.normal(size=d)
             psi_a = StateVector(a / np.linalg.norm(a))
             psi_b = StateVector(b / np.linalg.norm(b))
-            t = Quantity(float(rng.uniform(0.0, 1e-13)), TIME, "s")
+            t = Quantity(float(rng.uniform(0.0, 1e-13)), TIME)
             ua, ub = evolve(h, t, psi_a), evolve(h, t, psi_b)
             assert np.linalg.norm(ua.amplitudes) == pytest.approx(1.0, abs=1e-9)
             assert ua.overlap(ub) == pytest.approx(psi_a.overlap(psi_b), abs=1e-9)
@@ -95,7 +95,7 @@ class TestEvolve:
         # scan then ternary-refine the first maximum of the flip probability;
         # it must land on pi hbar / (2E) within 1e-6 relative
         e = 3.7
-        h = bitflip_hamiltonian(Quantity(e, ENERGY, "J"))
+        h = bitflip_hamiltonian(Quantity(e, ENERGY))
         t_star = math.pi * HBAR / (2 * e)
         grid = np.linspace(0.0, 1.2 * t_star, 600)
         probs = [flip_probability(h, t) for t in grid]
@@ -116,7 +116,7 @@ class TestEvolve:
 class TestEnergySpread:
     def test_bitflip_spread_equals_drive_energy(self):
         e = 1.0
-        h = bitflip_hamiltonian(Quantity(e, ENERGY, "J"))
+        h = bitflip_hamiltonian(Quantity(e, ENERGY))
         rho = DensityMatrix.from_state(StateVector.basis_state(2, 0))
         assert energy_spread(rho, h).magnitude == pytest.approx(e, abs=1e-10)
 

@@ -17,7 +17,7 @@ from _random_states import random_density, random_hermitian
 from physcomp import units as units_module
 from physcomp.cli.main import run
 from physcomp.errors import FileFormatError, InvalidState, NumericalOverflow
-from physcomp.units import LARGE_FILE_BYTES, LN2, entropy_convert, read_json
+from physcomp.units import LARGE_FILE_BYTES, NAT, read_json
 from physcomp.qthermo import (
     DensityMatrix,
     HermitianOperator,
@@ -123,7 +123,7 @@ def test_spectrum_matches_an_eigh_oracle(seed, d):
     want = vals / vals.sum()
     assert np.allclose(rho.probabilities, want, rtol=0.0, atol=1e-12)
     nz = want[want > 0.0]
-    s = entropy_convert(von_neumann_entropy(rho), "nats").magnitude * LN2
+    s = von_neumann_entropy(rho).value_in(NAT)
     assert s == pytest.approx(float(-(nz * np.log(nz)).sum()), rel=0.0, abs=1e-12)
 
 
