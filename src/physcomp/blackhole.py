@@ -109,7 +109,8 @@ def _mass_left(m0: float, t: float, t_m: float) -> float:
 def schwarzschild_radius(M: Quantity) -> Quantity:
     k = units.CONSTANTS
     g, c = k.G.magnitude, k.c.magnitude
-    return Quantity(2.0 * g * _mass_kg(M) / c**2, LENGTH)
+    m = _mass_kg(M)
+    return Quantity(in_range(2.0 * g * m / c**2, "radius 2*G*M/c^2", M=m), LENGTH)
 
 
 def entropy_nats(M: Quantity) -> float:
@@ -122,7 +123,8 @@ def hawking_temperature(M: Quantity) -> Quantity:
     m = _mass_kg(M)
     k = units.CONSTANTS
     m_p, c, k_b = k.planck_mass.magnitude, k.c.magnitude, k.k_B.magnitude
-    return Quantity(m_p**2 * c**2 / (8.0 * math.pi * m) / k_b, TEMPERATURE)
+    t = m_p**2 * c**2 / (8.0 * math.pi * m) / k_b
+    return Quantity(in_range(t, "temperature m_P^2*c^2/(8*pi*M*k_B)", M=m), TEMPERATURE)
 
 
 def lifetime(M: Quantity) -> Quantity:
@@ -133,7 +135,8 @@ def ops_per_second(M: Quantity) -> Quantity:
     m = _mass_kg(M)
     k = units.CONSTANTS
     c, hbar = k.c.magnitude, k.hbar.magnitude
-    return Quantity(2.0 * m * c**2 / (math.pi * hbar), FREQUENCY)
+    rate = 2.0 * m * c**2 / (math.pi * hbar)
+    return Quantity(in_range(rate, "ops per second 2*M*c^2/(pi*hbar)", M=m), FREQUENCY)
 
 
 def total_ops(M: Quantity) -> float:
@@ -145,11 +148,14 @@ def total_ops(M: Quantity) -> float:
 
 def bit_flip_time(M: Quantity) -> Quantity:
     r = schwarzschild_radius(M).magnitude
-    return Quantity(math.pi**2 * r / units.CONSTANTS.c.magnitude, TIME)
+    t = math.pi**2 * r / units.CONSTANTS.c.magnitude
+    return Quantity(in_range(t, "bit flip time pi^2*R/c", M=M.magnitude), TIME)
 
 
 def free_energy(M: Quantity) -> Quantity:
-    return Quantity(_mass_kg(M) * units.CONSTANTS.c.magnitude**2 / 2.0, ENERGY)
+    m = _mass_kg(M)
+    f = m * units.CONSTANTS.c.magnitude**2 / 2.0
+    return Quantity(in_range(f, "free energy M*c^2/2", M=m), ENERGY)
 
 
 def _forced_halvings(target: float) -> int:

@@ -89,7 +89,7 @@ def error_correction_space(t_ops: float, eps: float, mode: str = "exact") -> Qua
     if mode == "exact":
         per_op = binary_entropy(eps).magnitude
     elif mode == "asymptotic":
-        per_op = eps * math.log2(1.0 / eps) if eps > 0.0 else 0.0
+        per_op = -eps * math.log2(eps) if eps > 0.0 else 0.0  # 1/eps is inf below ~5.6e-309
     else:
         raise InputError(f"unknown mode {mode!r}")
     bits = in_range(t_ops * per_op, "t*h(eps)", t=t_ops, eps=eps, mode=mode)

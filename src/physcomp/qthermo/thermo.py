@@ -198,4 +198,5 @@ def extractable_pure_bits(
         raise InputError(
             f"entropy per dof must satisfy 0 <= S <= S_max, got {s!r}, {s_max!r}"
         )
-    return Quantity(n * (s_max - s), INFORMATION)
+    bits = in_range(n * (s_max - s), "n*(S_max-S)", n=float(n), dS=s_max - s)
+    return Quantity(bits, INFORMATION)

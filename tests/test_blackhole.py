@@ -107,6 +107,15 @@ class TestCharacterize:
         assert math.isfinite(rep.total_ops)
         assert 0.0 < rep.max_error_rate < 0.5
 
+    @pytest.mark.parametrize("formula, mass_kg, name", [
+        (bh.hawking_temperature, 1e-290, "temperature"),
+        (bh.ops_per_second, 1e300, "ops per second"),
+        (bh.free_energy, 1e300, "free energy"),
+    ])
+    def test_overflowing_formula_is_typed(self, formula, mass_kg, name):
+        with pytest.raises(NumericalOverflow, match=f"{name} .* overflows a double at M="):
+            formula(kg(mass_kg))
+
     def test_underflowing_lifetime_is_typed(self):
         # t_M is 0 below ~3.3e-103 kg (M(t) would divide by it) and
         # subnormal, down to a single bit, below ~6.4e-98 kg

@@ -274,6 +274,7 @@ _REFUSAL_FILES = {
     "number-energies.json": '{"basis": "ab", "steps": [["a", "b"]], "free_energy_joules": 3}',
     "number-target.json": '{"basis": "ab", "steps": [["a", "b"]], "target": 5}',
     "no-energies.json": '{"basis": "ab", "steps": [["a", "b"]]}',
+    "tiny-k-b.json": '{"k_B": 1e-300}',
 }
 
 
@@ -295,9 +296,11 @@ _REFUSAL_FILES = {
      "warning: pathway carries no free energies; only validated"),
     (["qt", "evolve", "--ham", "h17.json", "--time", "1e-15", "--state-vector", "psi17.json"], 0,
      "warning: state has more than 16 amplitudes; use --save-vector"),
+    (["bh", "--mass", "1e-10", "--constants", "tiny-k-b.json"], 3,
+     "numerical failure: temperature m_P^2*c^2/(8*pi*M*k_B) overflows a double at M=1e-10"),
 ], ids=["one-sample", "negative-bits", "negative-ops", "negative-power", "top-level-list",
         "empty-basis", "empty-pathway-target", "number-energies", "number-target",
-        "no-energies", "d17-vector"])
+        "no-energies", "d17-vector", "temperature-overflow"])
 def test_refusal_or_warning_line(tmp_path, monkeypatch, argv, code, line):
     # a refusal is the one line on stderr; a warning is the last line of the report
     for name, text in _REFUSAL_FILES.items():
@@ -716,6 +719,14 @@ class TestResultRange:
         code, out, err = invoke(*argv)
         assert out == ""
         _assert_one_line_error(code, err, formula, exit_code=3)
+
+    def test_ec_space_at_a_subnormal_eps(self):
+        # 1/eps is inf here; both modes give the same double, as 1 - eps == 1
+        argv = ["measure", "ec-space", "--ops", "1e300", "--eps", "1e-310", "--format", "json"]
+        for mode in ("exact", "asymptotic"):
+            code, out, _ = invoke(*argv, "--mode", mode)
+            assert code == 0
+            assert json.loads(out)["results"][0]["value"] == 1.0297977094150793e-07
 
     def test_ktemp_joules_conversion(self, two_level):
         ham, _ = two_level

@@ -190,7 +190,7 @@ class TestErrorCorrectionSpace:
         assert error_correction_space(1e6, 0.0, "asymptotic").magnitude == 0.0
 
     def test_exact_dominates_asymptotic(self):
-        for eps in (1e-6, 1e-4, 1e-2, 0.3):
+        for eps in (1e-310, 1e-6, 1e-4, 1e-2, 0.3):
             exact = error_correction_space(100.0, eps, "exact").magnitude
             asym = error_correction_space(100.0, eps, "asymptotic").magnitude
             assert exact >= asym

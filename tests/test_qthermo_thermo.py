@@ -432,6 +432,10 @@ class TestExtractablePureBits:
         with pytest.raises(InputError, match="entropy per dof must satisfy"):
             extractable_pure_bits(10, -1 * BIT, 1 * BIT)
 
+    def test_overflowing_yield_is_typed(self):
+        with pytest.raises(NumericalOverflow, match=r"n\*\(S_max-S\) overflows a double"):
+            extractable_pure_bits(10**300, 0 * BIT, 1e10 * BIT)
+
     def test_negative_dof_count_rejected(self):
         with pytest.raises(InputError, match="degree-of-freedom count must be >= 0"):
             extractable_pure_bits(-1, 0 * BIT, 1 * BIT)

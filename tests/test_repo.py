@@ -30,9 +30,9 @@ def test_no_tracked_file_is_ignored():
     assert proc.stdout == ""
 
 
-def _calls(names, allowed):
+def _calls(names, allowed, match=lambda call: True):
     """Where a module under src/physcomp outside ``allowed`` (paths relative
-    to src/physcomp) calls one of ``names``."""
+    to src/physcomp) calls one of ``names`` in a call ``match`` accepts."""
     offenders = []
     for path in sorted(SRC.rglob("*.py")):
         if path.relative_to(SRC).as_posix() in allowed:
@@ -41,7 +41,7 @@ def _calls(names, allowed):
             if isinstance(node, ast.Call):
                 func = node.func
                 name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-                if name in names:
+                if name in names and match(node):
                     offenders.append(f"{path.relative_to(ROOT)}:{node.lineno}")
     return offenders
 
@@ -50,6 +50,16 @@ def test_range_errors_are_built_only_by_the_range_rule():
     # units.in_range is the one place that decides a formula result left
     # the double range; nowhere else constructs its errors
     assert _calls({"NumericalOverflow", "NumericalUnderflow"}, {"units.py", "errors.py"}) == []
+
+
+def test_no_quantity_is_given_a_unit():
+    # a quantity's unit follows from its dimension; a call passing one is a
+    # TypeError, which on an untested error path would reach the user as a
+    # stack trace in place of a one-line error
+    def gives_a_unit(call):
+        return len(call.args) > 2 or any(k.arg == "unit" for k in call.keywords)
+
+    assert _calls({"Quantity"}, set(), gives_a_unit) == []
 
 
 def test_files_are_opened_only_by_units():
