@@ -123,8 +123,8 @@ def hawking_temperature(M: Quantity) -> Quantity:
     m = _mass_kg(M)
     k = units.CONSTANTS
     m_p, c, k_b = k.planck_mass.magnitude, k.c.magnitude, k.k_B.magnitude
-    t = m_p**2 * c**2 / (8.0 * math.pi * m) / k_b
-    return Quantity(in_range(t, "temperature m_P^2*c^2/(8*pi*M*k_B)", M=m), TEMPERATURE)
+    temp = m_p**2 * c**2 / (8.0 * math.pi * m) / k_b
+    return Quantity(in_range(temp, "temperature m_P^2*c^2/(8*pi*M*k_B)", M=m), TEMPERATURE)
 
 
 def lifetime(M: Quantity) -> Quantity:
