@@ -121,6 +121,13 @@ class TestQuantity:
         with pytest.raises(DimensionMismatch):
             1 * JOULE < 1 * SECOND  # noqa: B015
 
+    def test_equality_ignores_display_unit(self):
+        # equal by magnitude and dimension, whatever unit it was written or is read in
+        one_nat = 1 * NAT
+        assert one_nat == Quantity(NAT_IN_BITS, INFORMATION) == NAT_IN_BITS * BIT
+        assert one_nat.unit == "bit" and one_nat.value_in(NAT) == 1.0
+        assert Quantity(1.0, INFORMATION) != Quantity(1.0, ENERGY)
+
     def test_frozen_copyable_and_hashed_by_value(self):
         q = Quantity(2.0, ENERGY)
         for name in ("magnitude", "unit", "extra"):
