@@ -23,15 +23,10 @@ def handle(args, out) -> Report:
         _unused(args, "with --pathway", "target", "basis", "save-pathway")
         p = assembly.load_pathway(args.pathway)
         rep.inputs = {"pathway": args.pathway}
-        rep.add("target", p.target, "", "pathway file")
-        rep.add("steps", len(p.steps), "", "join count")
+        rep.add("target", p.target, "pathway file")
+        rep.add("steps", len(p.steps), "join count")
         if p.step_free_energy is not None:
-            rep.add(
-                "pathway_free_phi",
-                assembly.pathway_free_phi(p).magnitude,
-                "J",
-                "sum of step free energies",
-            )
+            rep.add("pathway_free_phi", assembly.pathway_free_phi(p), "sum of step free energies")
         else:
             rep.warn("pathway carries no free energies; only validated")
         return rep
@@ -39,9 +34,9 @@ def handle(args, out) -> Report:
         raise InputError("give --target and --basis, or --pathway FILE")
     index, pathway = assembly.assembly_index(args.target, set(args.basis))
     rep.inputs = {"target": args.target, "basis": args.basis}
-    rep.add("assembly_index", index, "", "minimal joins with reuse")
+    rep.add("assembly_index", index, "minimal joins with reuse")
     for k, (left, right) in enumerate(pathway.steps):
-        rep.add(f"step_{k}", f"{left}+{right}", "", "join")
+        rep.add(f"step_{k}", f"{left}+{right}", "join")
     if args.save_pathway:
         assembly.write_pathway(args.save_pathway, pathway)
         rep.warn(f"witness pathway written to {args.save_pathway}")

@@ -108,25 +108,18 @@ def handle(args, out) -> Report | None:
     r = blackhole.characterize(mass)
     rep = Report("bh")
     rep.inputs = {"mass": args.mass, "unit": args.unit}
-    rep.add("mass", r.mass.magnitude, "kg", "input")
-    rep.add("radius", r.radius.magnitude, "m", "R=2*G*M/c^2")
-    rep.add("temperature", r.temperature.magnitude, "K", "T=m_P^2*c^2/(8*pi*M*k_B)")
-    rep.add("entropy_nats", r.entropy_nats, "nat", "S=4*pi*(M/m_P)^2")
-    rep.add("entropy_bits", r.entropy_bits, "bit", "S/ln2")
-    rep.add("lifetime", r.lifetime.magnitude, "s", "t_M=5120*pi*G^2*M^3/(hbar*c^4)")
-    rep.add("lifetime_years", r.lifetime_years, "yr", "t_M/year")
-    rep.add("ops_per_second", r.ops_per_second.magnitude, "1/s", "2*M*c^2/(pi*hbar)")
-    rep.add("total_ops", r.total_ops, "", "ops_per_second*t_M")
-    rep.add("bit_flip_time", r.bit_flip_time.magnitude, "s", "pi^2*R/c")
-    rep.add("free_energy", r.free_energy.magnitude, "J", "F=M*c^2/2")
-    rep.add("page_time_paper", r.page_time_paper.magnitude, "s", "t_M/2")
-    rep.add(
-        "page_time_entropy",
-        r.page_time_entropy.magnitude,
-        "s",
-        "(1-2^-1.5)*t_M",
-    )
-    rep.add(
-        "max_error_rate", r.max_error_rate, "", "h(eps)*total_ops=entropy_bits"
-    )
+    rep.add("mass", r.mass, "input")
+    rep.add("radius", r.radius, "R=2*G*M/c^2")
+    rep.add("temperature", r.temperature, "T=m_P^2*c^2/(8*pi*M*k_B)")
+    rep.add("entropy_nats", r.entropy_nats, "S=4*pi*(M/m_P)^2", "nat")
+    rep.add("entropy_bits", r.entropy_bits, "S/ln2", "bit")
+    rep.add("lifetime", r.lifetime, "t_M=5120*pi*G^2*M^3/(hbar*c^4)")
+    rep.add("lifetime_years", r.lifetime_years, "t_M/year", "yr")
+    rep.add("ops_per_second", r.ops_per_second, "2*M*c^2/(pi*hbar)")
+    rep.add("total_ops", r.total_ops, "ops_per_second*t_M")
+    rep.add("bit_flip_time", r.bit_flip_time, "pi^2*R/c")
+    rep.add("free_energy", r.free_energy, "F=M*c^2/2")
+    rep.add("page_time_paper", r.page_time_paper, "t_M/2")
+    rep.add("page_time_entropy", r.page_time_entropy, "(1-2^-1.5)*t_M")
+    rep.add("max_error_rate", r.max_error_rate, "h(eps)*total_ops=entropy_bits")
     return rep

@@ -33,43 +33,30 @@ def handle(args, out) -> Report:
         systems = (catalog.get_system(args.system),)
     if args.mode == "list":
         for s in systems:
-            rep.add(f"{s.name}.energy_per_op", s.energy_per_op.magnitude, "J", s.provenance)
+            rep.add(f"{s.name}.energy_per_op", s.energy_per_op, s.provenance)
             if s.power is not None:
-                rep.add(f"{s.name}.power", s.power.magnitude, "W", s.provenance)
+                rep.add(f"{s.name}.power", s.power, s.provenance)
             if s.op_rate is not None:
-                rep.add(f"{s.name}.op_rate", s.op_rate.magnitude, "1/s", s.provenance)
+                rep.add(f"{s.name}.op_rate", s.op_rate, s.provenance)
         return rep
     temp = catalog.ROOM_TEMPERATURE_K if args.temp is None else args.temp
     T = Quantity(temp, TEMPERATURE)
     rep.inputs = {"temp": temp}
     for s in systems:
-        rep.add(
-            f"{s.name}.inefficiency",
-            catalog.inefficiency_factor(s, T),
-            "",
-            "energy_per_op/(k_B*T*ln2)",
-        )
+        inefficiency = catalog.inefficiency_factor(s, T)
+        rep.add(f"{s.name}.inefficiency", inefficiency, "energy_per_op/(k_B*T*ln2)")
         if s.power is not None:
-            rep.add(
-                f"{s.name}.op_rate",
-                catalog.op_rate(s.power, s.energy_per_op).magnitude,
-                "1/s",
-                "power/energy_per_op",
-            )
+            rate = catalog.op_rate(s.power, s.energy_per_op)
+            rep.add(f"{s.name}.op_rate", rate, "power/energy_per_op")
     if args.power is not None:
         rep.inputs["power"] = args.power
+        power = Quantity(args.power, POWER)
         for s in systems:
-            rep.add(
-                f"{s.name}.op_rate_at_power",
-                catalog.op_rate(
-                    Quantity(args.power, POWER), s.energy_per_op
-                ).magnitude,
-                "1/s",
-                "power/energy_per_op",
-            )
+            rate = catalog.op_rate(power, s.energy_per_op)
+            rep.add(f"{s.name}.op_rate_at_power", rate, "power/energy_per_op")
     if args.capacitance is not None:
         rep.inputs["capacitance"] = args.capacitance
         rep.inputs["volts"] = args.volts
         q = catalog.switch_energy(args.capacitance * FARAD, args.volts * VOLT)
-        rep.add("switch_energy", q.magnitude, "J", "C*V^2/2")
+        rep.add("switch_energy", q, "C*V^2/2")
     return rep

@@ -98,7 +98,7 @@ def _constants_report() -> Report:
         value = getattr(units.CONSTANTS, name).magnitude
         if value != getattr(units.PINNED, name).magnitude:
             origin = "override"
-        rep.add(name, value, unit, origin)
+        rep.add(name, value, origin, unit)
     return rep
 
 

@@ -58,47 +58,35 @@ def handle(args, out) -> Report:
             "energy_unit": args.energy_unit,
             "time": args.time,
         }
-        rep.add("phi_time_ops", measures.phi_time(e, t), "", "2*E*t/(pi*hbar)")
+        rep.add("phi_time_ops", measures.phi_time(e, t), "2*E*t/(pi*hbar)")
     elif op == "ml-time":
         e = _energy_quantity(args.energy, args.energy_unit)
         rep.inputs = {"energy": args.energy, "energy_unit": args.energy_unit}
-        rep.add(
-            "min_flip_time", measures.ml_min_time(e).magnitude, "s", "pi*hbar/(2*E)"
-        )
+        rep.add("min_flip_time", measures.ml_min_time(e), "pi*hbar/(2*E)")
     elif op == "phi-space":
         rep.inputs = {"smax": args.smax, "s": args.s}
         q = measures.phi_space(
             Quantity(args.smax, INFORMATION), Quantity(args.s, INFORMATION)
         )
-        rep.add("phi_space", q.magnitude, "bit", "S_max-S")
+        rep.add("phi_space", q, "S_max-S")
     elif op == "free-phi":
         df = Quantity(args.delta_f, ENERGY)
         rep.inputs = {"delta_f": args.delta_f}
-        rep.add("free_phi", measures.free_phi(df).magnitude, "J", "consumed free energy")
+        rep.add("free_phi", measures.free_phi(df), "consumed free energy")
         if args.time is not None:
             rep.inputs["time"] = args.time
             t = Quantity(args.time, TIME)
-            rep.add(
-                "op_equivalent",
-                measures.free_phi_op_equivalent(df, t),
-                "",
-                "2*F*t/(pi*hbar)",
-            )
+            rep.add("op_equivalent", measures.free_phi_op_equivalent(df, t), "2*F*t/(pi*hbar)")
     elif op == "landauer":
         rep.inputs = {"temp": args.temp, "bits": args.bits}
         q = measures.landauer_cost(Quantity(args.temp, TEMPERATURE), args.bits)
-        rep.add("landauer_cost", q.magnitude, "J", "n*k_B*T*ln2")
+        rep.add("landauer_cost", q, "n*k_B*T*ln2")
     elif op == "binary-entropy":
         rep.inputs = {"eps": args.eps}
-        rep.add(
-            "binary_entropy",
-            measures.binary_entropy(args.eps).magnitude,
-            "bit",
-            "-e*log2(e)-(1-e)*log2(1-e)",
-        )
+        rep.add("binary_entropy", measures.binary_entropy(args.eps), "-e*log2(e)-(1-e)*log2(1-e)")
     elif op == "ec-space":
         rep.inputs = {"ops": args.ops, "eps": args.eps, "mode": args.mode}
         q = measures.error_correction_space(args.ops, args.eps, args.mode)
         formula = "t*h(eps)" if args.mode == "exact" else "t*eps*log2(1/eps)"
-        rep.add("ec_space", q.magnitude, "bit", formula)
+        rep.add("ec_space", q, formula)
     return rep

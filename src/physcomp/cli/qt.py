@@ -61,9 +61,9 @@ def _add_partition_function(rep: Report, g) -> None:
     """Report Z while it is a normal double, else ln Z in its place."""
     formula = "tr(exp(-H/(k_B*T)))"
     try:
-        rep.add("partition_function", g.partition_function, "", formula)
+        rep.add("partition_function", g.partition_function, formula)
     except NumericalError:
-        rep.add("log_partition_function", g.log_partition_function, "", f"ln({formula})")
+        rep.add("log_partition_function", g.log_partition_function, f"ln({formula})")
 
 
 def handle(args, out) -> Report:
@@ -79,7 +79,7 @@ def handle(args, out) -> Report:
             rho = qt.load_density(args.state)
             rep.inputs = {"state": args.state, "entropy_unit": args.entropy_unit}
             u = {"bits": "bit", "nats": "nat"}[args.entropy_unit]
-            rep.add("entropy", qt.von_neumann_entropy(rho).value_in(u), u, "-tr(rho*ln(rho))")
+            rep.add("entropy", qt.von_neumann_entropy(rho).value_in(u), "-tr(rho*ln(rho))", u)
         elif op == "gibbs":
             ham = qt.load_hamiltonian(args.ham)
             T = _temperature(args)
@@ -87,11 +87,11 @@ def handle(args, out) -> Report:
                 ham.eigensystem()  # the saved matrix needs eigenvectors: one eigh
             g = qt.gibbs_state(ham, T)
             rep.inputs = {"ham": args.ham, "temperature_K": T.magnitude}
-            rep.add("temperature", g.temperature.magnitude, "K", "input")
+            rep.add("temperature", g.temperature, "input")
             _add_partition_function(rep, g)
-            rep.add("f_eq", g.f_eq.magnitude, "J", "-k_B*T*ln(Z)")
-            rep.add("entropy", qt.von_neumann_entropy(g.rho).magnitude, "bit", "-tr(rho*ln(rho))")
-            rep.add("mean_energy", qt.mean_energy(g.rho, ham).magnitude, "J", "tr(rho*H)")
+            rep.add("f_eq", g.f_eq, "-k_B*T*ln(Z)")
+            rep.add("entropy", qt.von_neumann_entropy(g.rho), "-tr(rho*ln(rho))")
+            rep.add("mean_energy", qt.mean_energy(g.rho, ham), "tr(rho*H)")
             if args.save_state:
                 qt.write_matrix(args.save_state, g.rho.matrix)
                 rep.warn(f"thermal state written to {args.save_state}")
@@ -99,10 +99,10 @@ def handle(args, out) -> Report:
             ham = qt.load_hamiltonian(args.ham)
             g = qt.solve_inverse_temperature(ham, Quantity(args.energy, ENERGY))
             rep.inputs = {"ham": args.ham, "energy": args.energy}
-            rep.add("temperature", g.temperature.magnitude, "K", "tr(rho_th*H)=E")
-            rep.add("beta", g.beta.magnitude, "1/J", "1/(k_B*T)")
+            rep.add("temperature", g.temperature, "tr(rho_th*H)=E")
+            rep.add("beta", g.beta, "1/(k_B*T)")
             _add_partition_function(rep, g)
-            rep.add("f_eq", g.f_eq.magnitude, "J", "-k_B*T*ln(Z)")
+            rep.add("f_eq", g.f_eq, "-k_B*T*ln(Z)")
         elif op == "work":
             ham = qt.load_hamiltonian(args.ham)
             rho = qt.load_density(args.state)
@@ -112,10 +112,8 @@ def handle(args, out) -> Report:
                 "state": args.state,
                 "temperature_K": T.magnitude,
             }
-            w = qt.extractable_work(rho, ham, T)
-            rep.add("extractable_work", w.magnitude, "J", "k_B*T*D(rho||rho_th)")
-            f = qt.nonequilibrium_free_energy(rho, ham, T)
-            rep.add("free_energy", f.magnitude, "J", "tr(rho*H)-T*k_B*S")
+            rep.add("extractable_work", qt.extractable_work(rho, ham, T), "k_B*T*D(rho||rho_th)")
+            rep.add("free_energy", qt.nonequilibrium_free_energy(rho, ham, T), "tr(rho*H)-T*k_B*S")
         elif op == "evolve":
             ham = qt.load_hamiltonian(args.ham)
             psi = qt.load_state_vector(args.state_vector)
@@ -128,12 +126,8 @@ def handle(args, out) -> Report:
             out_state = qt.evolve(ham, t, psi)
             for k, amp in enumerate(out_state.amplitudes):
                 if out_state.dim <= 16:
-                    rep.add(
-                        f"probability_{k}",
-                        float(abs(amp) ** 2),
-                        "",
-                        "|<k|exp(-i*H*t/hbar)|psi>|^2",
-                    )
+                    p = float(abs(amp) ** 2)
+                    rep.add(f"probability_{k}", p, "|<k|exp(-i*H*t/hbar)|psi>|^2")
             if out_state.dim > 16:
                 rep.warn("state has more than 16 amplitudes; use --save-vector")
             if args.save_vector:
@@ -143,10 +137,5 @@ def handle(args, out) -> Report:
             ham = qt.load_hamiltonian(args.ham)
             rho = qt.load_density(args.state)
             rep.inputs = {"ham": args.ham, "state": args.state}
-            rep.add(
-                "energy_spread",
-                qt.energy_spread(rho, ham).magnitude,
-                "J",
-                "sqrt(tr(rho*H^2)-tr(rho*H)^2)",
-            )
+            rep.add("energy_spread", qt.energy_spread(rho, ham), "sqrt(tr(rho*H^2)-tr(rho*H)^2)")
     return rep

@@ -8,6 +8,7 @@ re-rendering a parsed report reproduces the bytes.
 from __future__ import annotations
 
 from .. import __version__
+from ..units import Quantity
 
 FORMATS = ("human", "json", "csv")
 
@@ -23,7 +24,14 @@ class Report:
         self.results = []  # (name, value, unit, formula)
         self.warnings = []
 
-    def add(self, name: str, value, unit: str, formula: str) -> None:
+    def add(self, name: str, value, formula: str, unit: str = "") -> None:
+        """One result row. A :class:`Quantity` brings its magnitude and the
+        unit its dimension derives; a plain number or string takes ``unit``,
+        or none for a count."""
+        if isinstance(value, Quantity):
+            if unit:
+                raise TypeError(f"{name}: a Quantity's unit is its own, not {unit!r}")
+            value, unit = value.magnitude, value.unit
         self.results.append((name, value, unit, formula))
 
     def warn(self, message: str) -> None:

@@ -81,6 +81,7 @@ _DIM_SYMBOLS = {
     MASS * LENGTH / TIME**2: "N",
     VELOCITY: "m/s",
     FREQUENCY: "1/s",
+    DIMENSIONLESS / ENERGY: "1/J",
     ENTROPY_THERMO: "J/K",
     VOLTAGE: "V",
     CAPACITANCE: "F",

@@ -161,7 +161,7 @@ def test_records_are_frozen_values():
 
 def test_units_are_one_per_named_dimension_and_the_nat():
     named = ("kg", "m", "s", "K", "A", "bit", "J", "W", "N", "V", "F",
-             "J/K", "J·s", "m/s", "1/s", "bit/s")
+             "J/K", "J·s", "m/s", "1/s", "1/J", "bit/s")
     assert {k: q.magnitude for k, q in units.UNITS.items()} == {
         **dict.fromkeys(named, 1.0), "nat": 1.0 / math.log(2.0)
     }
