@@ -67,13 +67,11 @@ def _boltzmann_weights(vals: np.ndarray, beta: float):
     return w / total, ref, math.log(total)
 
 
-def _gibbs_from_beta(H: HermitianOperator, beta: float) -> GibbsState:
+def _gibbs_from_beta(H: HermitianOperator, beta: float, temperature: float) -> GibbsState:
     probs, ref, log_z_shifted = _boltzmann_weights(H.eigenvalues(), beta)
     log_z = float(-beta * ref + log_z_shifted)
     # diagonal in H's eigenbasis: its matrix needs eigenvectors only if read
     rho = DensityMatrix.from_spectrum(probs, H)
-    # T = 1/(k_B*beta) leaves the double range where k_B*beta does
-    temperature = 1.0 / in_range(units.CONSTANTS.k_B.magnitude * beta, "k_B*beta", beta=beta)
     # + 0.0: ln Z = 0 would give -0.0
     f_eq = -log_z / beta + 0.0
     return GibbsState(
@@ -90,7 +88,9 @@ def gibbs_state(H: HermitianOperator, T: Quantity) -> GibbsState:
     t = require(T, TEMPERATURE, "temperature")
     if t == 0.0:
         raise InputError("Gibbs state undefined at T = 0")
-    return _gibbs_from_beta(H, 1.0 / in_range(units.CONSTANTS.k_B.magnitude * t, "k_B*T", T=t))
+    beta = 1.0 / in_range(units.CONSTANTS.k_B.magnitude * t, "k_B*T", T=t)
+    # the state carries the given T, not 1/(k_B*beta), two roundings from it
+    return _gibbs_from_beta(H, beta, t)
 
 
 def _energy_at_beta(vals: np.ndarray, beta: float) -> float:
@@ -142,7 +142,9 @@ def solve_inverse_temperature(
             b_hi = beta
     beta = 0.5 * (b_lo + b_hi)
     if abs(_energy_at_beta(vals, beta) - e) <= ENERGY_MATCH_RTOL * spread:
-        return _gibbs_from_beta(H, beta)
+        # T = 1/(k_B*beta) leaves the double range where k_B*beta does
+        t = 1.0 / in_range(units.CONSTANTS.k_B.magnitude * beta, "k_B*beta", beta=beta)
+        return _gibbs_from_beta(H, beta, t)
     raise NumericalError("inverse-temperature bisection did not converge")
 
 

@@ -245,7 +245,7 @@ GOLDEN = {
     "qt-gibbs-save": "47bd426f15dbee2b47f3b56682a68c3fdc33976ab180b965852d70a2d909671c",
     "qt-gibbs-both-temps": "4e6d828e8a590b6f7b3f715d363a06dc7faeaf2d0b6b23f19cab3613b6246a5e",
     "qt-gibbs-overflow": "19d90e286836719a94265753af858c757bf82b47a4228108740ba440baca0e3e",
-    "qt-gibbs-shifted": "cf7e22f5bd8f5486a40e286bcc4ac109261a79cb763370c1bf338dd557fc4de7",
+    "qt-gibbs-shifted": "554f59b1ba7980241a024a427c531a39c65cb376871380929b70033dcaa8978d",
     "qt-gibbs-f-eq-zero": "095c546b6b1ffe0e787379ec31c3b047f3c2a873f4df96c145afdaf2ad0ba9bb",
     "qt-gibbs-f-eq-zero-json": "29ea155bdbba69e2a633a2b7ba75ac776f475a09e77a67f3a875aee758e483df",
     "qt-solve-temp": "fa136d27379087cf817250509bd4097ee00e8a166e7c00948e43b7fb597aa1ff",
@@ -255,7 +255,7 @@ GOLDEN = {
     "qt-work-dense": "1b6992753551b87e29a58170e27f9dc1aee6ee31fb51656d426e07f454fff31d",
     "qt-evolve-save": "c9b9d245ba699c5a64f989906b6c812562c3aad63d1b67229e2214ca957a6497",
     "qt-spread": "27390062e2f5887efcbd23a48c9688073c5651e0f05f073312db1eed400cfcd1",
-    "qt-gibbs-limit": "d98ccf0294c2e88a5b182446375b1faffcea6a6e7552a5c20baff1ae8508624d",
+    "qt-gibbs-limit": "6f550190821905e1eda0807737415a0dab736a048fd239822806a13e35214971",
     "qt-work-limit": "41520200f1c429fbb19fc9b0901e9630b7f75fad21a01e799b7644e81b67e885",
     "qt-solve-temp-limit": "581d5f2785b69e90bb950714430520f5aee67b6618a8a6410c63deae8fbd2a64",
     "qt-spread-near-limit": "c58dc7b9f6d69b212b2d094bef02698493fe8aeeee796cae06b30d9ca44f0ee3",

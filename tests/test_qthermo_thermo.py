@@ -292,6 +292,16 @@ def test_solve_inverse_temperature_round_trips(seed, d, kt, sign):
     assert t == pytest.approx(T.magnitude, rel=1e-9)
 
 
+# log-uniform temperatures over nine decades, both signs; at T = 50 K,
+# 1/(k_B*beta) reads 50.000000000000007
+@settings(max_examples=200, deadline=None)
+@given(t=st.floats(-3.0, 6.0).map(lambda x: 10.0**x), sign=st.sampled_from([1.0, -1.0]))
+@example(t=50.0, sign=1.0)
+def test_gibbs_state_echoes_its_temperature(t, sign):
+    T = Quantity(sign * t, TEMPERATURE)
+    assert gibbs_state(HermitianOperator(np.diag([0.0, E0])), T).temperature == T
+
+
 class TestSolveInverseTemperature:
     def test_two_level_quarter_energy(self):
         e = 1.0
