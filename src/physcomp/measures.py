@@ -12,7 +12,6 @@ User-facing entropies are in bits throughout; internal math is in nats.
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 
 from . import units
 from .errors import InputError
@@ -116,48 +115,3 @@ def free_phi_thermo(T: Quantity, s_eq: Quantity, s: Quantity) -> Quantity:
     entropies in bits.
     """
     return landauer_cost(T, phi_space(s_eq, s).magnitude)
-
-
-class ComplexityReport(
-    namedtuple(
-        "ComplexityReport", "phi_time_ops phi_space_bits free_phi landauer_cost metadata"
-    )
-):
-    """The three measures plus Landauer accounting for one described system."""
-
-    __slots__ = ()
-
-    def __new__(cls, phi_time_ops, phi_space_bits, free_phi, landauer_cost, metadata=None):
-        if (
-            phi_time_ops < 0.0
-            or phi_space_bits.magnitude < 0.0
-            or free_phi.magnitude < 0.0
-            or landauer_cost.magnitude < 0.0
-        ):
-            raise InputError("complexity measures are counts; all must be >= 0")
-        metadata = {} if metadata is None else metadata
-        return super().__new__(cls, phi_time_ops, phi_space_bits, free_phi, landauer_cost, metadata)
-
-
-def complexity_report(
-    E: Quantity,
-    t: Quantity,
-    s_max: Quantity,
-    s: Quantity,
-    T: Quantity,
-    label: str = "",
-) -> ComplexityReport:
-    """Bundle the measures for a system of energy E running for time t."""
-    depth = phi_space(s_max, s)
-    return ComplexityReport(
-        phi_time_ops=phi_time(E, t),
-        phi_space_bits=depth,
-        free_phi=free_phi_thermo(T, s_max, s),
-        landauer_cost=landauer_cost(T, depth.magnitude),
-        metadata={
-            "label": label,
-            "energy_joules": E.magnitude,
-            "duration_seconds": t.magnitude,
-            "temperature_kelvin": T.magnitude,
-        },
-    )

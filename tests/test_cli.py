@@ -17,8 +17,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from physcomp.cli import main, run
-from physcomp.cli.report import render_csv, render_json
+from physcomp.cli.report import Report, render_csv, render_json
 from physcomp.qthermo import read_matrix, write_matrix, write_vector
+from physcomp.units import ENERGY, LENGTH, Quantity
 
 
 def invoke(*argv):
@@ -35,6 +36,30 @@ def two_level(tmp_path):
     write_matrix(ham, np.diag([0.0, 1.0]), units="J")
     write_matrix(ground, np.diag([1.0, 0.0]))
     return ham, ground
+
+
+class TestReportAdd:
+    """A row's unit is its Quantity's derived symbol, or given for a plain number."""
+
+    def test_a_quantity_row_stores_its_magnitude_and_derived_unit(self):
+        rep = Report("t")
+        rep.add("beta", 2.5 / Quantity(1.0, ENERGY), "1/(k_B*T)")
+        rep.add("radius", Quantity(3.0, LENGTH), "R=2*G*M/c^2")
+        assert rep.results == [("beta", 2.5, "1/J", "1/(k_B*T)"),
+                               ("radius", 3.0, "m", "R=2*G*M/c^2")]
+
+    def test_a_float_row_keeps_its_explicit_unit(self):
+        rep = Report("t")
+        rep.add("lifetime_years", 2.1e67, "t_M/year", "yr")
+        rep.add("total_ops", 7.0, "ops_per_second*t_M")
+        assert rep.results == [("lifetime_years", 2.1e67, "yr", "t_M/year"),
+                               ("total_ops", 7.0, "", "ops_per_second*t_M")]
+
+    def test_a_quantity_given_a_unit_is_refused(self):
+        rep = Report("t")
+        with pytest.raises(TypeError, match="radius"):
+            rep.add("radius", Quantity(3.0, LENGTH), "R=2*G*M/c^2", unit="m")
+        assert rep.results == []
 
 
 class TestReports:

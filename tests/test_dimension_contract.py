@@ -48,7 +48,6 @@ CASES = [
     ("measures.free_phi", measures.free_phi, (J,)),
     ("measures.free_phi_op_equivalent", measures.free_phi_op_equivalent, (J, S)),
     ("measures.free_phi_thermo", measures.free_phi_thermo, (K, BITS, FEW_BITS)),
-    ("measures.complexity_report", measures.complexity_report, (J, S, BITS, FEW_BITS, K)),
     *(
         (f"blackhole.{fn.__name__}", fn, (KG,))
         for fn in (

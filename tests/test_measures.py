@@ -10,9 +10,7 @@ from hypothesis import strategies as st
 
 from physcomp.errors import InputError, NumericalOverflow
 from physcomp.measures import (
-    ComplexityReport,
     binary_entropy,
-    complexity_report,
     error_correction_space,
     free_phi,
     free_phi_op_equivalent,
@@ -257,30 +255,3 @@ class TestFreePhiThermo:
             a = free_phi_thermo(kelvin_t(250.0), depth * BIT, 0 * BIT).magnitude
             b = landauer_cost(kelvin_t(250.0), depth).magnitude
             assert a == pytest.approx(b, rel=1e-12)
-
-
-class TestComplexityReport:
-    def test_bundle_is_consistent(self):
-        rep = complexity_report(
-            E=joules(1e-15),
-            t=seconds(1.0),
-            s_max=10 * BIT,
-            s=4 * BIT,
-            T=kelvin_t(300.0),
-            label="demo",
-        )
-        assert rep.phi_time_ops > 0
-        assert rep.phi_space_bits.magnitude == 6.0
-        assert rep.free_phi.magnitude == pytest.approx(
-            rep.landauer_cost.magnitude, rel=1e-12
-        )
-        assert rep.metadata["label"] == "demo"
-
-    def test_negative_counts_rejected(self):
-        with pytest.raises(InputError, match="complexity measures are counts"):
-            ComplexityReport(
-                phi_time_ops=-1.0,
-                phi_space_bits=0 * BIT,
-                free_phi=joules(0.0),
-                landauer_cost=joules(0.0),
-            )

@@ -1,7 +1,7 @@
 """Repository hygiene: what git tracks, where the range rule lives, which
 module opens files, imports the decoded-file cache or orjson or switches
-the collector, which errors, names and dependencies exist, and whether the
-README's code runs."""
+the collector, what CLI report rows are given, which errors, names and
+dependencies exist, and whether the README's code runs."""
 
 import ast
 import os
@@ -60,6 +60,19 @@ def test_no_quantity_is_given_a_unit():
         return len(call.args) > 2 or any(k.arg == "unit" for k in call.keywords)
 
     assert _calls({"Quantity"}, set(), gives_a_unit) == []
+
+
+def test_report_rows_take_the_quantity():
+    # Report.add reads a Quantity's magnitude and the unit its dimension
+    # derives; a CLI row that passes the bare magnitude must then state
+    # its unit by hand a second time, and nothing checks that the two agree
+    def passes_a_magnitude(call):
+        values = [*call.args[1:2], *(k.value for k in call.keywords if k.arg == "value")]
+        return any(isinstance(v, ast.Attribute) and v.attr == "magnitude" for v in values)
+
+    outside_cli = {p.relative_to(SRC).as_posix() for p in SRC.rglob("*.py")
+                   if p.parent != SRC / "cli"}
+    assert _calls({"add"}, outside_cli, passes_a_magnitude) == []
 
 
 def test_files_are_opened_only_by_units():
