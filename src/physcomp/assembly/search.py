@@ -1,23 +1,26 @@
 """Assembly index: minimal joins to build a target string, with witness.
 
 Candidates are the distinct substrings of the target of length >= 2,
-shortlex sorted: nothing else can appear in a minimal pathway, and any
-buildable product set can be built in shortlex order (operands are
-strictly shorter than their product). Intermediates are reused for free,
-so the index is the size of the smallest constructible set holding the
-target. Iterative deepening between a doubling lower bound and a
-balanced-split upper bound visits each set once per pass, so the first
-solution at the optimal depth is the canonical (lexicographically
-smallest) witness.
+shortlex sorted: nothing else can appear in a minimal pathway.
+Intermediates are reused for free, so the index is the size of the
+smallest set of candidates that holds the target and gives each member a
+cut into two halves, each a basis symbol or a member. Operands are
+strictly shorter than their product, so such a set builds in shortlex
+order.
 
-The kernel holds sets of candidates as Python ints, bit k for candidate k,
-and extends a node's sets from the new product's table entries instead of
-rescanning; with two joins left it answers at once. The enumeration order,
-and so the witness, is that of a plain deepening search
-(``tests/_oracles.plain_deepening_sequence``).
+The search works from the target down, as molecular assembly tools do
+(Seet et al., "Rapid computation of the assembly index of molecular
+graphs", 2024). The longest member with no cut yet tries its cuts from
+the left, adding the halves the set lacks, and a pass prunes any set
+larger than its size. Passes deepen from the doubling lower bound.
+Following a smallest set's own cuts from the target never leaves that
+set, so the first set found is a smallest one. Sets are Python ints, bit
+k for candidate k. The witness lists that first set in shortlex order.
 """
 
 from __future__ import annotations
+
+import itertools
 
 from ..errors import InputError
 from .pathway import AssemblyPathway, check_basis
@@ -25,7 +28,7 @@ from .pathway import AssemblyPathway, check_basis
 MAX_TARGET_LENGTH = 20
 # search nodes (dfs calls, over all deepening passes) before a target is
 # refused: a count, not a clock, so the outcome does not depend on the host.
-# Over 10x the 306,658 nodes of the costliest benchmark or test target.
+# Over 7x the 457,416 nodes of the costliest benchmark or test target.
 NODE_BUDGET = 3_500_000
 
 
@@ -54,7 +57,11 @@ def doubling_lower_bound(n: int) -> int:
 
 
 def greedy_doubling_upper_bound(target: str) -> int:
-    """Joins used by balanced halving with shared pieces built once."""
+    """Joins used by balanced halving with shared pieces built once.
+
+    The search needs no upper bound; this is kept for perfbench's
+    ``assembly.upper_gap`` and for the tests.
+    """
     pieces: set[str] = set()
 
     def build(s: str) -> None:
@@ -70,50 +77,22 @@ def greedy_doubling_upper_bound(target: str) -> int:
 
 
 def solve_sequence(subs: list[str]) -> list[int]:
-    """Return the canonical optimal build sequence of ids into ``subs``.
+    """Return the ids into ``subs`` of a smallest product set, ascending.
 
     ``subs`` is ``candidate_substrings(target)``; the target is its last id.
     """
-    index = {s: k for k, s in enumerate(subs)}
-    lengths = [len(s) for s in subs]
+    bit = {s: 1 << k for k, s in enumerate(subs)}
+    # halves[i]: for each cut of candidate i, from the left, the mask of its
+    # halves; a single symbol is a basis symbol, always present, with no bit
+    halves = [
+        [bit.get(s[:cut], 0) | bit.get(s[cut:], 0) for cut in range(1, len(s))]
+        for s in subs
+    ]
     target = len(subs) - 1
-    tlen = lengths[target]
-    # made[j]: products of j with a basis symbol or with itself;
-    # paired[j]: partner bit -> products of j with that partner candidate;
-    # finish[j]: partners that, built next to j, complete the target.
-    # Id -1 stands for a basis symbol, always available.
-    made = [0] * len(subs)
-    paired: list[dict[int, int]] = [{} for _ in subs]
-    partners = [0] * len(subs)
-    finish = [0] * len(subs)
-    basis_made = basis_finish = 0
-    for k, s in enumerate(subs):
-        bit = 1 << k
-        for cut in range(1, len(s)):
-            a, b = index.get(s[:cut], -1), index.get(s[cut:], -1)
-            a_bit = 1 << a if a >= 0 else 0
-            b_bit = 1 << b if b >= 0 else 0
-            if a < 0 and b < 0:
-                basis_made |= bit
-                continue
-            if a < 0 or b < 0 or a == b:
-                made[max(a, b)] |= bit
-                if k == target:
-                    basis_finish |= a_bit | b_bit
-                continue
-            paired[a][b_bit] = paired[a].get(b_bit, 0) | bit
-            paired[b][a_bit] = paired[b].get(a_bit, 0) | bit
-            partners[a] |= b_bit
-            partners[b] |= a_bit
-            if k == target:
-                finish[a] |= b_bit
-                finish[b] |= a_bit
-    target_bit = 1 << target
-    below_target = target_bit - 1
-    seq: list[int] = []
+    tlen = len(subs[target])
     nodes, node_limit = 0, NODE_BUDGET
 
-    def dfs(start: int, built: int, avail: int, near: int, maxlen: int, remaining: int) -> bool:
+    def dfs(members: int, below: int, budget: int) -> int:
         nonlocal nodes
         nodes += 1
         if nodes > node_limit:
@@ -121,53 +100,29 @@ def solve_sequence(subs: list[str]) -> list[int]:
                 f"assembly search for a length-{tlen} target over {len(set(subs[target]))} "
                 f"symbols exceeds the budget of {node_limit} search nodes"
             )
-        # each join at most doubles the longest available piece
-        if maxlen << remaining < tlen:
-            return False
-        if remaining == 1:
-            if avail & target_bit:
-                seq.append(target)
-                return True
-            return False
-        window = avail & below_target & ~((1 << start) - 1)
-        if remaining == 2:
-            # a child succeeds iff the target is constructible after it,
-            # and then its own doubling check holds too
-            if not avail & target_bit:
-                window &= near
-            if window:
-                seq.append((window & -window).bit_length() - 1)
-                seq.append(target)
-                return True
-            return False
-        while window:
-            low = window & -window
-            window ^= low
-            i = low.bit_length() - 1
-            more = avail | made[i]
-            with_i = paired[i]
-            mates = built & partners[i]
-            while mates:
-                mate = mates & -mates
-                mates ^= mate
-                more |= with_i[mate]
-            seq.append(i)
-            bigger = lengths[i] if lengths[i] > maxlen else maxlen
-            if dfs(i + 1, built | low, more, near | finish[i], bigger, remaining - 1):
-                return True
-            seq.pop()
-        return False
+        # members below ``below`` have no cut yet; halves are shorter, so
+        # every member a cut adds lies below the one being cut
+        pending = members & ((1 << below) - 1)
+        if not pending:
+            return members
+        i = pending.bit_length() - 1
+        for mask in halves[i]:
+            grown = members | mask
+            if grown.bit_count() <= budget:
+                found = dfs(grown, i, budget)
+                if found:
+                    return found
+        return 0
 
-    lower = doubling_lower_bound(tlen)
-    upper = greedy_doubling_upper_bound(subs[target])
-    for budget in range(max(lower, 1), upper + 1):
-        if dfs(0, 0, basis_made, basis_finish, 1, budget):
-            return seq
-    raise AssertionError("greedy upper bound should always be attainable")
+    for budget in itertools.count(max(doubling_lower_bound(tlen), 1)):
+        found = dfs(1 << target, target + 1, budget)
+        if found:
+            return [k for k in range(target + 1) if found >> k & 1]
 
 
 def _witness(target: str, basis: frozenset[str], subs: list[str], seq: list[int]):
-    """Turn the chosen product set into explicit steps, smallest cut first."""
+    """List the chosen product set in shortlex order as explicit steps, each
+    product joined at its leftmost cut whose halves are already available."""
     available = set(basis)
     steps = []
     for i in seq:
@@ -185,8 +140,9 @@ def assembly_index(target: str, basis) -> tuple[int, AssemblyPathway]:
     """Minimal number of joins building ``target`` from ``basis``, plus witness.
 
     Previously assembled products may be reused at no cost. Ties among
-    optimal pathways break to the shortlex-smallest product sequence, so
-    the witness is deterministic.
+    optimal pathways break to the first smallest product set the top-down
+    search finds (longest uncut member first, its cuts from the left),
+    listed in shortlex order, so the witness is deterministic.
     """
     symbols = check_basis(basis)
     if not isinstance(target, str) or not target:

@@ -3,9 +3,10 @@
 These deliberately avoid the production code paths: the assembly oracles
 search pathways exhaustively with plain string operations and no bounding
 (one bottom-up over every buildable set, one top-down from the target's
-own cuts), the plain deepening search runs the assembly kernel's
-enumeration with none of its bookkeeping, and the entropy/bisection
-oracles are straight transcriptions of the defining formulas.
+own cuts), the plain deepening search enumerates buildable sets bottom up
+and so shares no logic with the top-down assembly kernel, and the
+entropy/bisection oracles are straight transcriptions of the defining
+formulas.
 """
 
 from __future__ import annotations
@@ -120,9 +121,9 @@ def deepening_inputs(target: str):
     return subs, lengths, splits, index[target]
 
 
-# The assembly kernel's enumeration in its plainest form: every node rescans
-# each candidate's splits and only the doubling bound prunes. The kernel
-# must return the same sequence of candidate ids.
+# A bottom-up deepening search: every node rescans each candidate's splits
+# and only the doubling bound prunes. The kernel searches top down, and its
+# index must equal the length of this sequence.
 def plain_deepening_sequence(
     lengths: list[int],
     splits: list[list[tuple[int, int]]],

@@ -31,7 +31,7 @@ from physcomp.assembly import (
     write_pathway,
 )
 from physcomp.assembly import search
-from physcomp.assembly.search import _witness, solve_sequence
+from physcomp.assembly.search import solve_sequence
 from physcomp.errors import FileFormatError, InputError, NumericalOverflow
 from physcomp.units import ENERGY, LENGTH, Quantity
 
@@ -151,24 +151,24 @@ class TestOracleEquivalence:
                     assert top_down_assembly_index(target, alphabet) == want, target
 
 
-# (target, index, steps) from the plain deepening search: the deep
-# exhaustive passes where a wrong prune would show
+# (target, index, steps): the first smallest set the top-down search finds,
+# listed in shortlex order; the deep passes where a wrong prune would show
 HARD_WITNESSES = [
     (
         "abaaaabbbbbbba",
         10,
         (
-            ("a", "a"), ("a", "b"), ("b", "a"), ("b", "b"), ("b", "bb"),
-            ("aa", "aa"), ("bbb", "ba"), ("ab", "aaaa"), ("bbb", "bbbba"),
-            ("abaaaa", "bbbbbbba"),
+            ("a", "a"), ("b", "b"), ("bb", "a"), ("bb", "bba"), ("bb", "bbbba"),
+            ("b", "bbbbbba"), ("aa", "bbbbbbba"), ("aa", "aabbbbbbba"),
+            ("b", "aaaabbbbbbba"), ("a", "baaaabbbbbbba"),
         ),
     ),
     (
         "aaabaababbbabbb",
         8,
         (
-            ("a", "b"), ("b", "b"), ("a", "ab"), ("a", "aab"), ("ab", "bb"),
-            ("aaab", "aab"), ("abbb", "abbb"), ("aaabaab", "abbbabbb"),
+            ("a", "b"), ("b", "b"), ("a", "ab"), ("ab", "bb"), ("abbb", "abbb"),
+            ("aab", "abbbabbb"), ("aab", "aababbbabbb"), ("a", "aabaababbbabbb"),
         ),
     ),
 ]
@@ -180,17 +180,55 @@ def test_hard_witness_is_pinned(target, index, steps):
     assert (got, pathway.steps) == (index, steps)
 
 
+# the search's cost, with no hook: solved within exactly this many nodes
+@pytest.mark.parametrize(
+    "target, index, nodes", [("abaaaabbbbbbba", 10, 70_744), ("aaabaababbbabbb", 8, 7_777)]
+)
+def test_hard_witness_takes_its_pinned_node_count(target, index, nodes, monkeypatch):
+    monkeypatch.setattr(search, "NODE_BUDGET", nodes)
+    assert assembly_index(target, {"a", "b"})[0] == index
+    monkeypatch.setattr(search, "NODE_BUDGET", nodes - 1)
+    with pytest.raises(InputError, match=f"exceeds the budget of {nodes - 1} search nodes"):
+        assembly_index(target, {"a", "b"})
+
+
+# the first length-14 target of the seeded sweep (random.Random(1000 k + 14)
+# over k symbols) at k = 4, 6, 8 and 10; the bottom-up kernel this search
+# replaced refused each of them. Indices agree with
+# _oracles.top_down_assembly_index.
+@pytest.mark.parametrize(
+    "target, index",
+    [("dbbdabbcaaccdc", 12), ("eaefefcefbdddb", 11), ("hhcbhgahgabdba", 11), ("gdiedgibgicdcf", 12)],
+)
+def test_length_14_targets_are_solved(target, index):
+    got, pathway = assembly_index(target, set(target))
+    assert (got, len(pathway.steps), pathway.products[-1]) == (index, index, target)
+
+
+def replays(basis, steps) -> bool:
+    """Each step joins a basis symbol or an earlier product to another."""
+    available = set(basis)
+    for left, right in steps:
+        if left not in available or right not in available:
+            return False
+        available.add(left + right)
+    return True
+
+
+# the plain deepening search enumerates bottom up and shares no logic with
+# the top-down kernel; the sizes keep this test to about 4 s
 @settings(max_examples=100, deadline=None)
 @given(
-    st.sampled_from(["ab", "abc"]).flatmap(
-        lambda alphabet: st.tuples(
-            st.just(alphabet), st.text(alphabet, min_size=1, max_size=11)
+    st.sampled_from([("ab", 11), ("abc", 11), ("abcd", 10), ("abcdef", 10)]).flatmap(
+        lambda case: st.tuples(
+            st.just(case[0]), st.text(case[0], min_size=1, max_size=case[1])
         )
     )
 )
 def test_kernel_matches_plain_deepening(case):
     alphabet, target = case
     index, pathway = assembly_index(target, set(alphabet))
+    assert replays(alphabet, pathway.steps)
     if len(target) == 1:
         assert (index, pathway.steps) == (0, ())
         return
@@ -199,9 +237,10 @@ def test_kernel_matches_plain_deepening(case):
         lengths, splits, target_id, len(target),
         doubling_lower_bound(len(target)), greedy_doubling_upper_bound(target),
     )
-    assert solve_sequence(subs) == seq
-    plain = _witness(target, frozenset(alphabet), subs, seq)
-    assert (index, pathway.steps) == (len(seq), plain.steps)
+    ids = solve_sequence(subs)
+    assert ids == sorted(set(ids)) and ids[-1] == target_id
+    assert index == len(ids) == len(seq)
+    assert pathway.products[-1] == target
 
 
 class TestPathway:

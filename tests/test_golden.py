@@ -139,6 +139,7 @@ COMMANDS = dict(
         ("assembly-pathway-overflow", ["assembly", "--pathway", "sum-overflow.json"]),
         ("assembly-too-long", ["assembly", "--target", "a" * 21, "--basis", "a"]),
         ("assembly-over-budget", ["assembly", "--target", "acbdbadcbdacdbcabdca", "--basis", "abcd"]),
+        ("assembly-length-13", ["assembly", "--target", "cfffeadbfabac", "--basis", "abcdef"]),
         ("assembly-bad-symbol", ["assembly", "--target", "abc", "--basis", "ab"]),
         ("assembly-no-target", ["assembly", "--basis", "ab"]),
         ("assembly-bad-json", ["assembly", "--pathway", "bad.json"]),
@@ -200,9 +201,9 @@ GOLDEN = {
     "qt-gibbs-human": "2084a79c53ac2269682fcfea209d2d32fdd91ba6a18186281fbc579d07a2ef10",
     "qt-gibbs-json": "ce10fde36d02dd4a95b898ae807d48711eb3edda271b5581dbe8cec54c7d1e04",
     "qt-gibbs-csv": "2b2e95f1ccb645b021c9dc4c5b4b9f27dc937c6e5136795794a21fd90f22a74b",
-    "assembly-human": "4184291ac4d4cd3d6d1e1ad82a7a6546d81ac64cf9a4d2f11ae30bd1548a70eb",
-    "assembly-json": "7c65973f4a89a45de5c93a0de8c77012172bb531cd4023b2b0d95bbdba7b0345",
-    "assembly-csv": "4e035f19af7337767243db3bacc9c2d504c48a23cc0dc5781f2d72186ef1a331",
+    "assembly-human": "475a9e81d8eb0d862bc92dd6ac305765626ae1312aadde5336cef55551c371db",
+    "assembly-json": "82969116bf201b64ca3d2b7256cdd80c0aef0beb7b5ea7c7d0aca75d5e782108",
+    "assembly-csv": "65e2cab6e95b5eb75d513a7ce2d19847822e759a7907055391b71c7092aea5c5",
     "catalog-list-human": "c678cd676a6d8688fb7479e8d7995e1d3309c28d76449cae0dadd3c197385fa3",
     "catalog-list-json": "bd259540759cbb860bec3cd257ce0270a55ca3bf2dd48d0002e247d0f2e8e04c",
     "catalog-list-csv": "f602f2f8556d30aee415ecb74d03098db7ef7474f003c69bb2c3964793585f53",
@@ -269,6 +270,7 @@ GOLDEN = {
     "assembly-pathway-overflow": "05ece62422a32332b63805128ec84b309d1a2812dedd21a9afdb341ebf577843",
     "assembly-too-long": "1d07e6ec571eea4c1ca1eca11a1aee5b5ea235eac55ba82f4734fdc78cec5b8f",
     "assembly-over-budget": "bc24c94bb289b16da5d0780f9d918a0649c72d6bbcced2e4ced7a5e168908a81",
+    "assembly-length-13": "315a0fba0392bf926549a0b7a136096b41ba997fa88715eb3b768dd467daeba1",
     "assembly-bad-symbol": "8f2e9c5ee0741d8d43e125c35686dd49731c6cc69cc4e506d4873ac9736ef0dc",
     "assembly-no-target": "054936fc561b16b1a2bce88a936917263ed6a6892393b0e6dcfcc541ee792577",
     "assembly-bad-json": "a1cbad501a75bdad2db10e1fb0be37bbe3241a80c914ca623915f27c3b6d86e1",
