@@ -34,15 +34,14 @@ ROOM_TEMPERATURE_K = 300.0
 class ReferenceSystem(
     namedtuple(
         "ReferenceSystem",
-        "name energy_per_op power operating_temperature op_rate notes provenance",
-        defaults=(None, None, None, "", ""),
+        "name energy_per_op power op_rate provenance",
+        defaults=(None, None, ""),
     )
 ):
     """A named computing system with its per-op energy scale.
 
-    ``energy_per_op`` is in J, ``power`` (or None) in W,
-    ``operating_temperature`` (or None) in K, and ``op_rate`` (or None) in
-    1/s, for entries quoted as a rate.
+    ``energy_per_op`` is in J, ``power`` (or None) in W, and ``op_rate`` (or
+    None) in 1/s, for entries quoted as a rate.
     """
 
     __slots__ = ()
@@ -61,47 +60,40 @@ def builtin_systems() -> tuple[ReferenceSystem, ...]:
         ReferenceSystem(
             name="5nm-transistor",
             energy_per_op=Quantity(1e-16, ENERGY),
-            operating_temperature=Quantity(ROOM_TEMPERATURE_K, TEMPERATURE),
-            notes="~0.1 fF switched capacitance; irreversible logic",
             provenance="dissipation per irreversible logical operation",
         ),
         ReferenceSystem(
             name="covalent-bio-op",
             energy_per_op=Quantity(COVALENT_BOND_J, ENERGY),
-            notes="forming/breaking one covalent bond, ~1 eV",
             provenance="covalent bond free energy scale",
         ),
         ReferenceSystem(
             name="hydrogen-bond",
             energy_per_op=Quantity(COVALENT_BOND_J / 10.0, ENERGY),
-            notes="one decade below covalent",
             provenance="hydrogen bonds, an order of magnitude lower",
         ),
         ReferenceSystem(
             name="van-der-waals",
+            # two decades below covalent; the source says only "lower still"
             energy_per_op=Quantity(COVALENT_BOND_J / 100.0, ENERGY),
-            notes="two decades below covalent; source says only 'lower still'",
             provenance="van der Waals bonds, lower still",
         ),
         ReferenceSystem(
             name="human-metabolism",
             energy_per_op=Quantity(COVALENT_BOND_J, ENERGY),
             power=Quantity(100.0, POWER),
-            notes="~100 W on reproduction and metabolism at bio-op energies",
             provenance="individual human power budget",
         ),
         ReferenceSystem(
             name="world-compute",
             energy_per_op=Quantity(1e-16, ENERGY),
+            # one zetaflop, flops counted as logical ops as the source does
             op_rate=Quantity(1e21, FREQUENCY),
-            notes="one zetaflop; flops counted as logical ops per the source's usage",
             provenance="all electronic computers combined",
         ),
         ReferenceSystem(
             name="landauer-300K",
             energy_per_op=Quantity(landauer_300, ENERGY),
-            operating_temperature=Quantity(ROOM_TEMPERATURE_K, TEMPERATURE),
-            notes="k_B T ln 2 at room temperature; the irreversibility floor",
             provenance="Landauer limit",
         ),
     )

@@ -57,8 +57,10 @@ def _parse_sweep(spec: str) -> list[float]:
         raise InputError("--sweep expects START:STOP:COUNT")
     if not 0 < start < stop < math.inf or count < 2:
         raise InputError("--sweep needs 0 < START < STOP < inf and COUNT >= 2")
+    # the ends are the parsed bounds: 10 ** log10(x) need not give x back
     la, lb = math.log10(start), math.log10(stop)
-    return [10 ** (la + (lb - la) * i / (count - 1)) for i in range(count)]
+    inner = (10 ** (la + (lb - la) * i / (count - 1)) for i in range(1, count - 1))
+    return [start, *inner, stop]
 
 
 def _write_lines(lines: list[str], out_path: str | None, out) -> None:

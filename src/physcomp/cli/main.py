@@ -113,7 +113,7 @@ def run(argv, out=None, err=None) -> int:
         return int(exc.code or 0)
     try:
         # the one place a run picks its constants: --constants FILE, else
-        # the file named by PHYSCOMP_CONSTANTS, else the pinned set
+        # the pinned set
         consts = constants(args.constants)
         with units.using(consts):
             report = _constants_report() if module is None else module.handle(args, out)

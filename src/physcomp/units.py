@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import io
 import math
-import os
 import sys
 from collections import namedtuple
 from contextlib import contextmanager
@@ -295,14 +294,11 @@ CONSTANT_TABLE = (
 )
 _NAMES = tuple(row[0] for row in CONSTANT_TABLE)
 
-ENV_CONSTANTS_OVERRIDE = "PHYSCOMP_CONSTANTS"
-
 
 class Constants(namedtuple("Constants", [*_NAMES, "source"])):
     """A constant set as dimensioned quantities, and where it came from.
 
-    ``source`` is ``"pinned"``, ``"file:PATH"`` for an override file named
-    by the caller, or ``"env:PATH"`` for one named by ``PHYSCOMP_CONSTANTS``.
+    ``source`` is ``"pinned"`` or ``"file:PATH"`` for an override file.
     """
 
     __slots__ = ()
@@ -398,20 +394,15 @@ def constants(override_path: str | None = None) -> Constants:
     defaults; Planck mass/length are derived from (possibly overridden)
     hbar, c, G, and one the file gives must match that to 1e-10; a refusal
     is a :class:`FileFormatError` that names the file. With no path, the
-    file named by ``PHYSCOMP_CONSTANTS`` is read if that is set; an empty
-    path gives the pinned set without looking at the environment.
+    pinned set; any other path, the empty one too, is read as a file.
 
     This only builds a set; :func:`using` makes it the one the physics reads.
     """
-    origin = "file"
-    if override_path is None:
-        override_path = os.environ.get(ENV_CONSTANTS_OVERRIDE) or None
-        origin = "env"
     values = {name: pinned for name, _, _, pinned, _ in CONSTANT_TABLE if pinned is not None}
     source = "pinned"
-    if override_path:
+    if override_path is not None:
         values.update(_load_overrides(override_path))
-        source = f"{origin}:{override_path}"
+        source = f"file:{override_path}"
     # each Planck unit squared, derived once, must be a normal finite double (a
     # subnormal one carries fewer bits); c**3 or value**2 above the double range
     # raises OverflowError, and a c**3 that rounds to 0 ZeroDivisionError
@@ -432,7 +423,7 @@ def constants(override_path: str | None = None) -> Constants:
     )
 
 
-PINNED = constants("")
+PINNED = constants()
 
 CONSTANTS = PINNED
 """The active constant set. Every formula reads it when called; rebind it

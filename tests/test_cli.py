@@ -184,6 +184,13 @@ class TestTimeline:
         masses = [float(l.split(",")[0]) for l in lines[1:]]
         assert masses == pytest.approx([1.0, 10.0, 100.0])
 
+    def test_sweep_ends_at_its_bounds(self):
+        # 10 ** log10(3e5) is 300000.00000000012
+        code, out, _ = invoke("bh", "--sweep", "3:3e5:3")
+        assert code == 0
+        masses = [line.split(",")[0] for line in out.splitlines()[1:]]
+        assert (masses[0], masses[-1]) == ("3", "300000")
+
     def test_bad_sweep_spec(self):
         code, _, err = invoke("bh", "--sweep", "10:1:3")
         assert code == 2 and "sweep" in err.lower()
@@ -323,9 +330,11 @@ _REFUSAL_FILES = {
      "warning: state has more than 16 amplitudes; use --save-vector"),
     (["bh", "--mass", "1e-10", "--constants", "tiny-k-b.json"], 3,
      "numerical failure: temperature m_P^2*c^2/(8*pi*M*k_B) overflows a double at M=1e-10"),
+    (["bh", "--mass", "1", "--constants", ""], 2,
+     "error: : cannot read: [Errno 2] No such file or directory: ''"),
 ], ids=["one-sample", "negative-bits", "negative-ops", "negative-power", "top-level-list",
         "empty-basis", "empty-pathway-target", "number-energies", "number-target",
-        "no-energies", "d17-vector", "temperature-overflow"])
+        "no-energies", "d17-vector", "temperature-overflow", "empty-constants-path"])
 def test_refusal_or_warning_line(tmp_path, monkeypatch, argv, code, line):
     # a refusal is the one line on stderr; a warning is the last line of the report
     for name, text in _REFUSAL_FILES.items():
@@ -648,6 +657,12 @@ class TestHugeMass:
         code, out, err = invoke("bh", "--sweep", "1e3:1e120:2")
         assert out == ""
         _assert_one_line_error(code, err, "lifetime", exit_code=3)
+
+    def test_sweep_to_the_largest_double(self):
+        # 10 ** log10(STOP) is beyond the double range; STOP itself is not
+        code, out, err = invoke("bh", "--sweep", "1e300:1.7976931348623157e308:2")
+        assert out == ""
+        _assert_one_line_error(code, err, "numerical failure", exit_code=3)
 
     def test_page_curve(self, tmp_path):
         out_file = tmp_path / "curve.csv"
@@ -1096,7 +1111,6 @@ def test_startup_loads_only_its_own_modules(tmp_path, argv, own, reads_json):
     (tmp_path / "path.json").write_text('{"basis": "ab", "steps": [["a", "b"]]}')
     (tmp_path / "rho.json").write_text('{"dim": 2, "entries": [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]}')
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-    env.pop("PHYSCOMP_CONSTANTS", None)
     proc = subprocess.run(
         [sys.executable, "-c", _STARTUP, *argv], cwd=tmp_path, env=env, capture_output=True, text=True
     )
@@ -1203,8 +1217,7 @@ class TestBlasThreads:
 def _physcomp(argv, cwd) -> subprocess.CompletedProcess:
     """One `python -m physcomp` process, as a user runs it: stdout buffered."""
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-    for name in ("PHYSCOMP_CONSTANTS", "PYTHONUNBUFFERED"):
-        env.pop(name, None)
+    env.pop("PYTHONUNBUFFERED", None)
     return subprocess.run(
         [sys.executable, "-m", "physcomp", *argv], cwd=cwd, env=env, capture_output=True, text=True
     )

@@ -1,10 +1,9 @@
 """One constants path: an override reaches every formula, and only for its run.
 
-Each key the override file accepts is doubled, once through ``--constants``
-and once through ``PHYSCOMP_CONSTANTS``. Every output row that depends on a
-changed constant must move, every other row must keep its pinned bytes,
-and the two routes must print the same bytes. Doubling is exact in binary,
-so a row that does not read the constant cannot move by rounding either.
+Each key the override file accepts is doubled through ``--constants``.
+Every output row that depends on a changed constant must move, and every
+other row must keep its pinned bytes. Doubling is exact in binary, so a row
+that does not read the constant cannot move by rounding either.
 """
 
 import io
@@ -121,7 +120,6 @@ def workdir(tmp_path, monkeypatch):
     for name, obj in INPUTS.items():
         (tmp_path / name).write_text(json.dumps(obj))
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("PHYSCOMP_CONSTANTS", raising=False)
     return tmp_path
 
 
@@ -157,17 +155,13 @@ def changed_fields(override: dict) -> set:
 
 
 @pytest.mark.parametrize("key", FIELDS)
-def test_each_constant_reaches_each_consumer(key, workdir, monkeypatch):
+def test_each_constant_reaches_each_consumer(key, workdir):
     changed = changed_fields(OVERRIDES[key])
     assert key in changed
     for cmd, rows in CONSUMERS.items():
         pinned = csv_of(cmd)
-        by_flag = csv_of(cmd, "--constants", "override.json")
-        monkeypatch.setenv("PHYSCOMP_CONSTANTS", "override.json")
-        by_env = csv_of(cmd)
-        monkeypatch.delenv("PHYSCOMP_CONSTANTS")
-        assert by_flag == by_env, cmd
-        before, after = columns(pinned), columns(by_flag)
+        overridden = csv_of(cmd, "--constants", "override.json")
+        before, after = columns(pinned), columns(overridden)
         assert set(rows) <= set(before) == set(after), cmd
         for row, deps in rows.items():
             moved = before[row] != after[row]
@@ -190,19 +184,19 @@ def test_override_does_not_outlive_its_run(workdir):
     assert units.CONSTANTS is units.PINNED
 
 
-def test_report_names_its_override(workdir, monkeypatch):
+def test_the_environment_names_no_constants(workdir, monkeypatch):
+    # --constants FILE is the one way to an override; a variable left in the
+    # shell by an older version changes no byte
+    pinned = invoke(["bh", "--mass", "1", "--format", "json"])
+    (workdir / "g.json").write_text(json.dumps({"G": 2.0 * PINNED["G"]}))
+    monkeypatch.setenv("PHYSCOMP_CONSTANTS", "g.json")
+    assert invoke(["bh", "--mass", "1", "--format", "json"]) == pinned
+
+
+def test_report_names_its_override(workdir):
     (workdir / "g.json").write_text(json.dumps({"G": 2.0 * PINNED["G"]}))
     doc = json.loads(invoke(["bh", "--mass", "1", "--format", "json", "--constants", "g.json"]))
     assert doc["inputs"]["constants"] == "file:g.json"
-    monkeypatch.setenv("PHYSCOMP_CONSTANTS", "g.json")
-    doc = json.loads(invoke(["bh", "--mass", "1", "--format", "json"]))
-    assert doc["inputs"]["constants"] == "env:g.json"
-    # the flag beats the environment; an empty flag means the pinned set
-    (workdir / "c.json").write_text(json.dumps({"c": 2.0 * PINNED["c"]}))
-    doc = json.loads(invoke(["bh", "--mass", "1", "--format", "json", "--constants", "c.json"]))
-    assert doc["inputs"]["constants"] == "file:c.json"
-    doc = json.loads(invoke(["bh", "--mass", "1", "--format", "json", "--constants", ""]))
-    assert "constants" not in doc["inputs"]
 
 
 def test_constants_labels_overridden_values(workdir):
@@ -238,12 +232,14 @@ BAD_OVERRIDES = {
 @pytest.mark.parametrize("route", ["flag", "env"])
 @pytest.mark.parametrize("bad", list(BAD_OVERRIDES))
 def test_bad_override_is_one_line_exit_2(argv, route, bad, workdir, monkeypatch):
+    # route "env": a valid file named by the environment does not stand in
+    # for the refused one
     if BAD_OVERRIDES[bad] is not None:
         (workdir / "bad.json").write_text(BAD_OVERRIDES[bad])
-    if route == "flag":
-        argv = argv + ["--constants", "bad.json"]
-    else:
-        monkeypatch.setenv("PHYSCOMP_CONSTANTS", "bad.json")
+    argv = argv + ["--constants", "bad.json"]
+    if route == "env":
+        (workdir / "good.json").write_text(json.dumps({"G": 2.0 * PINNED["G"]}))
+        monkeypatch.setenv("PHYSCOMP_CONSTANTS", "good.json")
     out, err = io.StringIO(), io.StringIO()
     assert run(argv, out, err) == 2
     assert out.getvalue() == ""

@@ -337,14 +337,12 @@ def digest(argv, where: Path) -> str:
 
 
 @pytest.mark.parametrize("name", list(COMMANDS))
-def test_golden_digest(name, tmp_path, monkeypatch):
-    monkeypatch.delenv("PHYSCOMP_CONSTANTS", raising=False)
+def test_golden_digest(name, tmp_path):
     assert digest(COMMANDS[name], tmp_path) == GOLDEN.get(name), " ".join(COMMANDS[name])
 
 
 def test_qt_output_does_not_depend_on_the_cache(tmp_path, monkeypatch):
     # each qt command against an empty decoded-file cache, then a warm one
-    monkeypatch.delenv("PHYSCOMP_CONSTANTS", raising=False)
     stored = 0
     for name, argv in COMMANDS.items():
         if argv[0] != "qt":
@@ -413,7 +411,7 @@ HELP_GOLDEN = {
 
 def help_digest(argv) -> str:
     """sha256 of the exit code, stdout and stderr of one `python -m physcomp` process."""
-    env = {k: v for k, v in os.environ.items() if k not in ("PHYSCOMP_CONSTANTS", "PYTHONUNBUFFERED")}
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     src = str(Path(__file__).resolve().parents[1] / "src")
     env.update(COLUMNS="80", PYTHONPATH=os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-m", "physcomp", *argv], env=env, capture_output=True, text=True)
@@ -436,7 +434,7 @@ def _openblas_on_x86_64() -> bool:
 @pytest.mark.parametrize("kernel", [None, "Sandybridge", "Nehalem"])
 def test_qt_output_does_not_depend_on_the_blas_kernel(kernel):
     qt = [name for name, argv in COMMANDS.items() if argv[0] == "qt"]
-    env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_CORETYPE", "PHYSCOMP_CONSTANTS")}
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
     if kernel is not None:
         env["OPENBLAS_CORETYPE"] = kernel
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -448,7 +446,6 @@ def test_qt_output_does_not_depend_on_the_blas_kernel(kernel):
 
 
 if __name__ == "__main__":
-    os.environ.pop("PHYSCOMP_CONSTANTS", None)
     for name, argv in COMMANDS.items():
         if sys.argv[1:] and name not in sys.argv[1:]:
             continue

@@ -30,20 +30,30 @@ def test_no_tracked_file_is_ignored():
     assert proc.stdout == ""
 
 
-def _calls(names, allowed, match=lambda call: True):
+def _nodes(allowed, match):
     """Where a module under src/physcomp outside ``allowed`` (paths relative
-    to src/physcomp) calls one of ``names`` in a call ``match`` accepts."""
+    to src/physcomp) has a syntax node that ``match`` accepts."""
     offenders = []
     for path in sorted(SRC.rglob("*.py")):
         if path.relative_to(SRC).as_posix() in allowed:
             continue
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Call):
-                func = node.func
-                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-                if name in names and match(node):
-                    offenders.append(f"{path.relative_to(ROOT)}:{node.lineno}")
+            if match(node):
+                offenders.append(f"{path.relative_to(ROOT)}:{node.lineno}")
     return offenders
+
+
+def _calls(names, allowed, match=lambda call: True):
+    """Where a module outside ``allowed`` calls one of ``names`` in a call
+    ``match`` accepts."""
+    def named_call(node):
+        if not isinstance(node, ast.Call):
+            return False
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        return name in names and match(node)
+
+    return _nodes(allowed, named_call)
 
 
 def test_range_errors_are_built_only_by_the_range_rule():
@@ -117,10 +127,23 @@ def test_only_the_process_entry_switches_the_collector():
     assert _calls({"disable", "enable", "freeze"}, {"cli/main.py"}) == []
 
 
+def test_results_take_no_input_from_the_environment():
+    # a result follows from its arguments and files: only the process entry
+    # (its BLAS thread count) and the decoded-file cache (its directory)
+    # read the environment, and neither changes an output byte
+    names = {"environ", "environb", "getenv", "getenvb"}
+
+    def reads_the_environment(node):
+        if isinstance(node, ast.ImportFrom):
+            return node.module == "os" and any(alias.name in names for alias in node.names)
+        return isinstance(node, ast.Attribute) and node.attr in names
+
+    assert _nodes({"cli/main.py", "qthermo/filecache.py"}, reads_the_environment) == []
+
+
 def _child(code: str, cwd=ROOT) -> subprocess.CompletedProcess:
     """``code`` run by a fresh interpreter that imports physcomp from src/."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    env.pop("PHYSCOMP_CONSTANTS", None)
     return subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env,
                           capture_output=True, text=True)
 

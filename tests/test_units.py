@@ -254,12 +254,6 @@ class TestConstants:
         # untouched keys keep their pins
         assert c.c.magnitude == 299792458.0
 
-    def test_override_env(self, tmp_path, monkeypatch):
-        path = tmp_path / "consts.json"
-        path.write_text(json.dumps({"solar_mass": 2.0e30}))
-        monkeypatch.setenv("PHYSCOMP_CONSTANTS", str(path))
-        assert constants().solar_mass.magnitude == 2.0e30
-
     def test_override_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "consts.json"
         path.write_text(json.dumps({"speed": 1.0}))
@@ -286,14 +280,10 @@ class TestConstants:
         with pytest.raises(FileFormatError):
             constants(str(path))
 
-    def test_source_names_the_override(self, tmp_path, monkeypatch):
+    def test_source_names_the_override(self, tmp_path):
         path = tmp_path / "consts.json"
         path.write_text(json.dumps({"G": 1.0e-10}))
         assert constants(str(path)).source == f"file:{path}"
-        monkeypatch.setenv("PHYSCOMP_CONSTANTS", str(path))
-        assert constants().source == f"env:{path}"
-        # an empty path is the pinned set, whatever the environment says
-        assert constants("").source == "pinned"
 
 
 class TestActiveSet:
@@ -314,7 +304,7 @@ class TestActiveSet:
         assert physcomp.CONSTANTS is units.PINNED
 
     def test_using_restores_on_an_exception(self):
-        override = constants("")
+        override = constants()
         with pytest.raises(RuntimeError):
             with units.using(override):
                 raise RuntimeError("inside")
