@@ -186,19 +186,13 @@ def solve_error_rate(ops: float, capacity_bits: float) -> float:
     # where the nominal 1e-12 absolute tolerance would be the whole answer.
     # While lo == 0 each step only halves hi, so start from the state after
     # k such steps, (0, 2^-k / 2), once h there confirms it is still above
-    # the root; the loop then visits the states the full bisection would.
+    # the root; bisect_root then visits the states the full bisection would.
     k = _forced_halvings(target)
     while k > 0 and binary_entropy(math.ldexp(0.5, -k)).magnitude < target:
         k -= 1
-    lo, hi = 0.0, math.ldexp(0.5, -k)
-    while True:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            return mid
-        if binary_entropy(mid).magnitude < target:
-            lo = mid
-        else:
-            hi = mid
+    return units.bisect_root(
+        lambda x: binary_entropy(x).magnitude < target, 0.0, math.ldexp(0.5, -k)
+    )
 
 
 def max_error_rate(M: Quantity) -> float:

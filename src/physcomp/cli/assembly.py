@@ -37,7 +37,7 @@ def handle(args, out) -> Report:
     rep.add("assembly_index", index, "minimal joins with reuse")
     for k, (left, right) in enumerate(pathway.steps):
         rep.add(f"step_{k}", f"{left}+{right}", "join")
-    if args.save_pathway:
+    if args.save_pathway is not None:
         assembly.write_pathway(args.save_pathway, pathway)
         rep.warn(f"witness pathway written to {args.save_pathway}")
     return rep

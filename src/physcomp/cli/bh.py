@@ -65,7 +65,7 @@ def _parse_sweep(spec: str) -> list[float]:
 
 def _write_lines(lines: list[str], out_path: str | None, out) -> None:
     text = "\n".join(lines) + "\n"
-    if out_path:
+    if out_path is not None:
         units.write_text(out_path, text)
     else:
         out.write(text)

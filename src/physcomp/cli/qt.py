@@ -83,7 +83,7 @@ def handle(args, out) -> Report:
         elif op == "gibbs":
             ham = qt.load_hamiltonian(args.ham)
             T = _temperature(args)
-            if args.save_state:
+            if args.save_state is not None:
                 ham.eigensystem()  # the saved matrix needs eigenvectors: one eigh
             g = qt.gibbs_state(ham, T)
             rep.inputs = {"ham": args.ham, "temperature_K": T.magnitude}
@@ -92,7 +92,7 @@ def handle(args, out) -> Report:
             rep.add("f_eq", g.f_eq, "-k_B*T*ln(Z)")
             rep.add("entropy", qt.von_neumann_entropy(g.rho), "-tr(rho*ln(rho))")
             rep.add("mean_energy", qt.mean_energy(g.rho, ham), "tr(rho*H)")
-            if args.save_state:
+            if args.save_state is not None:
                 qt.write_matrix(args.save_state, g.rho.matrix)
                 rep.warn(f"thermal state written to {args.save_state}")
         elif op == "solve-temp":
@@ -130,7 +130,7 @@ def handle(args, out) -> Report:
                     rep.add(f"probability_{k}", p, "|<k|exp(-i*H*t/hbar)|psi>|^2")
             if out_state.dim > 16:
                 rep.warn("state has more than 16 amplitudes; use --save-vector")
-            if args.save_vector:
+            if args.save_vector is not None:
                 qt.write_vector(args.save_vector, out_state.amplitudes)
                 rep.warn(f"evolved state written to {args.save_vector}")
         elif op == "spread":

@@ -127,20 +127,11 @@ def solve_inverse_temperature(
     beta = sign / spread
     while sign * _energy_at_beta(vals, beta) > sign * e:
         beta *= 2.0
-    b_lo, b_hi = sorted((0.0, beta))
 
     # bisect beta all the way to float resolution, then check the energy:
     # stopping at the energy tolerance alone would leave beta (hence the
     # reported temperature) orders of magnitude less converged
-    for _ in range(200):
-        beta = 0.5 * (b_lo + b_hi)
-        if beta <= b_lo or beta >= b_hi:
-            break
-        if _energy_at_beta(vals, beta) > e:
-            b_lo = beta
-        else:
-            b_hi = beta
-    beta = 0.5 * (b_lo + b_hi)
+    beta = units.bisect_root(lambda b: _energy_at_beta(vals, b) > e, *sorted((0.0, beta)))
     if abs(_energy_at_beta(vals, beta) - e) <= ENERGY_MATCH_RTOL * spread:
         # T = 1/(k_B*beta) leaves the double range where k_B*beta does
         t = 1.0 / in_range(units.CONSTANTS.k_B.magnitude * beta, "k_B*beta", beta=beta)

@@ -127,6 +127,19 @@ def in_range(x: float, what: str, **inputs) -> float:
     raise NumericalOverflow(f"{what} overflows a double at {at}")
 
 
+def bisect_root(above, lo: float, hi: float) -> float:
+    """Halve ``[lo, hi]`` until its midpoint equals an end and return that
+    midpoint; ``above(x)`` is true when the root lies above ``x``."""
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            return mid
+        if above(mid):
+            lo = mid
+        else:
+            hi = mid
+
+
 class Quantity:
     """A finite magnitude in canonical units plus its dimension; immutable.
 
@@ -333,7 +346,7 @@ def read_bytes(path: str) -> bytes:
         with open(path, "rb") as fh:
             return fh.read()
     except OSError as exc:
-        raise FileFormatError(f"{path}: cannot read: {exc}")
+        raise FileFormatError(f"{path or repr(path)}: cannot read: {exc}")
 
 
 def read_json(path: str, data: bytes | None = None):
@@ -369,7 +382,7 @@ def write_text(path: str, text: str) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:
-        raise FileFormatError(f"{path}: cannot write: {exc}")
+        raise FileFormatError(f"{path or repr(path)}: cannot write: {exc}")
 
 
 def _load_overrides(path: str) -> dict[str, float]:

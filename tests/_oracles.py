@@ -215,3 +215,23 @@ def full_bisect_error_rate(ops: float, capacity_bits: float) -> float:
             lo = mid
         else:
             hi = mid
+
+
+def capped_bisect_beta(energy, e: float, e_mean: float, spread: float) -> float:
+    """The beta with energy(beta) = e, by a loop of its own: double the
+    bracket (0, sign/spread) until it holds e, halve it at most 200 times or
+    until the midpoint meets an end, then take the midpoint once more."""
+    sign = 1.0 if e < e_mean else -1.0
+    beta = sign / spread
+    while sign * energy(beta) > sign * e:
+        beta *= 2.0
+    b_lo, b_hi = sorted((0.0, beta))
+    for _ in range(200):
+        beta = 0.5 * (b_lo + b_hi)
+        if beta <= b_lo or beta >= b_hi:
+            break
+        if energy(beta) > e:
+            b_lo = beta
+        else:
+            b_hi = beta
+    return 0.5 * (b_lo + b_hi)

@@ -331,10 +331,21 @@ _REFUSAL_FILES = {
     (["bh", "--mass", "1e-10", "--constants", "tiny-k-b.json"], 3,
      "numerical failure: temperature m_P^2*c^2/(8*pi*M*k_B) overflows a double at M=1e-10"),
     (["bh", "--mass", "1", "--constants", ""], 2,
-     "error: : cannot read: [Errno 2] No such file or directory: ''"),
+     "error: '': cannot read: [Errno 2] No such file or directory: ''"),
+    # an empty FILE value is a path like any other, not an absent flag
+    (["bh", "page-curve", "--mass", "1e6", "--samples", "3", "--out", ""], 2,
+     "error: '': cannot write: [Errno 2] No such file or directory: ''"),
+    (["assembly", "--target", "abab", "--basis", "ab", "--save-pathway", ""], 2,
+     "error: '': cannot write: [Errno 2] No such file or directory: ''"),
+    (["qt", "gibbs", "--ham", "h17.json", "--temp", "300", "--save-state", ""], 2,
+     "error: '': cannot write: [Errno 2] No such file or directory: ''"),
+    (["qt", "evolve", "--ham", "h17.json", "--time", "1e-15", "--state-vector", "psi17.json",
+      "--save-vector", ""], 2,
+     "error: '': cannot write: [Errno 2] No such file or directory: ''"),
 ], ids=["one-sample", "negative-bits", "negative-ops", "negative-power", "top-level-list",
         "empty-basis", "empty-pathway-target", "number-energies", "number-target",
-        "no-energies", "d17-vector", "temperature-overflow", "empty-constants-path"])
+        "no-energies", "d17-vector", "temperature-overflow", "empty-constants-path",
+        "empty-out-path", "empty-save-pathway", "empty-save-state", "empty-save-vector"])
 def test_refusal_or_warning_line(tmp_path, monkeypatch, argv, code, line):
     # a refusal is the one line on stderr; a warning is the last line of the report
     for name, text in _REFUSAL_FILES.items():

@@ -1,12 +1,14 @@
 """Entropy, Gibbs states, temperature solving, free energy, work."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from _oracles import capped_bisect_beta
 from _random_states import random_density, random_hermitian
 from physcomp.errors import InputError, NumericalOverflow, NumericalUnderflow
 from physcomp.qthermo import (
@@ -20,6 +22,7 @@ from physcomp.qthermo import (
     mean_energy,
     nonequilibrium_free_energy,
     solve_inverse_temperature,
+    thermo,
     von_neumann_entropy,
 )
 from physcomp.qthermo.states import real_inner
@@ -361,6 +364,31 @@ class TestSolveInverseTemperature:
             assert solved.temperature.magnitude == pytest.approx(
                 g.temperature.magnitude, rel=1e-8
             )
+
+    def test_beta_matches_capped_bisection_bit_for_bit(self):
+        compared = 0
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            d = int(rng.integers(2, 65))
+            scale = 10.0 ** rng.uniform(-300.0, 300.0)
+            h = HermitianOperator(np.diag(np.concatenate(([0.0], rng.uniform(0.0, scale, d - 1)))))
+            vals = h.eigenvalues()
+            e_min, e_max, e_mean = float(vals.min()), float(vals.max()), float(vals.mean())
+            spread = e_max - e_min
+            for e in (e_mean - 1e-11 * spread, e_mean + 1e-11 * spread,
+                      e_min + 1e-9 * spread, e_max - 1e-9 * spread):
+                want = capped_bisect_beta(
+                    lambda b: thermo._energy_at_beta(vals, b), e, e_mean, spread
+                )
+                try:
+                    got = solve_inverse_temperature(h, Quantity(e, ENERGY)).beta.magnitude
+                except NumericalUnderflow:
+                    # on spreads past about 1e285 J, k_B*beta underflows for either beta
+                    assert abs(K_B * want) < sys.float_info.min, (seed, e)
+                    continue
+                assert got.hex() == want.hex(), (seed, e)
+                compared += 1
+        assert compared > 700
 
 
 class TestFreeEnergyAndWork:

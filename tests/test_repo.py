@@ -1,7 +1,8 @@
-"""Repository hygiene: what git tracks, where the range rule lives, which
-module opens files, imports the decoded-file cache or orjson or switches
-the collector, what CLI report rows are given, which errors, names and
-dependencies exist, and whether the README's code runs."""
+"""Repository hygiene: what git tracks, where the range rule and the
+bisection loop live, which module opens files, imports the decoded-file
+cache or orjson or switches the collector, what CLI report rows are given,
+which errors, names and dependencies exist, and whether the README's code
+runs."""
 
 import ast
 import os
@@ -60,6 +61,22 @@ def test_range_errors_are_built_only_by_the_range_rule():
     # units.in_range is the one place that decides a formula result left
     # the double range; nowhere else constructs its errors
     assert _calls({"NumericalOverflow", "NumericalUnderflow"}, {"units.py", "errors.py"}) == []
+
+
+def test_bisection_is_written_once():
+    # units.bisect_root is the one loop that halves a bracket at 0.5 * (a + b);
+    # the error-rate and temperature solves both call it
+    def is_midpoint(node):
+        return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+                and any(isinstance(side, ast.Constant) and side.value == 0.5
+                        for side in (node.left, node.right))
+                and any(isinstance(side, ast.BinOp) and isinstance(side.op, ast.Add)
+                        for side in (node.left, node.right)))
+
+    def bisects(node):
+        return isinstance(node, (ast.For, ast.While)) and any(map(is_midpoint, ast.walk(node)))
+
+    assert _nodes({"units.py"}, bisects) == []
 
 
 def test_no_quantity_is_given_a_unit():

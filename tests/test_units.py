@@ -5,6 +5,8 @@ import json
 import math
 import pickle
 import random
+import struct
+import sys
 
 import pytest
 
@@ -32,6 +34,7 @@ from physcomp.units import (
     TIME,
     Dimension,
     Quantity,
+    bisect_root,
     constants,
     entropy_convert,
     in_range,
@@ -333,3 +336,21 @@ class TestInRange:
         with pytest.raises(NumericalOverflow, match=r"^f\(x\) overflows a double at a=0\.0$"):
             in_range(x, "f(x)", a=0.0)
 
+
+def _double(rng):
+    """A finite double of uniformly random bits, at most half the largest
+    in size so that lo + hi stays finite."""
+    while True:
+        x = struct.unpack("<d", rng.getrandbits(64).to_bytes(8, "little"))[0]
+        if abs(x) <= sys.float_info.max / 2:  # nan fails this too
+            return x
+
+
+def test_bisect_root_ends_at_the_root_or_a_neighbour():
+    # above(x) is x < c, so the root is c itself
+    rng = random.Random(30)
+    edges = [(0.0, 0.0, 5e-324), (0.0, 5e-324, 5e-324), (1.0, 1.0, 1.0), (-0.0, 0.0, 0.0),
+             (0.0, 1e-300, 0.5), (-1e300, 3.0, 1e300)]
+    for lo, c, hi in edges + [sorted(_double(rng) for _ in range(3)) for _ in range(1000)]:
+        got = bisect_root(lambda x: x < c, lo, hi)
+        assert got in (math.nextafter(c, -math.inf), c, math.nextafter(c, math.inf)), (lo, c, hi)
