@@ -85,6 +85,8 @@ def handle(args, out) -> Report | None:
             raise InputError(f"--sweep has no effect in {args.mode} mode")
         _unused(args, "with --sweep", "mass", "unit", "samples")
         _csv_only(args, "with --sweep")
+        if args.out is not None:
+            units.check_writable(args.out)
         lines = [SWEEP_CSV_HEADER]
         for m in _parse_sweep(args.sweep):
             r = blackhole.characterize(Quantity(m, MASS))
@@ -101,6 +103,8 @@ def handle(args, out) -> Report | None:
         args.format = args.format or "human"
     else:
         _csv_only(args, f"in {args.mode} mode")
+        if args.out is not None:
+            units.check_writable(args.out)
     args.unit = args.unit or "kg"
     mass = _mass_quantity(args)
     if args.mode in ("timeline", "page-curve"):

@@ -68,9 +68,9 @@ def real_inner(a: np.ndarray, b: np.ndarray) -> float:
 class HermitianOperator:
     """A d x d Hermitian observable; entries in joules for Hamiltonians.
 
-    The spectrum is computed on first use and cached: ``eigenvalues()``
-    alone runs ``eigvalsh``; ``eigensystem()`` runs ``eigh``, whose values
-    ``eigenvalues()`` then returns.
+    Each decomposition is computed on first use and cached on its own:
+    ``eigenvalues()`` always runs ``eigvalsh`` and ``eigensystem()`` always
+    runs ``eigh``, so neither depends on whether the other ran first.
     """
 
     def __init__(self, entries):
@@ -84,25 +84,23 @@ class HermitianOperator:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def _keep_values(self, vals: np.ndarray) -> None:
+    def _checked(self, vals: np.ndarray) -> np.ndarray:
         # finite entries can have eigenvalues beyond the double range
         top = float(np.abs(vals).max())
         in_range(top, "largest |eigenvalue| of H", max_abs_H=float(np.abs(self.matrix).max()))
-        self._vals = vals
+        return vals
 
     def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
-        """Eigenvalues (ascending) and eigenvector columns, cached."""
+        """Eigenvalues (ascending) and eigenvector columns from ``eigh``, cached."""
         if self._eig is None:
             vals, vecs = np.linalg.eigh(self.matrix)
-            if self._vals is None:
-                self._keep_values(vals)
-            self._eig = (self._vals, vecs)
+            self._eig = (self._checked(vals), vecs)
         return self._eig
 
     def eigenvalues(self) -> np.ndarray:
-        """Eigenvalues (ascending), cached; no eigenvectors are computed."""
+        """Eigenvalues (ascending) from ``eigvalsh``, cached; no eigenvectors."""
         if self._vals is None:
-            self._keep_values(np.linalg.eigvalsh(self.matrix))
+            self._vals = self._checked(np.linalg.eigvalsh(self.matrix))
         return self._vals
 
     def check_acts_on(self, state) -> None:
@@ -119,6 +117,7 @@ class DensityMatrix:
     The matrix is the validated input divided by its trace. Eigenvalues in
     [-1e-9, 0) are clamped to zero, the spectrum is renormalized and the
     matrix rebuilt from it; larger violations raise :class:`InvalidState`.
+    Only a state made by :meth:`from_spectrum` builds its matrix on first read.
     """
 
     def __init__(self, entries):
@@ -132,22 +131,20 @@ class DensityMatrix:
             raise InvalidState(
                 f"density matrix has eigenvalue {vals.min():.3e} below {PSD_FLOOR:g}"
             )
-        self._matrix = self._basis = None
+        self._basis = vecs = None
         if vals.min() < 0.0:
-            vals, self._basis = np.linalg.eigh(mat)
+            vals, vecs = np.linalg.eigh(mat)
             vals = np.clip(vals, 0.0, None)
-        else:
-            self._matrix = mat / tr
-            self._matrix.setflags(write=False)
-        self.probabilities = vals / vals.sum()
+        self.probabilities = p = vals / vals.sum()
+        self._matrix = mat / tr if vecs is None else (vecs * p) @ vecs.conj().T
+        self._matrix.setflags(write=False)
 
     @property
     def matrix(self) -> np.ndarray:
-        """The d x d matrix; a state known by its spectrum builds
+        """The d x d matrix; a state made by :meth:`from_spectrum` builds
         sum_k p_k |v_k><v_k| on first read."""
         if self._matrix is None:
-            basis = self._basis
-            vecs = basis.eigensystem()[1] if isinstance(basis, HermitianOperator) else basis
+            vecs = self._basis.eigensystem()[1]
             self._matrix = (vecs * self.probabilities) @ vecs.conj().T
             self._matrix.setflags(write=False)
         return self._matrix

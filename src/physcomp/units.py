@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import io
 import math
+import os
 import sys
 from collections import namedtuple
 from contextlib import contextmanager
@@ -381,6 +382,21 @@ def write_text(path: str, text: str) -> None:
     try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise FileFormatError(f"{path or repr(path)}: cannot write: {exc}")
+
+
+def check_writable(path: str) -> None:
+    """Refuse an output path before the work, as :func:`write_text` would;
+    a missing file is created and removed again, an existing one appended to
+    with nothing, so a run that fails later leaves no trace."""
+    try:
+        try:
+            open(path, "x", encoding="utf-8").close()
+        except FileExistsError:
+            open(path, "a", encoding="utf-8").close()
+        else:
+            os.remove(path)
     except OSError as exc:
         raise FileFormatError(f"{path or repr(path)}: cannot write: {exc}")
 

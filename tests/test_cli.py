@@ -1,6 +1,7 @@
 """CLI surface: subcommands, formats, determinism, exit codes, files."""
 
 import gc
+import importlib
 import io
 import json
 import math
@@ -297,6 +298,44 @@ class TestExitCodes:
         code, out, err = invoke(*argv, path)
         assert out == ""
         _assert_one_line_error(code, err, f"{path}: cannot write:")
+
+    @pytest.mark.parametrize(
+        "work, argv",
+        [
+            ("blackhole.page_curve", ["bh", "timeline", "--mass", "1e3", "--out"]),
+            ("blackhole.characterize", ["bh", "--sweep", "1:10:2", "--out"]),
+            ("assembly.assembly_index",
+             ["assembly", "--target", "dbbdabbcaaccdc", "--basis", "abcd", "--save-pathway"]),
+            ("qthermo.load_hamiltonian",
+             ["qt", "gibbs", "--ham", "h.json", "--temp", "300", "--save-state"]),
+            ("qthermo.load_hamiltonian",
+             ["qt", "evolve", "--ham", "h.json", "--time", "1", "--state-vector", "psi.json",
+              "--save-vector"]),
+        ],
+        ids=["bh-out", "bh-sweep-out", "save-pathway", "save-state", "save-vector"],
+    )
+    def test_unwritable_output_is_refused_before_the_work(self, tmp_path, monkeypatch, work, argv):
+        module, name = work.split(".")
+
+        def reached(*args, **kwargs):
+            raise AssertionError(f"{work} ran before the output was checked")
+
+        monkeypatch.setattr(importlib.import_module(f"physcomp.{module}"), name, reached)
+        path = str(tmp_path / "missing" / "out")
+        code, out, err = invoke(*argv, path)
+        assert out == ""
+        _assert_one_line_error(code, err, f"{path}: cannot write:")
+
+    def test_the_early_check_leaves_no_trace(self, tmp_path):
+        # a run refused after the check leaves an existing file as it was
+        # and creates none
+        old, new = tmp_path / "old.csv", tmp_path / "new.csv"
+        old.write_text("kept\n")
+        for path in (old, new):
+            code, _, _ = invoke("bh", "timeline", "--mass", "1e3", "--samples", "1", "--out", str(path))
+            assert code == 2
+        assert old.read_text() == "kept\n"
+        assert not new.exists()
 
 
 # files the refusals and warnings below read, by name
@@ -1163,7 +1202,7 @@ class TestSpectralWork:
             (["entropy", "--state", "rho.json"], (0, 1)),
             (["solve-temp", "--ham", "h.json", "--energy", "5e-22"], (0, 1)),
             (["gibbs", "--ham", "h.json", "--temp", "100"], (0, 1)),
-            (["gibbs", "--ham", "h.json", "--temp", "100", "--save-state", "th.json"], (1, 0)),
+            (["gibbs", "--ham", "h.json", "--temp", "100", "--save-state", "th.json"], (1, 1)),
             (["work", "--ham", "h.json", "--state", "rho.json", "--temp", "100"], (0, 2)),
             (["spread", "--ham", "h.json", "--state", "rho.json"], (0, 1)),
             (["evolve", "--ham", "h.json", "--time", "1e-15", "--state-vector", "psi.json"], (1, 0)),
@@ -1179,6 +1218,22 @@ class TestSpectralWork:
         code, _, err = invoke("qt", *argv)
         assert code == 0, err
         assert (seen.count("eigh"), seen.count("eigvalsh")) == calls
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_saving_the_thermal_state_changes_no_row(self, tmp_path, monkeypatch, seed):
+        # the rows come from eigvalsh and the saved matrix from eigh, so
+        # --save-state only adds its warning line
+        rng = np.random.default_rng(seed)
+        d = int(rng.integers(3, 65))
+        a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        write_matrix(tmp_path / "h.json", 1e-21 * (a + a.conj().T), units="J")
+        monkeypatch.chdir(tmp_path)
+        argv = ["qt", "gibbs", "--ham", "h.json", "--temp", "50"]
+        code, plain, err = invoke(*argv)
+        assert code == 0, err
+        code, saved, err = invoke(*argv, "--save-state", "th.json")
+        assert code == 0, err
+        assert saved.splitlines() == [*plain.splitlines(), "warning: thermal state written to th.json"]
 
 
 class TestBlasThreads:

@@ -57,6 +57,8 @@ class TestHermitianOperator:
         h = HermitianOperator(np.full((2, 2), 1e308))
         with pytest.raises(NumericalOverflow, match="eigenvalue"):
             h.eigensystem()
+        with pytest.raises(NumericalOverflow, match="eigenvalue"):
+            h.eigenvalues()
         vals, _ = HermitianOperator(np.zeros((2, 2))).eigensystem()
         assert list(vals) == [0.0, 0.0]
 
@@ -65,6 +67,19 @@ class TestHermitianOperator:
         vals, vecs = h.eigensystem()
         assert list(vals) == [-1.0, 2.0, 3.0]
         assert h.eigensystem() is h.eigensystem()
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_each_spectrum_has_one_source(self, seed):
+        # eigenvalues() is eigvalsh's and eigensystem() eigh's, whichever
+        # ran first; the two routines can differ in the last digits
+        rng = np.random.default_rng(seed)
+        m = random_hermitian(rng, int(rng.integers(3, 65))).matrix
+        first, second = HermitianOperator(m), HermitianOperator(m)
+        vals = first.eigenvalues()
+        second.eigensystem()
+        assert second.eigenvalues().tobytes() == vals.tobytes()
+        assert vals.tobytes() == np.linalg.eigvalsh(m).tobytes()
+        assert first.eigensystem()[0].tobytes() == second.eigensystem()[0].tobytes()
 
 
 class TestDensityMatrix:

@@ -1,8 +1,8 @@
 """Repository hygiene: what git tracks, where the range rule and the
 bisection loop live, which module opens files, imports the decoded-file
 cache or orjson or switches the collector, what CLI report rows are given,
-which errors, names and dependencies exist, and whether the README's code
-runs."""
+that the CLI picks no decomposition, which errors, names and dependencies
+exist, and whether the README's code runs."""
 
 import ast
 import os
@@ -16,6 +16,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "physcomp"
+OUTSIDE_CLI = {p.relative_to(SRC).as_posix() for p in SRC.rglob("*.py") if p.parent != SRC / "cli"}
 
 
 @pytest.mark.skipif(
@@ -97,9 +98,14 @@ def test_report_rows_take_the_quantity():
         values = [*call.args[1:2], *(k.value for k in call.keywords if k.arg == "value")]
         return any(isinstance(v, ast.Attribute) and v.attr == "magnitude" for v in values)
 
-    outside_cli = {p.relative_to(SRC).as_posix() for p in SRC.rglob("*.py")
-                   if p.parent != SRC / "cli"}
-    assert _calls({"add"}, outside_cli, passes_a_magnitude) == []
+    assert _calls({"add"}, OUTSIDE_CLI, passes_a_magnitude) == []
+
+
+def test_the_cli_picks_no_decomposition():
+    # HermitianOperator.eigenvalues() always runs eigvalsh and eigensystem()
+    # always eigh; a command that called one to prime a cache would make its
+    # printed rows depend on an output flag
+    assert _calls({"eigenvalues", "eigensystem"}, OUTSIDE_CLI) == []
 
 
 def test_files_are_opened_only_by_units():
