@@ -126,11 +126,11 @@ def handle(args, out) -> Report:
                 "time": args.time,
             }
             out_state = qt.evolve(ham, t, psi)
-            for k, amp in enumerate(out_state.amplitudes):
-                if out_state.dim <= 16:
+            if out_state.dim <= 16:
+                for k, amp in enumerate(out_state.amplitudes):
                     p = float(abs(amp) ** 2)
                     rep.add(f"probability_{k}", p, "|<k|exp(-i*H*t/hbar)|psi>|^2")
-            if out_state.dim > 16:
+            else:
                 rep.warn("state has more than 16 amplitudes; use --save-vector")
             if args.save_vector is not None:
                 qt.write_vector(args.save_vector, out_state.amplitudes)

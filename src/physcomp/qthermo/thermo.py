@@ -42,16 +42,24 @@ def _entropy(rho: DensityMatrix) -> float:
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> Quantity:
-    """S(rho) in bits; ``value_in(units.NAT)`` reads it in nats."""
-    return Quantity(_entropy(rho) / LN2, INFORMATION)
+    """S(rho) in bits; ``value_in(units.NAT)`` reads it in nats. A nonzero
+    S that is subnormal raises :class:`NumericalUnderflow`."""
+    s = _entropy(rho) / LN2
+    if s != 0.0:
+        in_range(s, "-tr(rho*ln(rho))", d=rho.dim)
+    return Quantity(s, INFORMATION)
 
 
 def mean_energy(rho: DensityMatrix, H: HermitianOperator) -> Quantity:
     """tr(rho H) in joules; sum_k p_k E_k for a state built on H's own
-    eigenbasis (every Gibbs state), whose matrix is then never built."""
+    eigenbasis (every Gibbs state), whose matrix is then never built, and
+    where a nonzero subnormal sum raises :class:`NumericalUnderflow`."""
     H.check_acts_on(rho)
     if rho._basis is H:
-        return Quantity(float((rho.probabilities * H.eigenvalues()).sum()), ENERGY)
+        e = float((rho.probabilities * H.eigenvalues()).sum())
+        if e != 0.0:
+            in_range(e, "tr(rho*H)", d=rho.dim)
+        return Quantity(e, ENERGY)
     return Quantity(real_inner(rho.matrix, H.matrix), ENERGY)
 
 
@@ -59,12 +67,14 @@ def _boltzmann_weights(vals: np.ndarray, beta: float):
     """Populations exp(-beta(vals - ref)) / z, shifted by the dominant level
     ref so no weight overflows; returns (probs, ref, ln z).
 
-    ln Z = -beta ref + ln z.
+    ln Z = -beta ref + ln z. The dominant level's weight is exactly 1, so
+    ln z is log1p of the others' sum, which keeps the weights below one ulp
+    of 1 that ln(1 + rest) would round away.
     """
-    ref = vals.min() if beta >= 0.0 else vals.max()
+    k = vals.argmin() if beta >= 0.0 else vals.argmax()
+    ref = vals[k]
     w = np.exp(-beta * (vals - ref))
-    total = w.sum()
-    return w / total, ref, math.log(total)
+    return w / w.sum(), ref, math.log1p(np.delete(w, k).sum())
 
 
 def _gibbs_from_beta(H: HermitianOperator, beta: float, temperature: float) -> GibbsState:
@@ -74,6 +84,8 @@ def _gibbs_from_beta(H: HermitianOperator, beta: float, temperature: float) -> G
     rho = DensityMatrix.from_spectrum(probs, H)
     # + 0.0: ln Z = 0 would give -0.0
     f_eq = -log_z / beta + 0.0
+    if f_eq != 0.0:
+        in_range(f_eq, "-k_B*T*ln(Z)", beta=beta, ln_Z=log_z)
     return GibbsState(
         rho=rho,
         temperature=Quantity(temperature, TEMPERATURE),

@@ -1,9 +1,12 @@
 """Dimensioned quantities, pinned physical constants, entropy-unit conversion.
 
-Every calculation in this package moves through :class:`Quantity`: a float
-magnitude in canonical units (SI base units plus the bit for information)
-paired with integer dimension exponents. Addition across different
-dimensions is an error, never a silent cast.
+A :class:`Quantity` is a float magnitude in canonical units (SI base units
+plus the bit for information) paired with integer dimension exponents.
+Formulas take Quantities, check each one's dimension with :func:`require`,
+and compute on the magnitudes. A Quantity has no arithmetic: it is built as
+``Quantity(x, dim)`` or ``number * unit``, and adding, multiplying or
+ordering two of them raises ``TypeError``, so a mismatched dimension is
+never silently cast.
 
 Information is a base dimension of its own. The bit is its canonical unit;
 the nat is the same dimension scaled by 1/ln 2.
@@ -170,48 +173,12 @@ class Quantity:
     def __repr__(self):
         return f"Quantity(magnitude={self.magnitude!r}, dim={self.dim!r})"
 
-    # -- arithmetic -------------------------------------------------------
-
-    def __mul__(self, other):
-        if isinstance(other, Quantity):
-            return Quantity(self.magnitude * other.magnitude, self.dim * other.dim)
-        return Quantity(self.magnitude * other, self.dim)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, Quantity):
-            return Quantity(self.magnitude / other.magnitude, self.dim / other.dim)
-        return Quantity(self.magnitude / other, self.dim)
-
-    def __rtruediv__(self, other):
-        return Quantity(other / self.magnitude, DIMENSIONLESS / self.dim)
-
-    def __add__(self, other: "Quantity") -> "Quantity":
-        self._require_same_dim(other, "add")
-        return Quantity(self.magnitude + other.magnitude, self.dim)
-
-    def __sub__(self, other: "Quantity") -> "Quantity":
-        self._require_same_dim(other, "subtract")
-        return Quantity(self.magnitude - other.magnitude, self.dim)
-
-    def __neg__(self) -> "Quantity":
-        return Quantity(-self.magnitude, self.dim)
-
-    def __abs__(self) -> "Quantity":
-        return Quantity(abs(self.magnitude), self.dim)
-
-    def __pow__(self, n: int) -> "Quantity":
-        return Quantity(self.magnitude**n, self.dim**n)
-
-    def _require_same_dim(self, other, verb: str):
-        if not isinstance(other, Quantity) or other.dim != self.dim:
-            raise DimensionMismatch(
-                f"cannot {verb} [{self.unit or '1'}] and "
-                f"[{getattr(other, 'unit', type(other).__name__) or '1'}]"
-            )
-
-    # -- comparisons (same dimension only) ----------------------------------
+    def __rmul__(self, number):
+        """``number * unit``, as in ``1e-15 * FARAD``; a Quantity has no other
+        arithmetic."""
+        if isinstance(number, Quantity):
+            return NotImplemented
+        return Quantity(self.magnitude * number, self.dim)
 
     def __eq__(self, other):
         if not isinstance(other, Quantity):
@@ -221,29 +188,17 @@ class Quantity:
     def __hash__(self):
         return hash((self.magnitude, self.dim))
 
-    def __lt__(self, other):
-        self._require_same_dim(other, "compare")
-        return self.magnitude < other.magnitude
-
-    def __le__(self, other):
-        self._require_same_dim(other, "compare")
-        return self.magnitude <= other.magnitude
-
-    def __gt__(self, other):
-        self._require_same_dim(other, "compare")
-        return self.magnitude > other.magnitude
-
-    def __ge__(self, other):
-        self._require_same_dim(other, "compare")
-        return self.magnitude >= other.magnitude
-
     # -- accessors ---------------------------------------------------------
 
     def value_in(self, unit: "Quantity | str") -> float:
         """Magnitude of this quantity expressed in ``unit``."""
         if isinstance(unit, str):
             unit = UNITS[unit]
-        self._require_same_dim(unit, "express")
+        if not isinstance(unit, Quantity) or unit.dim != self.dim:
+            raise DimensionMismatch(
+                f"cannot express [{self.unit or '1'}] and "
+                f"[{getattr(unit, 'unit', type(unit).__name__) or '1'}]"
+            )
         return self.magnitude / unit.magnitude
 
     @property
@@ -262,7 +217,7 @@ _SET_MAGNITUDE, _SET_DIM = (getattr(Quantity, f).__set__ for f in Quantity.__slo
 # one unit of magnitude 1 per named dimension, and the nat
 UNITS: dict[str, Quantity] = {sym: Quantity(1.0, dim) for dim, sym in _DIM_SYMBOLS.items() if sym}
 NAT = UNITS["nat"] = Quantity(1.0 / LN2, INFORMATION)
-KILOGRAM, SECOND, BIT, JOULE, VOLT, FARAD = (UNITS[s] for s in ("kg", "s", "bit", "J", "V", "F"))
+BIT, JOULE, VOLT, FARAD = (UNITS[s] for s in ("bit", "J", "V", "F"))
 
 
 def entropy_convert(s: Quantity, target_unit: str) -> Quantity:

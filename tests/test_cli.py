@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from physcomp.cli import main, run
 from physcomp.cli.report import Report, render_csv, render_json
 from physcomp.qthermo import read_matrix, write_matrix, write_vector
-from physcomp.units import ENERGY, LENGTH, Quantity
+from physcomp.units import DIMENSIONLESS, ENERGY, LENGTH, Quantity
 
 
 def invoke(*argv):
@@ -44,7 +44,7 @@ class TestReportAdd:
 
     def test_a_quantity_row_stores_its_magnitude_and_derived_unit(self):
         rep = Report("t")
-        rep.add("beta", 2.5 / Quantity(1.0, ENERGY), "1/(k_B*T)")
+        rep.add("beta", Quantity(2.5, DIMENSIONLESS / ENERGY), "1/(k_B*T)")
         rep.add("radius", Quantity(3.0, LENGTH), "R=2*G*M/c^2")
         assert rep.results == [("beta", 2.5, "1/J", "1/(k_B*T)"),
                                ("radius", 3.0, "m", "R=2*G*M/c^2")]
@@ -1050,6 +1050,25 @@ def test_qt_on_a_spectrum_at_the_double_limit_exits_3(tmp_path, op):
     code, out, err = invoke("qt", op, *argv)
     assert out == ""
     _assert_one_line_error(code, err, "numerical failure: ", exit_code=3)
+
+
+def test_qt_gibbs_prints_no_subnormal(tmp_path):
+    # H = diag(0, dE): dE log-uniform in [1e-300, 1e280] J and dE/(k_B T) in
+    # [0.1, 1000], so T spans about 1e-280..1e305 K; near dE/(k_B T) = 700 the
+    # entropy, <H> or f_eq can be subnormal, which must exit 3 instead
+    rng = np.random.default_rng(35)
+    ham = str(tmp_path / "h.json")
+    for _ in range(300):
+        de = 10.0 ** rng.uniform(-300.0, 280.0)
+        temp = de / (1.380649e-23 * 10.0 ** rng.uniform(-1.0, 3.0))
+        write_matrix(ham, np.diag([0.0, de]), units="J")
+        code, out, err = invoke("qt", "gibbs", "--ham", ham, "--temp", repr(temp), "--format", "json")
+        if code:
+            assert out == "", (de, temp)
+            _assert_one_line_error(code, err, "numerical failure: ", exit_code=3)
+            continue
+        for row in json.loads(out)["results"]:
+            assert row["value"] == 0.0 or abs(row["value"]) >= sys.float_info.min, (de, temp, row)
 
 
 @pytest.mark.parametrize("top", [1e307, 1e308])

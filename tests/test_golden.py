@@ -243,17 +243,17 @@ GOLDEN = {
     "measure-phi-time-subnormal-product": "1a37bcc6c819aecacbcba09e5c4f4cf10f989cbdaac5204db8bc615df4d39727",
     "measure-phi-time-limit": "6156add6e433a67395d904bfba62af280fa5b0470a6fa1bc5e22c3d7cb4c5140",
     "measure-flags-before-op": "11a3c5f526efa8f4511ffcb470dfc8b32592560585be46a9fdf3c2fbf1131594",
-    "qt-gibbs-save": "47bd426f15dbee2b47f3b56682a68c3fdc33976ab180b965852d70a2d909671c",
+    "qt-gibbs-save": "fefd925262bb1047a290ed729c6f17bf02b1a162cc1bcbc105b3787828ec5613",
     "qt-gibbs-both-temps": "4e6d828e8a590b6f7b3f715d363a06dc7faeaf2d0b6b23f19cab3613b6246a5e",
     "qt-gibbs-overflow": "19d90e286836719a94265753af858c757bf82b47a4228108740ba440baca0e3e",
     "qt-gibbs-shifted": "554f59b1ba7980241a024a427c531a39c65cb376871380929b70033dcaa8978d",
-    "qt-gibbs-f-eq-zero": "095c546b6b1ffe0e787379ec31c3b047f3c2a873f4df96c145afdaf2ad0ba9bb",
-    "qt-gibbs-f-eq-zero-json": "29ea155bdbba69e2a633a2b7ba75ac776f475a09e77a67f3a875aee758e483df",
-    "qt-solve-temp": "fa136d27379087cf817250509bd4097ee00e8a166e7c00948e43b7fb597aa1ff",
+    "qt-gibbs-f-eq-zero": "a9ce9903b23794a44df5c09780385ce7adc663cd3a98c8182dd0323525722884",
+    "qt-gibbs-f-eq-zero-json": "ad9fa17d999424086c63bfcaba9ab9938e6a3cfbdb8fde3165424804f6c90e45",
+    "qt-solve-temp": "66ba2a80fd40c3072a572b535a5b9acfbaeee97d8a34bedda9edad13cd09f6ee",
     "qt-solve-temp-range": "144075307ed8c39e4168e3613ad340535abc14c3b1b049f94e09c00bd52154b8",
     "qt-solve-temp-shifted": "06952a2414e170e422e0ca27c3398455d18344fcf9c1678fcd1d8ca3ecfba92f",
-    "qt-work": "34424cfe38855270f484a5fd80a06b32e203da21a547045cd19e42d64944cc00",
-    "qt-work-dense": "1b6992753551b87e29a58170e27f9dc1aee6ee31fb51656d426e07f454fff31d",
+    "qt-work": "a193658048d571e26f2960aba37fec8fd2db3c4b7555ba74dfd7f5df8d1d7d48",
+    "qt-work-dense": "aa55f9fa3e0ae268c9c6afbc755c2e01ebb410be8af9b9c5a149c4010e798c06",
     "qt-evolve-save": "c9b9d245ba699c5a64f989906b6c812562c3aad63d1b67229e2214ca957a6497",
     "qt-spread": "27390062e2f5887efcbd23a48c9688073c5651e0f05f073312db1eed400cfcd1",
     "qt-gibbs-limit": "6f550190821905e1eda0807737415a0dab736a048fd239822806a13e35214971",
@@ -264,7 +264,7 @@ GOLDEN = {
     "qt-missing-file": "ee221f46f1a0544163d888e5f59892b40c7aa03a8492f39427e4deafd7f77d23",
     "qt-ham-as-state": "08f187a01fde1a4c85d119023c45a06ed72ed4ef74f559e080dee71f845faf1d",
     "qt-flags-before-op": "11a3c5f526efa8f4511ffcb470dfc8b32592560585be46a9fdf3c2fbf1131594",
-    "qt-gibbs-large-file": "775944d70c5e4020009a642ed327e52a7915e304294073831b8b1023796c88ca",
+    "qt-gibbs-large-file": "d87a7a62f094b375a00cb0be28cd48b9eb6de9dff71a1cf60bed3b0b3b36a2e2",
     "assembly-save": "490cd7eed20e807745748050af802494764fd2883e7aa4fe2b74e71cb7f81aa4",
     "assembly-pathway": "7acf126b23d52a1d68123529780deee7e2e16b9e2d526b1843d4c1ea39b25f71",
     "assembly-pathway-overflow": "05ece62422a32332b63805128ec84b309d1a2812dedd21a9afdb341ebf577843",
@@ -301,7 +301,7 @@ GOLDEN = {
     "over-measure-phi-time": "d5e8cd3823042cfdfd1f5aa498ccefebae9137f7cde5eee584408f1f5c078bfc",
     "over-measure-landauer": "62b1e75d645f309ec8c6e906338f7e0d14b12a67f571a7f52ff18ccd5988d54a",
     "over-catalog": "fcd329977ccf00ee1e3e568c32f771275a530a792e2c0fa402f704c195eaebfd",
-    "over-qt-gibbs": "5ce1f9404fd3ae6e305b161ea5f9f9a99615f1a73bee53922c5d1da982aece90",
+    "over-qt-gibbs": "76130ed419b7452c1bbf1510293b6982c2ea5ed181efd25dbb97315181a9fc43",
     "over-qt-evolve": "8ccfe13056aae982cd01a413e94722b3bde2e8b89c91e1d45a95d5a21e978b3b",
     "over-assembly": "d58f5058daf20e7cfb76c770f2081bd9ac05d7ad1e16c17670b6ee9c8a43bd64",
     "over-missing": "8a400232d312d1aa71734dba99925991f116dc6121837ac12f08f5b5fd8703ee",

@@ -42,6 +42,13 @@ def kelvin(kt_joules: float) -> Quantity:
     return Quantity(kt_joules / K_B, TEMPERATURE)
 
 
+def f_eq_is_subnormal(vals: np.ndarray, beta: float) -> bool:
+    """Whether f_eq = -ln(Z)/beta, by a log-sum-exp of its own, is subnormal."""
+    ref = vals.min() if beta >= 0.0 else vals.max()
+    f_eq = ref - np.logaddexp.reduce(-beta * (vals - ref)) / beta
+    return 0.0 < abs(f_eq) < sys.float_info.min
+
+
 class TestVonNeumannEntropy:
     def test_maximally_mixed_qubit_is_one_bit(self):
         s = entropy_convert(von_neumann_entropy(DensityMatrix.maximally_mixed(2)), "bits")
@@ -151,6 +158,12 @@ class TestGibbsState:
         g = gibbs_state(HermitianOperator(np.diag([0.0, 1.0])), kelvin(1e-3))
         assert g.log_partition_function == 0.0
         assert math.copysign(1.0, g.f_eq.magnitude) == 1.0
+
+    def test_f_eq_keeps_the_weights_below_one_ulp_of_one(self):
+        # dE = 40 k_B T at 300 K: e^-40 = 4.2e-18 is lost in 1 + e^-40; the
+        # oracle is 50-digit mpmath of -k_B T ln(1 + e^(-dE/(k_B T)))
+        g = gibbs_state(HermitianOperator(np.diag([0.0, 1.6567788e-19])), Quantity(300.0, TEMPERATURE))
+        assert g.f_eq.magnitude == pytest.approx(-1.75964581626422978e-38, rel=1e-12)
 
     def test_matches_pade_matrix_exponential(self):
         # independent construction: Pade expm of -H/(k_B T), not spectral
@@ -384,9 +397,12 @@ class TestSolveInverseTemperature:
                 try:
                     got = solve_inverse_temperature(h, Quantity(e, ENERGY)).beta.magnitude
                 except NumericalUnderflow:
-                    # on spreads past about 1e285 J, k_B*beta underflows for either beta
-                    assert abs(K_B * want) < sys.float_info.min, (seed, e)
+                    # on spreads past about 1e285 J, k_B*beta underflows for either
+                    # beta; near 1e-300 J, f_eq can be subnormal
+                    assert (abs(K_B * want) < sys.float_info.min
+                            or f_eq_is_subnormal(vals, want)), (seed, e)
                     continue
+                assert not f_eq_is_subnormal(vals, want), (seed, e)
                 assert got.hex() == want.hex(), (seed, e)
                 compared += 1
         assert compared > 700
