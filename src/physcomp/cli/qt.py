@@ -79,7 +79,10 @@ def handle(args, out) -> Report:
             rho = qt.load_density(args.state)
             rep.inputs = {"state": args.state, "entropy_unit": args.entropy_unit}
             u = {"bits": "bit", "nats": "nat"}[args.entropy_unit]
-            rep.add("entropy", qt.von_neumann_entropy(rho).value_in(u), "-tr(rho*ln(rho))", u)
+            s = qt.von_neumann_entropy(rho).value_in(u)
+            if s != 0.0:
+                units.in_range(s, f"-tr(rho*ln(rho)) in {u}", d=rho.dim)
+            rep.add("entropy", s, "-tr(rho*ln(rho))", u)
         elif op == "gibbs":
             if args.save_state is not None:
                 units.check_writable(args.save_state)

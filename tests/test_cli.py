@@ -1071,6 +1071,17 @@ def test_qt_gibbs_prints_no_subnormal(tmp_path):
             assert row["value"] == 0.0 or abs(row["value"]) >= sys.float_info.min, (de, temp, row)
 
 
+def test_qt_entropy_in_nats_is_never_subnormal(tmp_path):
+    # S = 2.48e-308 bit is normal, but S ln 2 = 1.72e-308 nat is not
+    state = str(tmp_path / "rho.json")
+    write_matrix(state, np.diag([1.0, 2.4e-311]))
+    code, out, _ = invoke("qt", "entropy", "--state", state, "--format", "csv")
+    assert code == 0 and out.splitlines()[-1].startswith("entropy,2.476")
+    code, out, err = invoke("qt", "entropy", "--state", state, "--entropy-unit", "nats")
+    assert out == ""
+    _assert_one_line_error(code, err, "-tr(rho*ln(rho)) in nat underflows", exit_code=3)
+
+
 @pytest.mark.parametrize("top", [1e307, 1e308])
 def test_qt_on_a_finite_spectrum_near_the_double_limit(tmp_path, top):
     # H = diag(0, top) J loads; evolve needs the phase top * 1 s / hbar and
