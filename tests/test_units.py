@@ -115,8 +115,17 @@ class TestQuantity:
         assert one_nat == Quantity(NAT_IN_BITS, INFORMATION) == NAT_IN_BITS * BIT
         assert one_nat.unit == "bit" and one_nat.value_in(NAT) == 1.0
         assert Quantity(1.0, INFORMATION) != Quantity(1.0, ENERGY)
-        assert (Quantity(1.0) == 1.0) is False  # a number is no Quantity
+
+    def test_comparisons_require_same_dimension(self):
+        # equality holds only within one dimension; quantities are not ordered at all,
+        # so a comparison across dimensions cannot pass silently either
         assert 1 * JOULE == 1 * JOULE and 1 * JOULE != 2 * JOULE
+        assert (Quantity(1.0) == 1.0) is False  # a number is no Quantity
+        assert Quantity(1.0, INFORMATION) != Quantity(1.0, ENERGY)
+        with pytest.raises(TypeError):
+            1 * JOULE < Quantity(1.0, TIME)  # noqa: B015
+        with pytest.raises(TypeError):
+            1 * JOULE <= 2 * JOULE  # noqa: B015
 
     def test_frozen_copyable_and_hashed_by_value(self):
         q = Quantity(2.0, ENERGY)
