@@ -95,7 +95,7 @@ def _lifetime_s(m: float) -> float:
     g, hbar, c = k.G.magnitude, k.hbar.magnitude, k.c.magnitude
     try:
         t_m = 5120.0 * math.pi * g**2 * m**3 / (hbar * c**4)
-    except OverflowError:
+    except ArithmeticError:  # overflow, or hbar*c^4 underflowing to 0
         t_m = math.inf
     # below ~6.4e-98 kg the lifetime is subnormal, down to one significant
     # bit, and below ~3.3e-103 kg it is 0, which M(t) would divide by
@@ -229,16 +229,6 @@ def characterize(M: Quantity) -> BlackHoleReport:
         page_time_entropy=Quantity(PAGE_FRACTION * t_m.magnitude, TIME),
         max_error_rate=max_error_rate(M),
     )
-
-
-def mass_at_time(M0: Quantity, t: Quantity) -> Quantity:
-    """Remaining mass M0 (1 - t/t_M)^(1/3) at time t into the evaporation."""
-    m0 = _mass_kg(M0)
-    dt = require(t, TIME, "time")
-    t_m = _lifetime_s(m0)
-    if not (0.0 <= dt <= t_m):
-        raise InputError(f"time {dt!r} s outside the lifetime [0, {t_m!r}] s")
-    return Quantity(_mass_left(m0, dt, t_m), MASS)
 
 
 def page_curve(M0: Quantity, n_samples: int) -> list[TimelineSample]:

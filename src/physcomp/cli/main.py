@@ -1,8 +1,9 @@
 """Command-line surface: one subcommand per operation, deterministic reports.
 
 Exit codes: 0 success, 2 invalid input (bad flags, malformed files, domain
-errors), 3 numerical failure. User errors render as one-line messages on
-stderr, never stack traces.
+errors), 3 numerical failure, 1 when the reader closes stdout before the
+output is written. User errors render as one-line messages on stderr, never
+stack traces.
 
 Each subcommand other than ``constants`` lives in its own module of this
 package (``physcomp.cli.bh`` for ``bh``, ...), which defines
@@ -151,6 +152,14 @@ def main() -> None:
     if not any(v in os.environ for v in BLAS_THREAD_VARIABLES):
         os.environ["OPENBLAS_NUM_THREADS"] = "1"
     gc.disable()
-    code = run(sys.argv[1:])
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: exit 1 with no traceback. With no
+        # sys.stdout the interpreter's flush at exit skips the stream, and
+        # the error the stream's own close meets then is dropped.
+        sys.stdout = None
+        code = 1
     gc.freeze()
     sys.exit(code)

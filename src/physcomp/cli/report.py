@@ -8,7 +8,7 @@ re-rendering a parsed report reproduces the bytes.
 from __future__ import annotations
 
 from .. import __version__
-from ..units import Quantity
+from ..units import Quantity, in_range
 
 FORMATS = ("human", "json", "csv")
 
@@ -27,11 +27,15 @@ class Report:
     def add(self, name: str, value, formula: str, unit: str = "") -> None:
         """One result row. A :class:`Quantity` brings its magnitude and the
         unit its dimension derives; a plain number or string takes ``unit``,
-        or none for a count."""
+        or none for a count. A nonzero float must be a result by
+        :func:`units.in_range`, in the unit it prints; set ``inputs`` first,
+        since a refusal names them."""
         if isinstance(value, Quantity):
             if unit:
                 raise TypeError(f"{name}: a Quantity's unit is its own, not {unit!r}")
             value, unit = value.magnitude, value.unit
+        if isinstance(value, float) and value != 0.0:
+            in_range(value, f"{name} {formula}" + (f" in {unit}" if unit else ""), **self.inputs)
         self.results.append((name, value, unit, formula))
 
     def warn(self, message: str) -> None:

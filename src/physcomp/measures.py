@@ -106,12 +106,3 @@ def free_phi(delta_F: Quantity) -> Quantity:
 def free_phi_op_equivalent(delta_F: Quantity, t: Quantity) -> float:
     """Op count 2 F t / (pi hbar) the consumed free energy could have driven."""
     return phi_time(free_phi(delta_F), t)
-
-
-def free_phi_thermo(T: Quantity, s_eq: Quantity, s: Quantity) -> Quantity:
-    """Free complexity as temperature times thermodynamic depth, in joules.
-
-    Equals the Landauer cost of the depth: k_B T (S_eq - S) ln 2 with the
-    entropies in bits.
-    """
-    return landauer_cost(T, phi_space(s_eq, s).magnitude)

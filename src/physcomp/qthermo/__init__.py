@@ -1,6 +1,6 @@
 """Finite-dimensional quantum thermodynamics."""
 
-from .dynamics import bitflip_hamiltonian, energy_spread, evolve
+from .dynamics import energy_spread, evolve
 from .states import (
     DensityMatrix,
     GibbsState,
@@ -15,7 +15,6 @@ from .states import (
     write_vector,
 )
 from .thermo import (
-    extractable_pure_bits,
     extractable_work,
     gibbs_state,
     mean_energy,
@@ -29,10 +28,8 @@ __all__ = [
     "GibbsState",
     "HermitianOperator",
     "StateVector",
-    "bitflip_hamiltonian",
     "energy_spread",
     "evolve",
-    "extractable_pure_bits",
     "extractable_work",
     "gibbs_state",
     "load_density",

@@ -1,7 +1,7 @@
-"""Unitary dynamics: the bit-flip Hamiltonian, time evolution, energy spread.
+"""Unitary dynamics: time evolution of a pure state, and energy spread.
 
-A qubit driven by H = -E sigma_x rotates |0> into |1> in time pi hbar / 2E,
-the fastest any mean energy E above ground allows.
+The spread Delta E bounds how fast a state can move: reaching an orthogonal
+state takes at least pi hbar / (2 Delta E) (Mandelstam-Tamm).
 """
 
 from __future__ import annotations
@@ -14,14 +14,6 @@ from .. import units
 from ..errors import InputError
 from ..units import ENERGY, TIME, Quantity, in_range, require
 from .states import DensityMatrix, HermitianOperator, StateVector, real_inner
-
-
-def bitflip_hamiltonian(E: Quantity) -> HermitianOperator:
-    """The 2x2 driving operator -E sigma_x (off-diagonal -E, in joules)."""
-    e = require(E, ENERGY, "bit-flip energy")
-    if e <= 0.0:
-        raise InputError(f"bit-flip energy must be positive, got {E}")
-    return HermitianOperator([[0.0, -e], [-e, 0.0]])
 
 
 def evolve(H: HermitianOperator, t: Quantity, psi: StateVector) -> StateVector:

@@ -154,10 +154,6 @@ class DensityMatrix:
         return self.probabilities.size
 
     @classmethod
-    def maximally_mixed(cls, dim: int) -> "DensityMatrix":
-        return cls(np.eye(dim) / dim)
-
-    @classmethod
     def from_spectrum(cls, probabilities, operator: HermitianOperator) -> "DensityMatrix":
         """The state sum_k p_k |v_k><v_k| over the eigenvectors v_k of
         ``operator``, which are computed only if the matrix is read.
@@ -182,11 +178,6 @@ class DensityMatrix:
         rho.probabilities, rho._basis, rho._matrix = p, operator, None
         return rho
 
-    @classmethod
-    def from_state(cls, psi: "StateVector") -> "DensityMatrix":
-        amp = psi.amplitudes / np.linalg.norm(psi.amplitudes)
-        return cls(np.outer(amp, amp.conj()))
-
 
 class StateVector:
     """A pure state: complex amplitudes with unit norm (1e-9 tolerance)."""
@@ -206,15 +197,6 @@ class StateVector:
     @property
     def dim(self) -> int:
         return self.amplitudes.size
-
-    @classmethod
-    def basis_state(cls, dim: int, index: int) -> "StateVector":
-        amp = np.zeros(dim, dtype=complex)
-        amp[index] = 1.0
-        return cls(amp)
-
-    def overlap(self, other: "StateVector") -> complex:
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
 
 
 class GibbsState(

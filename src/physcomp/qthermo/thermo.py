@@ -186,22 +186,3 @@ def extractable_work(
     if not math.isfinite(w):
         in_range(w, "k_B*T*D(rho||rho_th)", T=t, E=e, E_0=float(e_0))
     return Quantity(w, ENERGY)
-
-
-def extractable_pure_bits(
-    n: int, s_per_dof: Quantity, s_max_per_dof: Quantity
-) -> Quantity:
-    """Asymptotic pure-bit yield n (S_max - S) for n degrees of freedom.
-
-    Returned as a real-valued count of bits; flooring is the caller's call.
-    """
-    s = require(s_per_dof, INFORMATION, "entropy per dof")
-    s_max = require(s_max_per_dof, INFORMATION, "max entropy per dof")
-    if n < 0:
-        raise InputError("degree-of-freedom count must be >= 0")
-    if not (0.0 <= s <= s_max):
-        raise InputError(
-            f"entropy per dof must satisfy 0 <= S <= S_max, got {s!r}, {s_max!r}"
-        )
-    bits = in_range(n * (s_max - s), "n*(S_max-S)", n=float(n), dS=s_max - s)
-    return Quantity(bits, INFORMATION)

@@ -364,7 +364,7 @@ def _load_overrides(path: str) -> dict[str, float]:
     for key, val in raw.items():
         if key not in _NAMES:
             raise FileFormatError(f"{path}: unknown constant {key!r}")
-        if not finite_double(val) or val <= 0:
+        if not finite_double(val) or val < sys.float_info.min:
             raise FileFormatError(f"{path}: {key}: expected a positive finite number")
         out[key] = float(val)
     return out

@@ -28,8 +28,8 @@ from physcomp.catalog import get_system, inefficiency_factor, op_rate
 from physcomp.cli import run
 from physcomp.measures import error_correction_space
 from physcomp.qthermo import (
+    HermitianOperator,
     StateVector,
-    bitflip_hamiltonian,
     evolve,
     extractable_work,
     gibbs_state,
@@ -37,7 +37,7 @@ from physcomp.qthermo import (
     nonequilibrium_free_energy,
     solve_inverse_temperature,
 )
-from physcomp.units import CONSTANTS, ENERGY, MASS, TEMPERATURE, TIME, Quantity
+from physcomp.units import CONSTANTS, MASS, TEMPERATURE, TIME, Quantity
 
 HBAR = CONSTANTS.hbar.magnitude
 K_B = CONSTANTS.k_B.magnitude
@@ -114,9 +114,9 @@ def test_criterion_04_scaling_laws():
 def test_criterion_05_bit_flip_dynamics():
     t0 = time.perf_counter()
     e = 1.0
-    h = bitflip_hamiltonian(Quantity(e, ENERGY))
+    h = HermitianOperator([[0.0, -e], [-e, 0.0]])
     t_star = math.pi * HBAR / (2.0 * e)
-    psi0 = StateVector.basis_state(2, 0)
+    psi0 = StateVector(np.eye(2)[0])
 
     p_star = abs(evolve(h, Quantity(t_star, TIME), psi0).amplitudes[1]) ** 2
     # p(t*) = 1 within 1e-10 forces, by continuity, p > 1 - 1e-6 on the

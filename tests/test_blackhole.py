@@ -126,8 +126,6 @@ class TestCharacterize:
                 bh.characterize(m)
             with pytest.raises(NumericalUnderflow, match="lifetime"):
                 bh.page_curve(m, 3)
-            with pytest.raises(NumericalUnderflow, match="lifetime"):
-                bh.mass_at_time(m, Quantity(0.0, TIME))
 
     def test_smallest_reported_lifetime_is_normal(self):
         t_m = bh.lifetime(kg(1e-97)).magnitude
@@ -161,29 +159,27 @@ class TestScalingLaws:
 
 class TestEvaporation:
     def test_endpoints(self):
-        m0 = kg(1e6)
-        t_m = bh.lifetime(m0)
-        assert bh.mass_at_time(m0, Quantity(0.0, TIME)).magnitude == 1e6
-        assert bh.mass_at_time(m0, t_m).magnitude == 0.0
+        samples = bh.page_curve(kg(1e6), 3)
+        assert samples[0].mass_kg == 1e6
+        assert samples[-1].t_seconds == bh.lifetime(kg(1e6)).magnitude
+        assert samples[-1].mass_kg == 0.0
 
     def test_half_life_closed_form(self):
-        m0 = kg(1e6)
-        t_half = Quantity(bh.lifetime(m0).magnitude / 2.0, TIME)
-        got = bh.mass_at_time(m0, t_half).magnitude
-        assert got == pytest.approx(1e6 * 2.0 ** (-1.0 / 3.0), rel=1e-12)
+        half = bh.page_curve(kg(1e6), 3)[1]
+        assert half.t_seconds == bh.lifetime(kg(1e6)).magnitude / 2.0
+        assert half.mass_kg == pytest.approx(1e6 * 2.0 ** (-1.0 / 3.0), rel=1e-12)
 
     def test_matches_numerical_integration_of_flux_law(self):
         # independent oracle: RK4 on dM/dt = -hbar c^4 / (15360 pi G^2 M^2)
         hbar, g_newton = CONSTANTS.hbar.magnitude, CONSTANTS.G.magnitude
         m0 = 1e6
-        t_m = bh.lifetime(kg(m0)).magnitude
+        sample = bh.page_curve(kg(m0), 11)[9]  # t = 0.9 t_M
 
         def dm_dt(m):
             return -hbar * C**4 / (15360.0 * math.pi * g_newton**2 * m * m)
 
-        t_end = 0.9 * t_m
         n_steps = 2000
-        h = t_end / n_steps
+        h = sample.t_seconds / n_steps
         m = m0
         for _ in range(n_steps):
             k1 = dm_dt(m)
@@ -191,15 +187,7 @@ class TestEvaporation:
             k3 = dm_dt(m + 0.5 * h * k2)
             k4 = dm_dt(m + h * k3)
             m += h * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
-        got = bh.mass_at_time(kg(m0), Quantity(t_end, TIME)).magnitude
-        assert got == pytest.approx(m, rel=1e-6)
-
-    def test_time_out_of_range(self):
-        m0 = kg(1.0)
-        with pytest.raises(InputError, match="outside the lifetime"):
-            bh.mass_at_time(m0, Quantity(-1.0, TIME))
-        with pytest.raises(InputError, match="outside the lifetime"):
-            bh.mass_at_time(m0, Quantity(bh.lifetime(m0).magnitude * 1.01, TIME))
+        assert sample.mass_kg == pytest.approx(m, rel=1e-6)
 
 
 class TestPageCurve:
@@ -230,18 +218,17 @@ class TestPageCurve:
         assert float(first[0]) == 0.0
         assert float(first[1]) == 1e6
         # 17 significant digits round-trip the doubles exactly
-        assert float(lines[2].split(",")[1]) == bh.mass_at_time(
-            kg(1e6), Quantity(bh.lifetime(kg(1e6)).magnitude / 2.0, TIME)
-        ).magnitude
+        assert float(lines[2].split(",")[1]) == 1e6 * 0.5 ** (1.0 / 3.0)
 
 
 def _reference_rows(M0, n):
-    """Page-curve rows from the per-sample public functions."""
+    """Page-curve rows from the per-sample public functions and the
+    remaining mass M0 (1 - t/t_M)^(1/3)."""
     t_m = bh.lifetime(M0).magnitude
     s0_bits = bh.entropy_nats(M0) / LN2
     for i in range(n):
         t = t_m if i == n - 1 else t_m * i / (n - 1)
-        m = bh.mass_at_time(M0, Quantity(t, TIME)).magnitude
+        m = M0.magnitude * (1.0 - t / t_m) ** (1.0 / 3.0)
         s_bits = bh.entropy_nats(kg(m)) / LN2 if m > 0.0 else 0.0
         yield t, m, s_bits, min(s0_bits - s_bits, s_bits)
 

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import warnings
@@ -1347,3 +1348,145 @@ def test_process_entry_exit_codes(tmp_path, argv, code):
     assert proc.returncode == code
     assert (proc.stdout == "") == (code != 0)
     assert (proc.stderr == "") == (code == 0)
+
+
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+def test_a_closed_pipe_exits_1_without_a_traceback(tmp_path, buffered):
+    # a reader that closes before the first write: unbuffered, the write
+    # raises BrokenPipeError; buffered, the flush does
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "physcomp", "constants"], cwd=tmp_path,
+                              env=env, stdout=write_end, stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, "")
+
+
+def _sweep_value(rng) -> float:
+    """10 % zero, 20 % subnormal, the rest log-uniform over the normal doubles."""
+    u = rng.random()
+    if u < 0.1:
+        return 0.0
+    exponent = rng.randint(-1074, -1023) if u < 0.3 else rng.randint(-1022, 1023)
+    return math.ldexp(2.0 ** rng.random(), exponent)
+
+
+def _sweep_command(rng, tmp_path, k) -> list[str]:
+    """One seeded command line of any subcommand, with the files it reads."""
+    def v():
+        return repr(_sweep_value(rng))
+
+    def pair():
+        return [repr(x) for x in sorted((_sweep_value(rng), _sweep_value(rng)))]
+
+    def file(name):
+        return str(tmp_path / f"{k}-{name}")
+
+    def weights():
+        # scaled to a largest weight of 1, so the others span the range below it
+        w = [1.0] + [_sweep_value(rng) for _ in range(rng.randint(0, 2))]
+        rng.shuffle(w)
+        return np.array(w) / max(w)
+
+    def ham():
+        d = rng.randint(1, 3)
+        h = np.zeros((d, d))
+        for i in range(d):
+            for j in range(i, d):
+                h[i, j] = h[j, i] = rng.choice((1.0, -1.0)) * _sweep_value(rng)
+        write_matrix(file("h.mat"), h, units="J")
+        return file("h.mat")
+
+    def state():
+        p = weights()
+        write_matrix(file("rho.mat"), np.diag(p / p.sum()))
+        return file("rho.mat")
+
+    def state_vector():
+        a = weights()
+        write_vector(file("psi.vec"), a / np.linalg.norm(a))
+        return file("psi.vec")
+
+    def temp():
+        return [rng.choice(("--temp", "--ktemp-joules")), v()]
+
+    def eps():
+        e = min(_sweep_value(rng), 1.0)
+        return repr(1.0 - e if rng.random() < 0.2 else e)
+
+    def phi_space():
+        s, smax = pair()
+        return ["measure", "phi-space", "--smax", smax, "--s", s]
+
+    def pathway():
+        Path(file("p.json")).write_text(json.dumps({
+            "basis": "a", "target": "aaaa", "steps": [["a", "a"], ["aa", "aa"]],
+            "free_energy_joules": [_sweep_value(rng), _sweep_value(rng)],
+        }))
+        return file("p.json")
+
+    commands = {
+        "phi-time": lambda: ["measure", "phi-time", "--energy", v(), "--time", v(),
+                             "--energy-unit", rng.choice(("J", "eV"))],
+        "ml-time": lambda: ["measure", "ml-time", "--energy", v(), "--energy-unit", rng.choice(("J", "eV"))],
+        "phi-space": phi_space,
+        "free-phi": lambda: ["measure", "free-phi", "--delta-f", v(), "--time", v()][:rng.choice((4, 6))],
+        "landauer": lambda: ["measure", "landauer", "--temp", v(), "--bits", v()],
+        "binary-entropy": lambda: ["measure", "binary-entropy", "--eps", eps()],
+        "ec-space": lambda: ["measure", "ec-space", "--ops", v(), "--eps", eps(),
+                             "--mode", rng.choice(("exact", "asymptotic"))],
+        "catalog": lambda: ["catalog", "compare", "--temp", v(), "--power", v(), "--capacitance", v(),
+                            "--volts", v()][:rng.choice((6, 10))],
+        "assembly": lambda: ["assembly", "--pathway", pathway()],
+        "constants": lambda: ["constants"],
+        "bh": lambda: ["bh", "--mass", v(), "--unit", rng.choice(("kg", "solar", "planck"))],
+        "qt-entropy": lambda: ["qt", "entropy", "--state", state(), "--entropy-unit", rng.choice(("bits", "nats"))],
+        "qt-gibbs": lambda: ["qt", "gibbs", "--ham", ham(), *temp()],
+        "qt-solve-temp": lambda: ["qt", "solve-temp", "--ham", ham(), "--energy", v()],
+        "qt-work": lambda: ["qt", "work", "--ham", ham(), "--state", state(), *temp()],
+        "qt-evolve": lambda: ["qt", "evolve", "--ham", ham(), "--time", v(), "--state-vector", state_vector()],
+        "qt-spread": lambda: ["qt", "spread", "--ham", ham(), "--state", state()],
+        # CSV of doubles, not a report
+        "bh-curve": lambda: ["bh", rng.choice(("timeline", "page-curve")), "--mass", v(), "--samples", "5"],
+        "bh-sweep": lambda: ["bh", "--sweep", "{}:{}:5".format(*pair())],
+    }
+
+    op = rng.choice(sorted(commands))
+    argv = commands[op]()
+    if not op.startswith("bh-"):
+        argv += ["--format", "json"]
+    if op == "constants" or rng.random() < 0.25:
+        names = rng.sample(["k_B", "hbar", "c", "G", "electron_volt", "solar_mass"], rng.randint(1, 3))
+        Path(file("c.json")).write_text(json.dumps({n: _sweep_value(rng) for n in names}))
+        argv += ["--constants", file("c.json")]
+    return argv
+
+
+def test_seeded_range_sweep_prints_no_subnormal(tmp_path):
+    # every result printed is a normal double or 0 (the zero clause of the
+    # range rule is not checked here); a command whose result is neither
+    # exits 2 or 3 with one line and prints nothing
+    rng = random.Random(36)
+    checked = 0
+    for k in range(1500):
+        argv = _sweep_command(rng, tmp_path, k)
+        code, out, err = invoke(*argv)
+        if code != 0:
+            assert code in (2, 3) and out == "", (argv, err)
+            _assert_one_line_error(code, err, exit_code=code)
+            continue
+        if "--format" in argv:
+            values = [r["value"] for r in json.loads(out)["results"]]
+        else:
+            values = [float(x) for line in out.splitlines()[1:] for x in line.split(",")]
+        for x in values:
+            if isinstance(x, float):
+                assert x == 0.0 or sys.float_info.min <= abs(x) <= sys.float_info.max, (argv, x)
+                checked += 1
+    assert checked > 1000

@@ -245,3 +245,13 @@ def test_bad_override_is_one_line_exit_2(argv, route, bad, workdir, monkeypatch)
     assert out.getvalue() == ""
     assert err.getvalue().startswith("error: bad.json: ")
     assert err.getvalue().count("\n") == 1
+
+
+@pytest.mark.parametrize("mode", ["report", "timeline", "page-curve"])
+def test_a_lifetime_whose_divisor_underflows_is_one_line(workdir, mode):
+    # c = 1e-84 passes the Planck self-check, but hbar*c^4 rounds to 0
+    (workdir / "c.json").write_text(json.dumps({"c": 1e-84}))
+    out, err = io.StringIO(), io.StringIO()
+    assert run(["bh", mode, "--mass", "1", "--constants", "c.json"], out, err) == 3
+    assert out.getvalue() == ""
+    assert err.getvalue() == "numerical failure: lifetime 5120*pi*G^2*M^3/(hbar*c^4) overflows a double at M=1.0\n"

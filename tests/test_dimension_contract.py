@@ -47,7 +47,6 @@ CASES = [
     ("measures.landauer_cost", measures.landauer_cost, (K, 8.0)),
     ("measures.free_phi", measures.free_phi, (J,)),
     ("measures.free_phi_op_equivalent", measures.free_phi_op_equivalent, (J, S)),
-    ("measures.free_phi_thermo", measures.free_phi_thermo, (K, BITS, FEW_BITS)),
     *(
         (f"blackhole.{fn.__name__}", fn, (KG,))
         for fn in (
@@ -63,7 +62,6 @@ CASES = [
             blackhole.characterize,
         )
     ),
-    ("blackhole.mass_at_time", blackhole.mass_at_time, (KG, S)),
     ("blackhole.page_curve", blackhole.page_curve, (KG, 3)),
     ("catalog.ReferenceSystem", catalog.ReferenceSystem, ("x", J)),
     (
@@ -85,12 +83,6 @@ CASES = [
         (RHO, H, K),
     ),
     ("qthermo.extractable_work", qthermo.extractable_work, (RHO, H, K)),
-    (
-        "qthermo.extractable_pure_bits",
-        qthermo.extractable_pure_bits,
-        (4, FEW_BITS, BITS),
-    ),
-    ("qthermo.bitflip_hamiltonian", qthermo.bitflip_hamiltonian, (J,)),
     ("qthermo.evolve", qthermo.evolve, (H, S, PSI)),
     (
         "qthermo.GibbsState",

@@ -14,7 +14,6 @@ from physcomp.measures import (
     error_correction_space,
     free_phi,
     free_phi_op_equivalent,
-    free_phi_thermo,
     landauer_cost,
     ml_min_time,
     phi_space,
@@ -138,6 +137,11 @@ class TestLandauer:
     def test_zero_bits(self):
         assert landauer_cost(kelvin_t(300.0), 0).magnitude == 0.0
 
+    def test_linearity_in_bits(self):
+        one = landauer_cost(kelvin_t(77.0), 1).magnitude
+        two = landauer_cost(kelvin_t(77.0), 2).magnitude
+        assert two == pytest.approx(2.0 * one, rel=1e-12)
+
     def test_kt_order_of_magnitude(self):
         # k_B T at 300 K is within 25% of the 5e-21 J rule of thumb
         kt = CONSTANTS.k_B.magnitude * 300.0
@@ -235,23 +239,3 @@ class TestFreePhi:
     def test_negative_rejected(self):
         with pytest.raises(InputError, match="consumed free energy must be >= 0"):
             free_phi(joules(-1.0))
-
-
-class TestFreePhiThermo:
-    def test_no_depth_no_cost(self):
-        assert free_phi_thermo(kelvin_t(300.0), 5 * BIT, 5 * BIT).magnitude == 0.0
-
-    def test_one_bit_depth_equals_landauer(self):
-        got = free_phi_thermo(kelvin_t(300.0), 1 * BIT, 0 * BIT)
-        assert got.magnitude == pytest.approx(LANDAUER_300K_1BIT, rel=1e-12)
-
-    def test_linearity_in_depth(self):
-        one = free_phi_thermo(kelvin_t(77.0), 1 * BIT, 0 * BIT).magnitude
-        two = free_phi_thermo(kelvin_t(77.0), 2 * BIT, 0 * BIT).magnitude
-        assert two == pytest.approx(2.0 * one, rel=1e-12)
-
-    def test_matches_landauer_cost_generally(self):
-        for depth in (0.5, 3.0, 1e6):
-            a = free_phi_thermo(kelvin_t(250.0), depth * BIT, 0 * BIT).magnitude
-            b = landauer_cost(kelvin_t(250.0), depth).magnitude
-            assert a == pytest.approx(b, rel=1e-12)

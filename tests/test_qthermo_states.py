@@ -106,10 +106,6 @@ class TestDensityMatrix:
         with pytest.raises(InvalidState):
             DensityMatrix(np.diag([1.1, -0.1]))
 
-    def test_maximally_mixed(self):
-        rho = DensityMatrix.maximally_mixed(4)
-        assert np.allclose(rho.matrix, np.eye(4) / 4)
-
     def test_from_spectrum_keeps_probabilities(self):
         # sigma_x: eigenvalues -1, +1 with eigenvectors (1, -1)/sqrt2, (1, 1)/sqrt2
         sigma_x = HermitianOperator([[0.0, 1.0], [1.0, 0.0]])
@@ -123,11 +119,6 @@ class TestDensityMatrix:
     def test_from_spectrum_checks_invariants(self, probs):
         with pytest.raises(InvalidState):
             DensityMatrix.from_spectrum(probs, HermitianOperator(np.eye(2)))
-
-    def test_from_state_projector(self):
-        psi = StateVector([1 / np.sqrt(2), 1j / np.sqrt(2)])
-        rho = DensityMatrix.from_state(psi)
-        assert np.trace(rho.matrix @ rho.matrix).real == pytest.approx(1.0, abs=1e-12)
 
 
 @settings(max_examples=40, deadline=None)
@@ -156,17 +147,6 @@ class TestStateVector:
     def test_shape_and_finiteness_enforced(self, amplitudes, message):
         with pytest.raises(InvalidState, match=message):
             StateVector(amplitudes)
-
-    def test_basis_state(self):
-        psi = StateVector.basis_state(3, 1)
-        assert psi.amplitudes[1] == 1.0
-        assert psi.dim == 3
-
-    def test_overlap(self):
-        a = StateVector.basis_state(2, 0)
-        b = StateVector.basis_state(2, 1)
-        assert a.overlap(b) == 0.0
-        assert a.overlap(a) == 1.0
 
 
 class TestMatrixFiles:

@@ -15,8 +15,6 @@ from physcomp.qthermo import (
     DensityMatrix,
     GibbsState,
     HermitianOperator,
-    StateVector,
-    extractable_pure_bits,
     extractable_work,
     gibbs_state,
     mean_energy,
@@ -26,7 +24,7 @@ from physcomp.qthermo import (
     von_neumann_entropy,
 )
 from physcomp.qthermo.states import real_inner
-from physcomp.units import BIT, CONSTANTS, ENERGY, NAT, TEMPERATURE, Quantity, entropy_convert
+from physcomp.units import CONSTANTS, ENERGY, NAT, TEMPERATURE, Quantity, entropy_convert
 
 K_B = CONSTANTS.k_B.magnitude
 
@@ -51,11 +49,11 @@ def f_eq_is_subnormal(vals: np.ndarray, beta: float) -> bool:
 
 class TestVonNeumannEntropy:
     def test_maximally_mixed_qubit_is_one_bit(self):
-        s = entropy_convert(von_neumann_entropy(DensityMatrix.maximally_mixed(2)), "bits")
+        s = entropy_convert(von_neumann_entropy(DensityMatrix(np.eye(2) / 2)), "bits")
         assert s.magnitude == pytest.approx(1.0, abs=1e-12)
 
     def test_pure_state_is_zero(self):
-        rho = DensityMatrix.from_state(StateVector.basis_state(4, 2))
+        rho = DensityMatrix(np.diag([0.0, 0.0, 1.0, 0.0]))
         assert von_neumann_entropy(rho).magnitude == pytest.approx(0.0, abs=1e-9)
 
     def test_diagonal_example(self):
@@ -63,7 +61,7 @@ class TestVonNeumannEntropy:
         assert s.magnitude == pytest.approx(ENTROPY_25_75_BITS, rel=1e-12)
 
     def test_nats_display(self):
-        s = von_neumann_entropy(DensityMatrix.maximally_mixed(2)).value_in(NAT)
+        s = von_neumann_entropy(DensityMatrix(np.eye(2) / 2)).value_in(NAT)
         assert s == pytest.approx(math.log(2.0), rel=1e-12)
 
     def test_bounds_on_random_states(self):
@@ -411,14 +409,14 @@ class TestSolveInverseTemperature:
 class TestFreeEnergyAndWork:
     def test_pure_ground_state_has_zero_free_energy(self):
         h = HermitianOperator(np.diag([0.0, 1.0]))
-        rho = DensityMatrix.from_state(StateVector.basis_state(2, 0))
+        rho = DensityMatrix(np.diag([1.0, 0.0]))
         f = nonequilibrium_free_energy(rho, h, kelvin(2.0))
         assert f.magnitude == pytest.approx(0.0, abs=1e-12)
 
     def test_mixed_state_closed_form(self):
         e = 1.0
         h = HermitianOperator(np.diag([0.0, e]))
-        f = nonequilibrium_free_energy(DensityMatrix.maximally_mixed(2), h, kelvin(e))
+        f = nonequilibrium_free_energy(DensityMatrix(np.eye(2) / 2), h, kelvin(e))
         assert f.magnitude == pytest.approx(F_MIXED_OVER_E * e, rel=1e-12)
 
     def test_equilibrium_state_recovers_f_eq(self):
@@ -438,7 +436,7 @@ class TestFreeEnergyAndWork:
     def test_ground_state_work_closed_form(self):
         e = 1.0
         h = HermitianOperator(np.diag([0.0, e]))
-        rho = DensityMatrix.from_state(StateVector.basis_state(2, 0))
+        rho = DensityMatrix(np.diag([1.0, 0.0]))
         w = extractable_work(rho, h, kelvin(e))
         assert w.magnitude == pytest.approx(W_GROUND_OVER_E * e, rel=1e-9)
 
@@ -457,7 +455,7 @@ class TestFreeEnergyAndWork:
 
     def test_zero_and_negative_temperature_rejected(self):
         h = HermitianOperator(np.diag([0.0, 1.0]))
-        rho = DensityMatrix.maximally_mixed(2)
+        rho = DensityMatrix(np.eye(2) / 2)
         with pytest.raises(InputError, match="extractable work needs T > 0"):
             extractable_work(rho, h, Quantity(0.0, TEMPERATURE))
         with pytest.raises(Exception):
@@ -465,32 +463,6 @@ class TestFreeEnergyAndWork:
 
     def test_free_energy_at_zero_temperature_rejected(self):
         h = HermitianOperator(np.diag([0.0, 1.0]))
-        rho = DensityMatrix.maximally_mixed(2)
+        rho = DensityMatrix(np.eye(2) / 2)
         with pytest.raises(InputError, match="free energy needs T != 0"):
             nonequilibrium_free_energy(rho, h, Quantity(0.0, TEMPERATURE))
-
-
-class TestExtractablePureBits:
-    def test_worked_example(self):
-        got = extractable_pure_bits(100, 0.3 * BIT, 1 * BIT)
-        assert got.magnitude == pytest.approx(70.0, rel=1e-12)
-
-    def test_fully_mixed_yields_nothing(self):
-        assert extractable_pure_bits(10, 1 * BIT, 1 * BIT).magnitude == 0.0
-
-    def test_already_pure_yields_everything(self):
-        assert extractable_pure_bits(10, 0 * BIT, 1 * BIT).magnitude == 10.0
-
-    def test_entropy_out_of_range(self):
-        with pytest.raises(InputError, match="entropy per dof must satisfy"):
-            extractable_pure_bits(10, 2 * BIT, 1 * BIT)
-        with pytest.raises(InputError, match="entropy per dof must satisfy"):
-            extractable_pure_bits(10, -1 * BIT, 1 * BIT)
-
-    def test_overflowing_yield_is_typed(self):
-        with pytest.raises(NumericalOverflow, match=r"n\*\(S_max-S\) overflows a double"):
-            extractable_pure_bits(10**300, 0 * BIT, 1e10 * BIT)
-
-    def test_negative_dof_count_rejected(self):
-        with pytest.raises(InputError, match="degree-of-freedom count must be >= 0"):
-            extractable_pure_bits(-1, 0 * BIT, 1 * BIT)

@@ -2,7 +2,8 @@
 bisection loop live, which module opens files, imports the decoded-file
 cache or orjson or switches the collector, what CLI report rows are given,
 that the CLI picks no decomposition, which errors, names and dependencies
-exist, and whether the README's code runs."""
+exist, that every public name has a caller, and whether the README's code
+runs."""
 
 import ast
 import os
@@ -162,6 +163,33 @@ def test_results_take_no_input_from_the_environment():
         return isinstance(node, ast.Attribute) and node.attr in names
 
     assert _nodes({"cli/main.py", "qthermo/filecache.py"}, reads_the_environment) == []
+
+
+def test_every_public_name_is_reached():
+    # a public function, class or method is reached by a subcommand, a
+    # README example or a perfbench workload; one that only tests call is
+    # a second way to compute what the program computes, and nothing keeps
+    # it in step. perfbench's string constants count, since layers.py
+    # patches functions by name.
+    bench = sorted((ROOT / "perfbench").glob("*.py"))
+    reached = set(re.findall(r"\w+", (ROOT / "README.md").read_text(encoding="utf-8")))
+    for path in [p for p in sorted(SRC.rglob("*.py")) if p.name != "__init__.py"] + bench:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                reached.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                reached.add(node.attr)
+            elif path in bench and isinstance(node, ast.Constant) and isinstance(node.value, str):
+                reached.update(re.findall(r"\w+", node.value))
+    unreached = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            members = node.body if isinstance(node, ast.ClassDef) else []
+            for d in [node, *members]:
+                if (isinstance(d, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                        and not d.name.startswith("_") and d.name not in reached):
+                    unreached.append(f"{path.relative_to(ROOT)}:{d.lineno} {d.name}")
+    assert unreached == []
 
 
 def _child(code: str, cwd=ROOT) -> subprocess.CompletedProcess:
