@@ -14,6 +14,7 @@ with the quoted total lifetime; it is a model choice, not a quoted result.
 from __future__ import annotations
 
 import math
+import sys
 from collections import namedtuple
 from collections.abc import Iterable, Sequence
 
@@ -97,6 +98,15 @@ def _lifetime_s(m: float) -> float:
         t_m = 5120.0 * math.pi * g**2 * m**3 / (hbar * c**4)
     except ArithmeticError:  # overflow, or hbar*c^4 underflowing to 0
         t_m = math.inf
+    if not sys.float_info.min <= t_m < math.inf:
+        # a product left the double range, maybe not t_M: mantissas first,
+        # exponents last, as in measures.phi_time (only here: it can move a last bit)
+        (mg, xg), (mm, xm), (mh, xh), (mc, xc) = map(math.frexp, (g, m, hbar, c))
+        x = 2 * xg + 3 * xm - xh - 4 * xc
+        try:
+            t_m = math.ldexp(5120.0 * math.pi * mg**2 * mm**3 / (mh * mc**4), x)
+        except OverflowError:  # ldexp raises where * would give inf
+            t_m = math.inf
     # below ~6.4e-98 kg the lifetime is subnormal, down to one significant
     # bit, and below ~3.3e-103 kg it is 0, which M(t) would divide by
     return in_range(t_m, "lifetime 5120*pi*G^2*M^3/(hbar*c^4)", M=m)

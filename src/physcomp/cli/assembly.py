@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from .. import units
 from ..errors import InputError
 from .main import _unused
 from .report import Report
@@ -16,7 +15,7 @@ def add_parser(sub, common, help: str) -> None:
     asm.add_argument("--save-pathway", metavar="FILE", default=None)
 
 
-def handle(args, out) -> Report:
+def handle(args) -> Report:
     from .. import assembly
 
     rep = Report("assembly")
@@ -33,8 +32,6 @@ def handle(args, out) -> Report:
         return rep
     if args.target is None or args.basis is None:
         raise InputError("give --target and --basis, or --pathway FILE")
-    if args.save_pathway is not None:
-        units.check_writable(args.save_pathway)
     index, pathway = assembly.assembly_index(args.target, set(args.basis))
     rep.inputs = {"target": args.target, "basis": args.basis}
     rep.add("assembly_index", index, "minimal joins with reuse")

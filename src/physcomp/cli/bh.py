@@ -63,21 +63,13 @@ def _parse_sweep(spec: str) -> list[float]:
     return [start, *inner, stop]
 
 
-def _write_lines(lines: list[str], out_path: str | None, out) -> None:
-    text = "\n".join(lines) + "\n"
-    if out_path is not None:
-        units.write_text(out_path, text)
-    else:
-        out.write(text)
-
-
 def _csv_only(args, where: str) -> None:
     """Refuse a --format that was given where the output is always CSV."""
     if args.format not in (None, "csv"):
         raise InputError(f"--format {args.format} has no effect {where}; the output is CSV")
 
 
-def handle(args, out) -> Report | None:
+def handle(args) -> Report | str:
     from .. import blackhole
 
     if args.sweep is not None:
@@ -85,8 +77,6 @@ def handle(args, out) -> Report | None:
             raise InputError(f"--sweep has no effect in {args.mode} mode")
         _unused(args, "with --sweep", "mass", "unit", "samples")
         _csv_only(args, "with --sweep")
-        if args.out is not None:
-            units.check_writable(args.out)
         lines = [SWEEP_CSV_HEADER]
         for m in _parse_sweep(args.sweep):
             r = blackhole.characterize(Quantity(m, MASS))
@@ -96,21 +86,17 @@ def handle(args, out) -> Report | None:
                 f"{r.lifetime.magnitude:.17g},{r.ops_per_second.magnitude:.17g},"
                 f"{r.total_ops:.17g},{r.max_error_rate:.17g}"
             )
-        _write_lines(lines, args.out, out)
-        return None
+        return "\n".join(lines) + "\n"
     if args.mode == "report":
         _unused(args, "in report mode", "out", "samples")
         args.format = args.format or "human"
     else:
         _csv_only(args, f"in {args.mode} mode")
-        if args.out is not None:
-            units.check_writable(args.out)
     args.unit = args.unit or "kg"
     mass = _mass_quantity(args)
     if args.mode in ("timeline", "page-curve"):
         samples = blackhole.page_curve(mass, 100 if args.samples is None else args.samples)
-        _write_lines(list(blackhole.timeline_csv_lines(samples)), args.out, out)
-        return None
+        return "\n".join(blackhole.timeline_csv_lines(samples)) + "\n"
     r = blackhole.characterize(mass)
     rep = Report("bh")
     rep.inputs = {"mass": args.mass, "unit": args.unit}

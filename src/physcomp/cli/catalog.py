@@ -20,7 +20,7 @@ def add_parser(sub, common, help: str) -> None:
     cat.add_argument("--volts", type=_finite, default=None)
 
 
-def handle(args, out) -> Report:
+def handle(args) -> Report:
     from .. import catalog
 
     rep = Report(f"catalog {args.mode}")

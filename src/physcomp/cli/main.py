@@ -7,7 +7,9 @@ stack traces.
 
 Each subcommand other than ``constants`` lives in its own module of this
 package (``physcomp.cli.bh`` for ``bh``, ...), which defines
-``add_parser(sub, common, help)`` and ``handle(args, out)``. A process
+``add_parser(sub, common, help)`` and ``handle(args)``, which returns a
+``Report`` or CSV text: ``run`` refuses every output path before a handler
+sees its flags, and writes the text to stdout or ``--out``. A process
 imports only the module of the subcommand it runs.
 """
 
@@ -116,18 +118,26 @@ def run(argv, out=None, err=None) -> int:
         # the one place a run picks its constants: --constants FILE, else
         # the pinned set
         consts = constants(args.constants)
+        # an output file is refused before any work
+        for dest in ("out", "save_state", "save_vector", "save_pathway"):
+            if getattr(args, dest, None) is not None:
+                units.check_writable(getattr(args, dest))
         with units.using(consts):
-            report = _constants_report() if module is None else module.handle(args, out)
+            result = _constants_report() if module is None else module.handle(args)
+        if isinstance(result, Report):
+            if consts.source != "pinned":
+                result.inputs["constants"] = consts.source
+            result = render(result, args.format)
+        if getattr(args, "out", None) is not None:
+            units.write_text(args.out, result)
+        else:
+            out.write(result)
     except InputError as exc:
         err.write(f"error: {exc}\n")
         return 2
     except NumericalError as exc:
         err.write(f"numerical failure: {exc}\n")
         return 3
-    if report is not None:
-        if consts.source != "pinned":
-            report.inputs["constants"] = consts.source
-        out.write(render(report, args.format))
     return 0
 
 

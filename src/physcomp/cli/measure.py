@@ -45,7 +45,7 @@ def _energy_quantity(value: float, unit: str) -> Quantity:
     return Quantity(value, ENERGY)
 
 
-def handle(args, out) -> Report:
+def handle(args) -> Report:
     from .. import measures
 
     op = args.measure_op

@@ -66,7 +66,7 @@ def _add_partition_function(rep: Report, g) -> None:
         rep.add("log_partition_function", g.log_partition_function, f"ln({formula})")
 
 
-def handle(args, out) -> Report:
+def handle(args) -> Report:
     import numpy as np
 
     from .. import qthermo as qt
@@ -81,8 +81,6 @@ def handle(args, out) -> Report:
             u = {"bits": "bit", "nats": "nat"}[args.entropy_unit]
             rep.add("entropy", qt.von_neumann_entropy(rho).value_in(u), "-tr(rho*ln(rho))", u)
         elif op == "gibbs":
-            if args.save_state is not None:
-                units.check_writable(args.save_state)
             ham = qt.load_hamiltonian(args.ham)
             T = _temperature(args)
             g = qt.gibbs_state(ham, T)
@@ -115,8 +113,6 @@ def handle(args, out) -> Report:
             rep.add("extractable_work", qt.extractable_work(rho, ham, T), "k_B*T*D(rho||rho_th)")
             rep.add("free_energy", qt.nonequilibrium_free_energy(rho, ham, T), "tr(rho*H)-T*k_B*S")
         elif op == "evolve":
-            if args.save_vector is not None:
-                units.check_writable(args.save_vector)
             ham = qt.load_hamiltonian(args.ham)
             psi = qt.load_state_vector(args.state_vector)
             t = Quantity(args.time, TIME)

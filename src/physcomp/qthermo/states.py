@@ -305,10 +305,8 @@ def _read_entries(path: str, ndim: int) -> tuple[np.ndarray, str | None]:
         raise FileFormatError(f"{path}: dim: expected a positive integer")
     entries = raw.get("entries")
     out = _pair_array(entries, (dim,) * ndim)
-    if out is None:  # walk the entries only to say which one is bad
+    if out is None:  # walk the entries only to say which one is bad; it raises
         _check_entries(entries, ndim, dim, "entries", path)
-        shape = f"{dim} rows of {dim} pairs" if ndim == 2 else f"{dim} pairs"
-        raise FileFormatError(f"{path}: entries: expected {shape}")
     unit = raw.get("units")
     if unit not in accepted:
         raise FileFormatError(f"{path}: units: {refusal}")

@@ -176,8 +176,6 @@ class Quantity:
     def __rmul__(self, number):
         """``number * unit``, as in ``1e-15 * FARAD``; a Quantity has no other
         arithmetic."""
-        if isinstance(number, Quantity):
-            return NotImplemented
         return Quantity(self.magnitude * number, self.dim)
 
     def __eq__(self, other):

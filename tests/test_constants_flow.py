@@ -8,6 +8,8 @@ that does not read the constant cannot move by rounding either.
 
 import io
 import json
+import math
+from fractions import Fraction
 
 import pytest
 
@@ -255,3 +257,16 @@ def test_a_lifetime_whose_divisor_underflows_is_one_line(workdir, mode):
     assert run(["bh", mode, "--mass", "1", "--constants", "c.json"], out, err) == 3
     assert out.getvalue() == ""
     assert err.getvalue() == "numerical failure: lifetime 5120*pi*G^2*M^3/(hbar*c^4) overflows a double at M=1.0\n"
+
+
+def test_a_lifetime_whose_products_leave_the_double_range_is_exact(workdir):
+    # with c = 1e-84 at M = 5.8e-117 kg, G^2*M^3 and hbar*c^4 both underflow
+    # to 0, but t_M is a normal double: exact rational arithmetic says which
+    (workdir / "c.json").write_text(json.dumps({"c": 1e-84}))
+    out, err = io.StringIO(), io.StringIO()
+    argv = ["bh", "--mass", "5.8e-117", "--constants", "c.json", "--format", "json"]
+    assert run(argv, out, err) == 0, err.getvalue()
+    rows = {r["name"]: r["value"] for r in json.loads(out.getvalue())["results"]}
+    g, hbar = Fraction(PINNED["G"]), Fraction(PINNED["hbar"])
+    exact = 5120 * Fraction(math.pi) * g**2 * Fraction(5.8e-117) ** 3 / (hbar * Fraction(1e-84) ** 4)
+    assert rows["lifetime"] == float(exact) == 132568.12104977437

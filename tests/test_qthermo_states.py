@@ -4,6 +4,7 @@ import functools
 import io
 import json
 import os
+import random
 import re
 import types
 
@@ -405,6 +406,75 @@ def test_corrupted_entry_reported_at_its_index(tmp_path_factory, mat, data):
     path.write_text(json.dumps({"dim": d, "entries": entries}))
     with pytest.raises(FileFormatError, match=re.escape(f"{path}: entries[{i}][{j}]: ")):
         read_matrix(str(path))
+
+
+class _Raw(str):
+    """A JSON token written as it is: json.dumps cannot write 1e400 or NaN."""
+
+
+def _dump(x) -> str:
+    if isinstance(x, _Raw):
+        return str(x)
+    if isinstance(x, list):
+        return "[" + ", ".join(map(_dump, x)) + "]"
+    return json.dumps(x)
+
+
+# what a defect puts in place of an entry, a pair or a row; a wrong length
+# is the other defect
+BAD_NODES = [{"re": 0.0}, "0.5", True, False, 10**400, -(10**400),
+             _Raw("1e400"), _Raw("-1e400"), _Raw("NaN")]
+POSITIONED = r"entries(\[\d+\])*: (expected .+|entries must be finite doubles)"
+
+
+def _valid(rng, depth: int, ndim: int, dim: int):
+    if depth == ndim:
+        return [rng.choice([rng.uniform(-1, 1), rng.randint(-3, 3)]) for _ in range(2)]
+    return [_valid(rng, depth + 1, ndim, dim) for _ in range(dim)]
+
+
+def _slots(parent, key, depth: int):
+    """Every (container, key, depth) under and including parent[key]."""
+    yield parent, key, depth
+    if isinstance(parent[key], list):
+        for i in range(len(parent[key])):
+            yield from _slots(parent[key], i, depth + 1)
+
+
+def _add_defect(rng, doc: dict, ndim: int) -> None:
+    parent, key, depth = rng.choice(list(_slots(doc, "entries", 0)))
+    node = parent[key]
+    if not isinstance(node, list) or rng.random() < 0.5:
+        parent[key] = rng.choice(BAD_NODES)
+        return
+    want = doc["dim"] if depth < ndim else 2
+    size = rng.choice([n for n in range(want + 3) if n != want])
+    del node[size:]
+    while len(node) < size:
+        node.append(_valid(rng, depth + 1, ndim, doc["dim"]) if depth < ndim else 0.5)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_the_two_entry_walkers_agree(tmp_path, seed):
+    # _pair_array refuses a file without saying why and _check_entries names
+    # the first bad entry; each file one refuses, the other must refuse with
+    # a positioned message, or the reader would pass on a None array
+    rng = random.Random(seed)
+    path = tmp_path / "bad.json"
+    for _ in range(50):
+        ndim, dim = rng.choice([1, 2]), rng.randint(1, 4)
+        doc = {"dim": dim, "entries": _valid(rng, 0, ndim, dim)}
+        for _ in range(rng.randint(1, 3)):
+            _add_defect(rng, doc, ndim)
+        path.write_text('{"dim": %d, "entries": %s}' % (dim, _dump(doc["entries"])))
+        entries = json.loads(path.read_text())["entries"]
+        assert states._pair_array(entries, (dim,) * ndim) is None
+        with pytest.raises(FileFormatError) as walked:
+            states._check_entries(entries, ndim, dim, "entries", str(path))
+        with pytest.raises(FileFormatError) as read:
+            (read_matrix if ndim == 2 else read_vector)(str(path))
+        assert str(read.value) == str(walked.value)
+        assert re.fullmatch(re.escape(f"{path}: ") + POSITIONED, str(read.value))
 
 
 class TestDecodedFileCache:

@@ -1,6 +1,7 @@
 """Repository hygiene: what git tracks, where the range rule and the
 bisection loop live, which module opens files, imports the decoded-file
 cache or orjson or switches the collector, what CLI report rows are given,
+who checks output paths and what a subcommand handler takes,
 that the CLI picks no decomposition, which errors, names and dependencies
 exist, that every public name has a caller, and whether the README's code
 runs."""
@@ -114,6 +115,31 @@ def test_files_are_opened_only_by_units():
     # writer, so every file error is the same one-line FileFormatError, and
     # qthermo.filecache (get and put) the one place arrays meet files
     assert _calls({"open", "load", "save"}, {"units.py", "qthermo/filecache.py"}) == []
+
+
+def test_output_paths_are_checked_only_by_run():
+    # cli.main.run refuses every output path once, before any handler sees
+    # its flags, so the early check cannot be forgotten in one subcommand
+    def names_it(node):
+        return (isinstance(node, ast.Name) and node.id == "check_writable") or (
+            isinstance(node, ast.Attribute) and node.attr == "check_writable")
+
+    assert _nodes({"units.py", "cli/main.py"}, names_it) == []
+
+
+def test_handlers_take_only_the_parsed_flags():
+    # a handler returns a Report or CSV text and writes no stream itself:
+    # cli.main.run writes stdout or --out
+    from physcomp.cli.main import SUBCOMMANDS
+
+    params = {}
+    for path in sorted((SRC / "cli").glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.FunctionDef) and node.name == "handle":
+                a = node.args
+                params[path.stem] = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs] + [
+                    p.arg for p in (a.vararg, a.kwarg) if p is not None]
+    assert params == {name: ["args"] for name in SUBCOMMANDS if name != "constants"}
 
 
 def _importers(module):
